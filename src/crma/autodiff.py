@@ -5,15 +5,17 @@ recorded in execution order and differentiated by ``tape.backward(loss)``.
 Outside a tape the same operations are plain numpy forward computations,
 which is what evaluation-only paths use.
 
-Everything is float64. Supported shapes are scalars, vectors, and
-matrices; the only broadcasting is scalar-with-tensor plus the dedicated
-row-broadcast in :func:`add_bias`.
+Everything is float64. Elementwise ops take equal shapes or a scalar
+with a tensor; the other broadcasts are the row-broadcast bias of
+:func:`add_bias` and :func:`linear`, and the leading head axis of
+:func:`linear`, which runs H stacked layers on one input in one node.
+Backwards only compute the gradients of operands that require one, so a
+subgraph built from frozen tensors is neither recorded nor differentiated.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 
 import numpy as np
 
@@ -34,19 +36,7 @@ class GraphError(RuntimeError):
 
 
 _ids = itertools.count()
-_tls = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = _tls.stack = []
-    return stack
-
-
-def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_tapes: list = []  # open tapes, innermost last
 
 
 class Tensor:
@@ -54,8 +44,10 @@ class Tensor:
 
     __slots__ = ("values", "grad", "requires_grad", "node_id")
 
-    def __init__(self, values, requires_grad: bool = False):
-        self.values = np.array(values, dtype=np.float64, copy=True)
+    def __init__(self, values, requires_grad: bool = False, *, copy: bool = True):
+        self.values = (
+            np.array(values, dtype=np.float64) if copy else np.asarray(values, dtype=np.float64)
+        )
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.node_id = next(_ids)
@@ -115,13 +107,13 @@ class Tensor:
     def abs(self) -> "Tensor":
         a = self
         out = _result(np.abs(a.values), (a,))
-        _maybe_record(out, (a,), lambda g: _accum(a, g * np.sign(a.values)))
+        _maybe_record(out, lambda g: _accum(a, g * np.sign(a.values)))
         return out
 
     def relu(self) -> "Tensor":
         a = self
         out = _result(np.maximum(a.values, 0.0), (a,))
-        _maybe_record(out, (a,), lambda g: _accum(a, g * (a.values > 0.0)))
+        _maybe_record(out, lambda g: _accum(a, g * (a.values > 0.0)))
         return out
 
     def log(self) -> "Tensor":
@@ -133,7 +125,6 @@ class Tensor:
         out = _result(np.log(clipped), (a,))
         _maybe_record(
             out,
-            (a,),
             lambda g: _accum(a, np.where(a.values >= LOG_FLOOR, g / clipped, 0.0)),
         )
         return out
@@ -141,20 +132,20 @@ class Tensor:
     def exp(self) -> "Tensor":
         a = self
         out = _result(np.exp(a.values), (a,))
-        _maybe_record(out, (a,), lambda g: _accum(a, g * out.values))
+        _maybe_record(out, lambda g: _accum(a, g * out.values))
         return out
 
     def sum(self) -> "Tensor":
         a = self
         out = _result(np.sum(a.values), (a,))
-        _maybe_record(out, (a,), lambda g: _accum(a, g * np.ones_like(a.values)))
+        _maybe_record(out, lambda g: _accum(a, g * np.ones_like(a.values)))
         return out
 
     def mean(self) -> "Tensor":
         a = self
         inv = 1.0 / a.values.size
         out = _result(np.mean(a.values), (a,))
-        _maybe_record(out, (a,), lambda g: _accum(a, (g * inv) * np.ones_like(a.values)))
+        _maybe_record(out, lambda g: _accum(a, (g * inv) * np.ones_like(a.values)))
         return out
 
 
@@ -162,8 +153,8 @@ class Tape:
     """Execution-ordered record of differentiable operations.
 
     Rebuilt on every forward pass; execution order is a topological order
-    by construction. Distinct tapes are fully independent, and a tape is
-    only mutated by the thread that runs forwards under it.
+    by construction. Tapes nest: ops record on the innermost open tape, and
+    distinct tapes are fully independent.
     """
 
     def __init__(self):
@@ -171,11 +162,11 @@ class Tape:
         self._pos = {}      # node_id -> index into _entries
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _tapes.pop()
         assert popped is self, "tapes must be exited in LIFO order"
         return False
 
@@ -217,21 +208,22 @@ def _as_tensor(x) -> Tensor:
 
 
 def _result(values, parents) -> Tensor:
-    return Tensor(values, requires_grad=any(p.requires_grad for p in parents))
+    """Wrap an op's freshly computed array as its output, without a copy."""
+    return Tensor(values, requires_grad=any(p.requires_grad for p in parents), copy=False)
 
 
-def _maybe_record(out: Tensor, parents, backward_fn) -> None:
-    tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        tape._record(out, backward_fn)
+def _maybe_record(out: Tensor, backward_fn) -> None:
+    if _tapes and out.requires_grad:
+        _tapes[-1]._record(out, backward_fn)
 
 
-def _accum(t: Tensor, g) -> None:
+def _accum(t: Tensor, g, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``; ``owned`` marks a fresh array nothing else holds."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # copy: g may alias another node's grad buffer
-        t.grad = np.array(g, dtype=np.float64)
+        # copy unless owned: g may alias another node's grad buffer
+        t.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -240,6 +232,21 @@ def _check_elementwise(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape == b.shape or a.size == 1 or b.size == 1:
         return
     raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} are not compatible")
+
+
+def _reduce_last(ufunc, values):
+    """``ufunc.reduce`` over the last axis, kept as a length-1 axis.
+
+    numpy's own reduction pays a fixed cost per row, which dominates on the
+    short class axis; below 8 columns this reduces column by column
+    instead, in the same sequential order, so the result is bit-identical.
+    """
+    if values.shape[-1] >= 8:  # numpy sums longer rows pairwise
+        return ufunc.reduce(values, axis=-1, keepdims=True)
+    out = values[..., :1].copy()
+    for j in range(1, values.shape[-1]):
+        ufunc(out, values[..., j : j + 1], out=out)
+    return out
 
 
 def _fit(g, shape):
@@ -261,7 +268,7 @@ def add(a, b) -> Tensor:
         _accum(a, _fit(g, a.shape))
         _accum(b, _fit(g, b.shape))
 
-    _maybe_record(out, (a, b), backward_fn)
+    _maybe_record(out, backward_fn)
     return out
 
 
@@ -272,9 +279,10 @@ def sub(a, b) -> Tensor:
 
     def backward_fn(g):
         _accum(a, _fit(g, a.shape))
-        _accum(b, _fit(-g, b.shape))
+        if b.requires_grad:
+            _accum(b, _fit(-g, b.shape))
 
-    _maybe_record(out, (a, b), backward_fn)
+    _maybe_record(out, backward_fn)
     return out
 
 
@@ -284,10 +292,12 @@ def mul(a, b) -> Tensor:
     out = _result(a.values * b.values, (a, b))
 
     def backward_fn(g):
-        _accum(a, _fit(g * b.values, a.shape))
-        _accum(b, _fit(g * a.values, b.shape))
+        if a.requires_grad:
+            _accum(a, _fit(g * b.values, a.shape))
+        if b.requires_grad:
+            _accum(b, _fit(g * a.values, b.shape))
 
-    _maybe_record(out, (a, b), backward_fn)
+    _maybe_record(out, backward_fn)
     return out
 
 
@@ -299,10 +309,12 @@ def div(a, b) -> Tensor:
     out = _result(a.values / b.values, (a, b))
 
     def backward_fn(g):
-        _accum(a, _fit(g / b.values, a.shape))
-        _accum(b, _fit(-g * a.values / (b.values * b.values), b.shape))
+        if a.requires_grad:
+            _accum(a, _fit(g / b.values, a.shape))
+        if b.requires_grad:
+            _accum(b, _fit(-g * a.values / (b.values * b.values), b.shape))
 
-    _maybe_record(out, (a, b), backward_fn)
+    _maybe_record(out, backward_fn)
     return out
 
 
@@ -310,7 +322,7 @@ def scalar_mul(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
     out = _result(a.values * c, (a,))
-    _maybe_record(out, (a,), lambda g: _accum(a, g * c))
+    _maybe_record(out, lambda g: _accum(a, g * c))
     return out
 
 
@@ -321,10 +333,12 @@ def matmul(a, b) -> Tensor:
     out = _result(a.values @ b.values, (a, b))
 
     def backward_fn(g):
-        _accum(a, g @ b.values.T)
-        _accum(b, a.values.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.values.T, owned=True)
+        if b.requires_grad:
+            _accum(b, a.values.T @ g, owned=True)
 
-    _maybe_record(out, (a, b), backward_fn)
+    _maybe_record(out, backward_fn)
     return out
 
 
@@ -337,29 +351,113 @@ def add_bias(x, bias) -> Tensor:
 
     def backward_fn(g):
         _accum(x, g)
-        _accum(bias, g.sum(axis=0))
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=0), owned=True)
 
-    _maybe_record(out, (x, bias), backward_fn)
+    _maybe_record(out, backward_fn)
+    return out
+
+
+def linear(x, weight, bias, relu: bool = False) -> Tensor:
+    """``x @ weight + bias``, optionally followed by relu, as one node.
+
+    Plain: x (n, d), weight (d, k), bias (k,). Value and gradients are
+    bit-identical to ``add_bias(matmul(x, weight), bias)`` (then ``.relu()``).
+    Head-batched: weight (H, d, k) and bias (H, k) hold H layers, applied
+    head by head to x (H, n, d), or all to one x (n, d); the output is
+    (H, n, k).
+    """
+    x, w, b = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    heads = w.values.ndim == 3
+    if not (
+        w.values.ndim in (2, 3)
+        and b.shape == w.shape[:-2] + w.shape[-1:]
+        and x.values.ndim in ((2, 3) if heads else (2,))
+        and x.shape[-1] == w.shape[-2]
+        and (x.values.ndim == 2 or x.shape[0] == w.shape[0])
+    ):
+        raise DimensionError(
+            f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not align"
+        )
+    values = x.values @ w.values
+    values += b.values[:, None, :] if heads else b.values
+    if relu:
+        np.maximum(values, 0.0, out=values)
+    out = _result(values, (x, w, b))
+
+    def backward_fn(g):
+        if relu:
+            g = g * (out.values > 0.0)
+        if b.requires_grad:
+            # einsum adds the rows in the order sum(axis=-2) does, much faster
+            _accum(b, np.einsum("hnk->hk", g) if heads else g.sum(axis=0), owned=True)
+        if w.requires_grad:
+            _accum(w, np.swapaxes(x.values, -1, -2) @ g, owned=True)
+        if x.requires_grad:
+            gx = g @ np.swapaxes(w.values, -1, -2)
+            if gx.ndim > x.values.ndim:  # one x fed every head
+                gx = gx.sum(axis=0)
+            _accum(x, gx, owned=True)
+
+    _maybe_record(out, backward_fn)
+    return out
+
+
+def stack(tensors) -> Tensor:
+    """Equally shaped tensors stacked along a new leading axis."""
+    ts = [_as_tensor(t) for t in tensors]
+    if not ts or any(t.shape != ts[0].shape for t in ts):
+        raise DimensionError(f"stack: shapes {[t.shape for t in ts]} differ or are empty")
+    out = _result(np.stack([t.values for t in ts]), ts)
+
+    def backward_fn(g):
+        for t, g_t in zip(ts, g):
+            _accum(t, g_t)
+
+    _maybe_record(out, backward_fn)
+    return out
+
+
+def index(t, key) -> Tensor:
+    """``t[key]`` as a copy, for a numpy index of ints, slices and int arrays.
+
+    Repeated positions in an integer-array index add up their gradients.
+    """
+    t = _as_tensor(t)
+    out = _result(np.array(t.values[key]), (t,))
+    parts = key if isinstance(key, tuple) else (key,)
+    fancy = any(isinstance(k, (list, np.ndarray)) for k in parts)
+
+    def backward_fn(g):
+        if not t.requires_grad:
+            return
+        if t.grad is None:
+            t.grad = np.zeros_like(t.values)
+        if fancy:
+            np.add.at(t.grad, key, g)
+        else:
+            t.grad[key] += g
+
+    _maybe_record(out, backward_fn)
     return out
 
 
 def softmax(logits) -> Tensor:
-    """Row-wise softmax of an n-by-K matrix, computed with max subtraction."""
+    """Softmax over the last axis, computed with max subtraction."""
     t = _as_tensor(logits)
-    if t.values.ndim != 2:
-        raise DimensionError(f"softmax expects a 2-d matrix, got shape {t.shape}")
+    if t.values.ndim < 1:
+        raise DimensionError(f"softmax needs at least one axis, got shape {t.shape}")
     if not np.all(np.isfinite(t.values)):
         raise NumericError("softmax input contains NaN or Inf")
-    shifted = t.values - t.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = _result(e / e.sum(axis=1, keepdims=True), (t,))
+    e = np.exp(t.values - _reduce_last(np.maximum, t.values))
+    out = _result(e / _reduce_last(np.add, e), (t,))
 
     def backward_fn(g):
         s = out.values
         gs = g * s
-        _accum(t, gs - s * gs.sum(axis=1, keepdims=True))
+        _accum(t, gs - s * _reduce_last(np.add, gs), owned=True)
 
-    _maybe_record(out, (t,), backward_fn)
+    _maybe_record(out, backward_fn)
     return out
 
 

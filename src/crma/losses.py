@@ -6,6 +6,10 @@ they can drive training. Pseudo-labels, their per-domain weights, and the
 per-sample self-training weight beta are plain numpy and deliberately
 detached: they act as fixed targets, and letting gradients flow into them
 would let the model lower the loss by degrading its own targets.
+
+The loss terms take per-head predictions, stack them once into a
+(2M, n, K) tensor in (domain, branch a, branch b) order, and compute over
+that head axis, so each loss records a handful of tape nodes whatever M is.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import LOG_FLOOR, Tensor
+from .autodiff import LOG_FLOOR, Tensor, index, stack
 from .nn import Prediction
 
 logger = logging.getLogger(__name__)
@@ -43,6 +47,25 @@ def _check_prob_vector(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
+def _stack_heads(pairs: Sequence[tuple[Prediction, Prediction]]) -> Tensor:
+    """(2M, n, K) stack of every head's probabilities, pair by pair."""
+    return stack([pred.probs for pair in pairs for pred in pair])
+
+
+def pair_statistics(
+    pairs: Sequence[tuple[Prediction, Prediction]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Detached per-sample discrepancies and mean predictions of every pair.
+
+    Returns the (n, M) matrix of per-sample pair discrepancies (L1/K) that
+    the adaptive weighting consumes, and the (M, n, K) pair means.
+    """
+    probs = np.stack([pred.probs.values for pair in pairs for pred in pair])
+    a, b = probs[0::2], probs[1::2]
+    d_matrix = (np.abs(a - b).sum(axis=2) / probs.shape[2]).T
+    return d_matrix, (a + b) * 0.5
+
+
 def source_ce_loss(
     pair_predictions: Sequence[tuple[Prediction, Prediction]],
     labels_per_domain: Sequence[np.ndarray],
@@ -51,17 +74,20 @@ def source_ce_loss(
 
     Each domain's labeled batch is routed to its own head pair; the loss is
     the sum over domains and branches of the batch-mean negative log
-    probability of the true class.
+    probability of the true class. Every domain's batch has the same size.
     """
     if len(pair_predictions) != len(labels_per_domain):
         raise ContractError(
             f"{len(pair_predictions)} prediction pairs but "
             f"{len(labels_per_domain)} label arrays"
         )
-    total = None
-    for (pred_a, pred_b), labels in zip(pair_predictions, labels_per_domain):
+    # each head's row of weights: its domain's one-hot labels over -n
+    weights = []
+    for (pred_a, _), labels in zip(pair_predictions, labels_per_domain):
         labels = np.asarray(labels)
         n, num_classes = pred_a.probs.shape
+        if pred_a.probs.shape != pair_predictions[0][0].probs.shape:
+            raise ContractError("every domain's batch must have the same shape")
         if labels.shape != (n,):
             raise ContractError(f"labels shape {labels.shape} does not match batch {n}")
         if labels.min() < 0 or labels.max() >= num_classes:
@@ -69,11 +95,8 @@ def source_ce_loss(
                 f"labels must lie in 0..{num_classes - 1}, got range "
                 f"[{labels.min()}, {labels.max()}]"
             )
-        onehot = Tensor(np.eye(num_classes)[labels])
-        for pred in (pred_a, pred_b):
-            term = (pred.probs.log() * onehot).sum() * (-1.0 / n)
-            total = term if total is None else total + term
-    return total
+        weights += [np.eye(num_classes)[labels] * (-1.0 / n)] * 2
+    return (_stack_heads(pair_predictions).log() * Tensor(np.stack(weights))).sum()
 
 
 def discrepancy(p, q) -> float:
@@ -85,11 +108,6 @@ def discrepancy(p, q) -> float:
     return float(np.abs(p - q).sum() / p.shape[0])
 
 
-def _per_sample_discrepancy(pa_values: np.ndarray, pb_values: np.ndarray) -> np.ndarray:
-    num_classes = pa_values.shape[1]
-    return np.abs(pa_values - pb_values).sum(axis=1) / num_classes
-
-
 def intra_consistency_loss(
     target_pairs: Sequence[tuple[Prediction, Prediction]],
 ) -> tuple[Tensor, np.ndarray]:
@@ -99,14 +117,10 @@ def intra_consistency_loss(
     (n, M) that the adaptive weighting consumes.
     """
     n, num_classes = target_pairs[0][0].probs.shape
-    d_matrix = np.empty((n, len(target_pairs)))
-    loss = None
-    for m, (pred_a, pred_b) in enumerate(target_pairs):
-        gap = (pred_a.probs - pred_b.probs).abs()
-        term = gap.sum() * (1.0 / (n * num_classes))
-        loss = term if loss is None else loss + term
-        d_matrix[:, m] = _per_sample_discrepancy(pred_a.probs.values, pred_b.probs.values)
-    return loss, d_matrix
+    heads = _stack_heads(target_pairs)
+    gap = (index(heads, slice(0, None, 2)) - index(heads, slice(1, None, 2))).abs()
+    d_matrix, _ = pair_statistics(target_pairs)
+    return gap.sum() * (1.0 / (n * num_classes)), d_matrix
 
 
 def inter_consistency_loss(mean_predictions: Sequence[Tensor]) -> Tensor:
@@ -119,13 +133,10 @@ def inter_consistency_loss(mean_predictions: Sequence[Tensor]) -> Tensor:
     n, num_classes = preds[0].shape
     if len(preds) == 1:
         return preds[0].sum() * 0.0
-    loss = None
-    for i in range(len(preds)):
-        for j in range(i + 1, len(preds)):
-            gap = (preds[i] - preds[j]).abs()
-            term = gap.sum() * (1.0 / (n * num_classes))
-            loss = term if loss is None else loss + term
-    return loss
+    means = stack(preds)
+    first, second = np.triu_indices(len(preds), k=1)  # every pair i < j
+    gap = (index(means, first) - index(means, second)).abs()
+    return gap.sum() * (1.0 / (n * num_classes))
 
 
 def classifier_objective(l_src: Tensor, l_intra: Tensor) -> Tensor:
@@ -276,12 +287,7 @@ def ast_loss(
             f"pseudo labels {pseudo_probs.shape} / betas {betas.shape} do not match "
             f"a ({n}, {num_classes}) batch"
         )
-    log_pseudo = Tensor(np.log(np.maximum(pseudo_probs, LOG_FLOOR)))
-    row_weight = Tensor(np.broadcast_to((betas / n)[:, None], (n, num_classes)).copy())
-    loss = None
-    for pred_a, pred_b in target_pairs:
-        for pred in (pred_a, pred_b):
-            p = pred.probs
-            term = ((p.log() - log_pseudo) * p * row_weight).sum()
-            loss = term if loss is None else loss + term
-    return loss
+    heads = _stack_heads(target_pairs)
+    log_pseudo = Tensor(np.broadcast_to(np.log(np.maximum(pseudo_probs, LOG_FLOOR)), heads.shape))
+    row_weight = Tensor(np.broadcast_to((betas / n)[:, None], heads.shape))
+    return ((heads.log() - log_pseudo) * heads * row_weight).sum()

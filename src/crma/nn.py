@@ -4,6 +4,10 @@ The model is a plain MLP stack: one extractor shared by all domains and
 2M independently parameterized heads. Every trainable tensor belongs to
 exactly one parameter group ("extractor" or "classifier.<m>.<branch>"),
 which is what the trainer's alternating phases key on.
+
+Each head owns its tensors, but all 2M heads run as one batched pass: every
+layer slot's 2M tensors are stacked on the fly (one ``stack`` node per
+slot) and fed to a head-batched ``linear``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, add_bias, matmul, softmax
+from .autodiff import DimensionError, Tensor, index, linear, softmax, stack
 
 EXTRACTOR_GROUP = "extractor"
 
@@ -43,7 +47,11 @@ class Parameter:
 
 @dataclass
 class Prediction:
-    """Class probabilities (and the logits they came from) for one head."""
+    """Class probabilities (and the logits they came from) for one head.
+
+    Gradients flow through ``probs`` only; heads run in a batched pass
+    carry detached logits.
+    """
 
     probs: Tensor
     logits: Tensor
@@ -85,8 +93,7 @@ class FeatureExtractor:
             )
         h = x
         for i in range(0, len(self.params), 2):
-            w, b = self.params[i].tensor, self.params[i + 1].tensor
-            h = add_bias(matmul(h, w), b).relu()
+            h = linear(h, self.params[i].tensor, self.params[i + 1].tensor, relu=True)
         return h
 
 
@@ -114,14 +121,20 @@ class ClassifierHead:
         self.params = _init_layers(rng, widths, group, group)
 
     def logits(self, features: Tensor) -> Tensor:
-        h = features
-        n_layers = len(self.params) // 2
-        for i in range(n_layers):
-            w, b = self.params[2 * i].tensor, self.params[2 * i + 1].tensor
-            h = add_bias(matmul(h, w), b)
-            if i < n_layers - 1:
-                h = h.relu()
-        return h
+        return _mlp_logits(features, [p.tensor for p in self.params])
+
+
+def _mlp_logits(features: Tensor, slots: Sequence[Tensor]) -> Tensor:
+    """Head logits from (weight, bias, weight, bias, ...) layer tensors.
+
+    The tensors are one head's, or every head's stacked along a leading
+    head axis; relu between hidden layers, linear output.
+    """
+    h = features
+    n_layers = len(slots) // 2
+    for i in range(n_layers):
+        h = linear(h, slots[2 * i], slots[2 * i + 1], relu=i < n_layers - 1)
+    return h
 
 
 class CrmaModel:
@@ -177,8 +190,24 @@ class CrmaModel:
             preds.append(Prediction(softmax(logits), logits, domain_index, branch))
         return preds[0], preds[1]
 
+    def _all_head_logits(self, features: Tensor) -> Tensor:
+        """(2M, n, K) logits of every head in (domain, branch a, branch b) order."""
+        heads = list(self.heads.values())
+        slots = [
+            stack([head.params[j].tensor for head in heads])
+            for j in range(len(heads[0].params))
+        ]
+        return _mlp_logits(features, slots)
+
     def predict_all_pairs(self, features: Tensor) -> list[tuple[Prediction, Prediction]]:
-        return [self.predict_pair(m, features) for m in range(self.num_domains)]
+        """Every domain's pair, from one batched pass over all 2M heads."""
+        logits = self._all_head_logits(features)
+        probs = softmax(logits)
+        preds = [
+            Prediction(index(probs, h), Tensor(logits.values[h]), m, branch)
+            for h, (m, branch) in enumerate(self.heads)
+        ]
+        return list(zip(preds[0::2], preds[1::2]))
 
     def final_prediction(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Average the probability vectors of all 2M heads.
@@ -186,11 +215,9 @@ class CrmaModel:
         Returns (probs, labels); labels break argmax ties toward the lowest
         class index, so evaluation is deterministic.
         """
-        features = self.forward_features(x)
-        total = np.zeros((features.shape[0], self.num_classes))
-        for m in range(self.num_domains):
-            pa, pb = self.predict_pair(m, features)
-            total += pa.probs.values + pb.probs.values
+        head_probs = softmax(self._all_head_logits(self.forward_features(x))).values
+        # pair sums added domain by domain, the order of a per-pair loop
+        total = (head_probs[0::2] + head_probs[1::2]).sum(axis=0)
         probs = total / (2 * self.num_domains)
         return probs, np.argmax(probs, axis=1).astype(np.int32)
 

@@ -4,11 +4,15 @@ Every iteration consumes one DomainBatch and runs, in order: source
 supervision on all parameters, the classifier-side consistency
 maximization (minimizing source CE minus the intra consistency), the
 extractor-side consistency minimization, and the adaptive self-training
-update. Each phase rebuilds its forward graph on a fresh tape.
+update. Each phase rebuilds its forward graph on a fresh tape. The two
+phases that update one side only switch ``requires_grad`` off on the other
+side for their forward pass, so its subgraph is never recorded or
+differentiated.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -176,6 +180,19 @@ def _classifier_groups(model: CrmaModel) -> set[str]:
     return {p.group for p in model.parameters() if p.group != EXTRACTOR_GROUP}
 
 
+@contextlib.contextmanager
+def _frozen(params: Sequence[Parameter]):
+    """Treat ``params`` as constants: ops on them alone record no tape node."""
+    flags = [p.tensor.requires_grad for p in params]
+    for p in params:
+        p.tensor.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, flags):
+            p.tensor.requires_grad = flag
+
+
 def _apply(state: TrainState, tape: Tape, loss: Tensor, lr: float, groups=None) -> None:
     state.optimizer.zero_grad()
     tape.backward(loss)
@@ -210,7 +227,7 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
     if not state.config.ablation.intra_da:
         return None
     model = state.model
-    with Tape() as tape:
+    with _frozen(model.group_parameters(EXTRACTOR_GROUP)), Tape() as tape:
         src_loss = losses.source_ce_loss(_source_pairs(model, batch), batch.source_labels)
         target_feats = model.forward_features(batch.target_features)
         intra, _ = losses.intra_consistency_loss(model.predict_all_pairs(target_feats))
@@ -236,7 +253,7 @@ def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
         return None
     first_values = None
     for _ in range(cfg.num_extractor_steps):
-        with Tape() as tape:
+        with _frozen(model.group_parameters("classifier")), Tape() as tape:
             feats = model.forward_features(batch.target_features)
             pairs = model.predict_all_pairs(feats)
             intra_value = inter_value = 0.0
@@ -275,17 +292,8 @@ def step_ast(state: TrainState, batch: DomainBatch, lr: float):
     with Tape() as tape:
         feats = model.forward_features(batch.target_features)
         pairs = model.predict_all_pairs(feats)
-        d_matrix = np.stack(
-            [
-                losses._per_sample_discrepancy(pa.probs.values, pb.probs.values)
-                for pa, pb in pairs
-            ],
-            axis=1,
-        )
+        d_matrix, mean_values = losses.pair_statistics(pairs)
         state.tracker.update(d_matrix)
-        mean_values = np.stack(
-            [(pa.probs.values + pb.probs.values) * 0.5 for pa, pb in pairs]
-        )
         fused = losses.fuse_pseudo_labels(
             d_matrix,
             mean_values,

@@ -9,8 +9,11 @@ from crma.autodiff import (
     Tensor,
     add_bias,
     grad_check,
+    index,
+    linear,
     matmul,
     softmax,
+    stack,
 )
 
 
@@ -253,3 +256,160 @@ def test_grad_check_composed_functions_property():
 def test_grad_check_rejects_constant_points():
     with pytest.raises(GraphError):
         grad_check(lambda t: (t * t).sum(), Tensor([1.0]))
+
+
+# fused linear, head-batched linear, stack/index -------------------------------
+
+
+def away_from_kinks(rng, shape):
+    """Standard normals pushed at least 0.2 away from zero."""
+    v = rng.standard_normal(shape)
+    return v + np.where(v < 0, -0.2, 0.2)
+
+
+def linear_operands(rng, heads=None, x_heads=False):
+    n, d, k = 5, 4, 3
+    w_shape = (d, k) if heads is None else (heads, d, k)
+    x_shape = (heads, n, d) if x_heads else (n, d)
+    return (
+        away_from_kinks(rng, x_shape),
+        rng.standard_normal(w_shape),
+        rng.standard_normal(w_shape[:-2] + (k,)),
+    )
+
+
+def assert_no_relu_kinks(x, w, b):
+    pre = x @ w + (b[:, None, :] if w.ndim == 3 else b)
+    assert np.abs(pre).min() > 1e-3  # finite differences stay on one side of relu
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize(
+    "heads, x_heads", [(None, False), (3, False), (3, True)], ids=["plain", "shared-x", "per-head-x"]
+)
+def test_linear_gradients_match_finite_differences(relu, heads, x_heads):
+    x, w, b = linear_operands(np.random.default_rng(31), heads, x_heads)
+    if relu:
+        assert_no_relu_kinks(x, w, b)
+    readout = Tensor(np.random.default_rng(32).standard_normal((x @ w).shape))
+    points = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+    err = grad_check(lambda xt, wt, bt: (linear(xt, wt, bt, relu=relu) * readout).sum(), points)
+    assert err < 1e-7
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("heads", [None, 3], ids=["plain", "shared-x"])
+@pytest.mark.parametrize("constant", ["x", "weight"])
+def test_linear_with_a_constant_operand(relu, heads, constant):
+    x, w, b = linear_operands(np.random.default_rng(33), heads)
+    if relu:
+        assert_no_relu_kinks(x, w, b)
+    readout = Tensor(np.random.default_rng(34).standard_normal((x @ w).shape))
+    fixed = Tensor(x if constant == "x" else w)
+    varied = Tensor(w if constant == "x" else x, requires_grad=True)
+    bt = Tensor(b, requires_grad=True)
+
+    def f(v, bias):
+        args = (fixed, v) if constant == "x" else (v, fixed)
+        return (linear(*args, bias, relu=relu) * readout).sum()
+
+    assert grad_check(f, [varied, bt]) < 1e-7
+    assert fixed.grad is None
+
+
+def test_linear_matches_matmul_add_bias_relu_bit_for_bit():
+    rng = np.random.default_rng(35)
+    x, w, b = linear_operands(rng)
+    readout = rng.standard_normal((x.shape[0], w.shape[1]))
+    for relu in (False, True):
+        grads = []
+        for fused in (True, False):
+            ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+            with Tape() as tape:
+                if fused:
+                    out = linear(*ts, relu=relu)
+                else:
+                    out = add_bias(matmul(ts[0], ts[1]), ts[2])
+                    out = out.relu() if relu else out
+                loss = (out * Tensor(readout)).sum()
+            tape.backward(loss)
+            grads.append([out.values] + [t.grad for t in ts])
+        for fused_array, chained_array in zip(*grads):
+            np.testing.assert_array_equal(fused_array, chained_array)
+
+
+def test_linear_heads_match_per_head_layers():
+    rng = np.random.default_rng(36)
+    x, w, b = linear_operands(rng, heads=4)
+    batched = linear(Tensor(x), Tensor(w), Tensor(b), relu=True).values
+    for h in range(4):
+        single = linear(Tensor(x), Tensor(w[h]), Tensor(b[h]), relu=True).values
+        np.testing.assert_allclose(batched[h], single, rtol=1e-15, atol=0)
+
+
+def test_linear_rejects_misaligned_shapes():
+    with pytest.raises(DimensionError, match="linear"):
+        linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(DimensionError, match="linear"):
+        linear(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 2))), Tensor(np.zeros((3, 2))))
+    with pytest.raises(DimensionError, match="linear"):
+        linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros(2)))
+
+
+def test_stack_and_index_gradients():
+    rng = np.random.default_rng(37)
+    parts = [Tensor(rng.standard_normal((3, 2)), requires_grad=True) for _ in range(4)]
+    readout = Tensor(rng.standard_normal((3, 3, 2)))
+    pairs = np.array([0, 0, 3])  # repeated positions add up
+
+    def f(*ts):
+        s = stack(ts)
+        picked = index(s, pairs) * readout
+        odd = index(s, slice(1, None, 2))
+        corner = index(s, (slice(0, 2), 1, 0))
+        return picked.sum() + (odd * odd).sum() + (corner * corner).sum() + (index(s, 2) * 3.0).sum()
+
+    assert grad_check(f, parts) < 1e-7
+
+
+def test_stack_and_index_values_are_copies():
+    a = Tensor([[1.0, 2.0]], requires_grad=True)
+    b = Tensor([[3.0, 4.0]], requires_grad=True)
+    s = stack([a, b])
+    np.testing.assert_array_equal(s.values, [[[1.0, 2.0]], [[3.0, 4.0]]])
+    s.values[0, 0, 0] = 9.0
+    assert a.values[0, 0] == 1.0
+    row = index(s, 1)
+    row.values[0, 0] = 7.0
+    assert s.values[1, 0, 0] == 3.0
+    with pytest.raises(DimensionError):
+        stack([a, Tensor([1.0])])
+
+
+def test_op_results_do_not_alias_operands():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    for out in (x + 0.0, x * 1.0, x.relu(), x.abs(), index(x, slice(None)), stack([x])):
+        assert not np.shares_memory(out.values, x.values)
+
+
+def test_softmax_batched_matches_each_slice():
+    rng = np.random.default_rng(38)
+    for k in (2, 3, 5, 9):
+        logits = rng.standard_normal((3, 4, k)) * 3
+        batched = softmax(Tensor(logits)).values
+        for h in range(3):
+            np.testing.assert_array_equal(batched[h], softmax(Tensor(logits[h])).values)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(batched, e / e.sum(axis=-1, keepdims=True))
+
+    t = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    weights = Tensor(rng.standard_normal((2, 3, 4)))
+    assert grad_check(lambda v: (softmax(v) * weights).sum(), t) < 1e-7
+
+
+def test_frozen_operands_record_nothing():
+    w = Tensor(np.ones((2, 2)))
+    with Tape() as tape:
+        out = linear(Tensor(np.ones((3, 2))), w, Tensor(np.zeros(2)), relu=True)
+        stack([out, out])
+    assert len(tape) == 0 and not out.requires_grad

@@ -98,6 +98,13 @@ def test_source_ce_rejects_out_of_range_labels():
         source_ce_loss(pairs, [np.array([0, 3])])
 
 
+def test_source_ce_rejects_unequal_domain_batches():
+    small, large = np.full((2, 3), 1 / 3), np.full((4, 3), 1 / 3)
+    pairs = probs_pairs([(small, small), (large, large)])
+    with pytest.raises(ContractError, match="same shape"):
+        source_ce_loss(pairs, [np.array([0, 1]), np.array([0, 1, 2, 0])])
+
+
 # discrepancy -------------------------------------------------------------------
 
 

@@ -221,3 +221,16 @@ def test_checkpoint_truncation_reports_offset():
 def test_checkpoint_bad_magic():
     with pytest.raises(FormatError, match="magic"):
         model_from_bytes(b"NOTMAGIC" + b"\x00" * 64)
+
+
+def test_all_pairs_pass_matches_each_pair():
+    model = small_model(seed=23, num_domains=3)
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((7, 2))
+    feats = model.forward_features(x)
+    batched = model.predict_all_pairs(feats)
+    for m in range(3):
+        for got, want in zip(batched[m], model.predict_pair(m, feats)):
+            assert (got.domain_index, got.branch) == (want.domain_index, want.branch)
+            np.testing.assert_allclose(got.probs.values, want.probs.values, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(got.logits.values, want.logits.values, rtol=1e-14, atol=0)

@@ -183,6 +183,54 @@ def test_minmax_direction_on_full_batch():
     assert increases == 3 and decreases == 3
 
 
+def test_phases_skip_their_frozen_side():
+    task = tiny_task(seed=9)
+    state = fresh_state(task, seed=9)
+    model = state.model
+    batch = first_batch(task)
+    extractor = model.group_parameters(EXTRACTOR_GROUP)
+    heads = model.group_parameters("classifier")
+
+    step_classifiers(state, batch, lr=1e-3)
+    assert all(p.tensor.grad is None for p in extractor)
+    assert all(p.tensor.grad is not None for p in heads)
+
+    step_extractor(state, batch, lr=1e-3)
+    assert all(p.tensor.grad is None for p in heads)
+    assert all(p.tensor.grad is not None for p in extractor)
+    # freezing is scoped to the phase's forward pass
+    assert all(p.tensor.requires_grad for p in model.parameters())
+
+
+def test_tape_entries_per_phase(monkeypatch):
+    # M=3 sources, two extractor layers, two head layers: the benchmark's shape
+    task = tiny_task(seed=9)
+    state = fresh_state(task, seed=9)
+    batch = first_batch(task)
+    assert state.model.num_domains == 3
+    recorded = []
+    original = Tape._record
+
+    def counting(self, out, backward_fn):
+        recorded.append(out)
+        original(self, out, backward_fn)
+
+    monkeypatch.setattr(Tape, "_record", counting)
+    counts = {}
+    for step in (step_source, step_classifiers, step_extractor, step_ast):
+        recorded.clear()
+        step(state, batch, lr=1e-3)
+        counts[step.__name__] = len(recorded)
+    # a change here means a phase records more (or fewer) tape nodes; update
+    # these numbers only together with the reason in CHANGES.md
+    assert counts == {
+        "step_source": 28,
+        "step_classifiers": 43,
+        "step_extractor": 33,
+        "step_ast": 21,
+    }
+
+
 def test_step_ast_skipped_when_ablated_or_before_start():
     task = tiny_task(seed=10)
     batch = first_batch(task)
