@@ -8,7 +8,8 @@ which is what evaluation-only paths use.
 Everything is float64. Elementwise ops take equal shapes or a scalar
 with a tensor; the other broadcasts are the row-broadcast bias of
 :func:`add_bias` and :func:`linear`, and the leading head axis of
-:func:`linear`, which runs H stacked layers on one input in one node.
+:func:`linear`, which runs H stacked layers in one node, on one shared
+input or on G inputs that each feed H/G consecutive heads.
 Backwards only compute the gradients of operands that require one, so a
 subgraph built from frozen tensors is neither recorded nor differentiated.
 """
@@ -182,8 +183,8 @@ class Tape:
 
         ``loss`` must be a scalar recorded on this tape. Leaf gradients
         accumulate across calls (zero them between passes if that is not
-        wanted); gradients of intermediate nodes are reset internally, so
-        repeated calls are deterministic.
+        wanted); an intermediate node's gradient lives only until it has
+        been passed on to its operands, so repeated calls are deterministic.
         """
         if loss.values.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -198,6 +199,7 @@ class Tape:
             if out.grad is None:  # not on a path to the loss
                 continue
             backward_fn(out.grad)
+            out.grad = None  # passed on: free it before the next node runs
 
 
 # recording helpers --------------------------------------------------------
@@ -363,9 +365,12 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
 
     Plain: x (n, d), weight (d, k), bias (k,). Value and gradients are
     bit-identical to ``add_bias(matmul(x, weight), bias)`` (then ``.relu()``).
-    Head-batched: weight (H, d, k) and bias (H, k) hold H layers, applied
-    head by head to x (H, n, d), or all to one x (n, d); the output is
-    (H, n, k).
+    Head-batched: weight (H, d, k) and bias (H, k) hold H layers and the
+    output is (H, n, k). x (n, d) feeds every head; x (G, n, d), with G
+    dividing H, feeds input g to the H/G consecutive heads from g*H/G on
+    (G = H: one input per head). Each head's output and weight and bias
+    gradients are bit-identical to plain ``linear`` on its own input; an
+    input's gradient is the sum over the heads it fed.
     """
     x, w, b = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     heads = w.values.ndim == 3
@@ -374,30 +379,44 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
         and b.shape == w.shape[:-2] + w.shape[-1:]
         and x.values.ndim in ((2, 3) if heads else (2,))
         and x.shape[-1] == w.shape[-2]
-        and (x.values.ndim == 2 or x.shape[0] == w.shape[0])
+        and (x.values.ndim == 2 or w.shape[0] % x.shape[0] == 0)
     ):
         raise DimensionError(
             f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not align"
         )
-    values = x.values @ w.values
-    values += b.values[:, None, :] if heads else b.values
+    if heads:
+        groups = x.shape[0] if x.values.ndim == 3 else 1
+        # (G, 1, n, d) @ (G, H/G, d, k): each input meets its H/G heads
+        xs = x.values[:, None] if x.values.ndim == 3 else x.values
+        ws = w.values.reshape((groups, -1) + w.shape[1:])
+        values = (xs @ ws).reshape(w.shape[0], -1, w.shape[2])
+        values += b.values[:, None, :]
+    else:
+        xs, ws = x.values, w.values
+        values = xs @ ws
+        values += b.values
     if relu:
         np.maximum(values, 0.0, out=values)
     out = _result(values, (x, w, b))
 
     def backward_fn(g):
-        if relu:
-            g = g * (out.values > 0.0)
+        if relu:  # g is this node's own gradient buffer, done with after this call
+            np.multiply(g, out.values > 0.0, out=g)
         if b.requires_grad:
             # einsum adds the rows in the order sum(axis=-2) does, much faster
             _accum(b, np.einsum("hnk->hk", g) if heads else g.sum(axis=0), owned=True)
+        gs = g.reshape(ws.shape[:-2] + g.shape[-2:])
         if w.requires_grad:
-            _accum(w, np.swapaxes(x.values, -1, -2) @ g, owned=True)
+            _accum(w, (np.swapaxes(xs, -1, -2) @ gs).reshape(w.shape), owned=True)
         if x.requires_grad:
-            gx = g @ np.swapaxes(w.values, -1, -2)
-            if gx.ndim > x.values.ndim:  # one x fed every head
-                gx = gx.sum(axis=0)
-            _accum(x, gx, owned=True)
+            wt = np.swapaxes(ws, -1, -2)
+            if heads:  # an input's gradient sums over the heads it fed, in head order
+                gx = gs[:, 0] @ wt[:, 0]
+                for j in range(1, ws.shape[1]):
+                    gx += gs[:, j] @ wt[:, j]
+            else:
+                gx = gs @ wt
+            _accum(x, gx.reshape(x.shape), owned=True)
 
     _maybe_record(out, backward_fn)
     return out

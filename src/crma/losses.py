@@ -7,9 +7,9 @@ per-sample self-training weight beta are plain numpy and deliberately
 detached: they act as fixed targets, and letting gradients flow into them
 would let the model lower the loss by degrading its own targets.
 
-The loss terms take per-head predictions, stack them once into a
-(2M, n, K) tensor in (domain, branch a, branch b) order, and compute over
-that head axis, so each loss records a handful of tape nodes whatever M is.
+The loss terms take the (2M, n, K) probabilities of every head, in
+(domain, branch a, branch b) order, as one tensor and compute over that
+head axis, so each loss records a handful of tape nodes whatever M is.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import LOG_FLOOR, Tensor, index, stack
-from .nn import Prediction
+from .autodiff import LOG_FLOOR, Tensor, index
 
 logger = logging.getLogger(__name__)
 
@@ -47,47 +46,34 @@ def _check_prob_vector(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
-def _stack_heads(pairs: Sequence[tuple[Prediction, Prediction]]) -> Tensor:
-    """(2M, n, K) stack of every head's probabilities, pair by pair."""
-    return stack([pred.probs for pair in pairs for pred in pair])
+def pair_statistics(head_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample discrepancies and mean predictions of every pair.
 
-
-def pair_statistics(
-    pairs: Sequence[tuple[Prediction, Prediction]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Detached per-sample discrepancies and mean predictions of every pair.
-
-    Returns the (n, M) matrix of per-sample pair discrepancies (L1/K) that
-    the adaptive weighting consumes, and the (M, n, K) pair means.
+    Takes the (2M, n, K) head probabilities as a plain array. Returns the
+    (n, M) matrix of per-sample pair discrepancies (L1/K) that the adaptive
+    weighting consumes, and the (M, n, K) pair means.
     """
-    probs = np.stack([pred.probs.values for pair in pairs for pred in pair])
-    a, b = probs[0::2], probs[1::2]
-    d_matrix = (np.abs(a - b).sum(axis=2) / probs.shape[2]).T
+    a, b = head_probs[0::2], head_probs[1::2]
+    d_matrix = (np.abs(a - b).sum(axis=2) / head_probs.shape[2]).T
     return d_matrix, (a + b) * 0.5
 
 
-def source_ce_loss(
-    pair_predictions: Sequence[tuple[Prediction, Prediction]],
-    labels_per_domain: Sequence[np.ndarray],
-) -> Tensor:
+def source_ce_loss(head_probs: Tensor, labels_per_domain: Sequence[np.ndarray]) -> Tensor:
     """Summed softmax cross entropy over every domain's classifier pair.
 
-    Each domain's labeled batch is routed to its own head pair; the loss is
-    the sum over domains and branches of the batch-mean negative log
-    probability of the true class. Every domain's batch has the same size.
+    ``head_probs`` holds each pair's (2, n, K) probabilities on its own
+    domain's labeled batch; the loss is the sum over domains and branches
+    of the batch-mean negative log probability of the true class.
     """
-    if len(pair_predictions) != len(labels_per_domain):
+    num_heads, n, num_classes = head_probs.shape
+    if num_heads != 2 * len(labels_per_domain):
         raise ContractError(
-            f"{len(pair_predictions)} prediction pairs but "
-            f"{len(labels_per_domain)} label arrays"
+            f"{num_heads} heads but {len(labels_per_domain)} label arrays"
         )
     # each head's row of weights: its domain's one-hot labels over -n
     weights = []
-    for (pred_a, _), labels in zip(pair_predictions, labels_per_domain):
+    for labels in labels_per_domain:
         labels = np.asarray(labels)
-        n, num_classes = pred_a.probs.shape
-        if pred_a.probs.shape != pair_predictions[0][0].probs.shape:
-            raise ContractError("every domain's batch must have the same shape")
         if labels.shape != (n,):
             raise ContractError(f"labels shape {labels.shape} does not match batch {n}")
         if labels.min() < 0 or labels.max() >= num_classes:
@@ -96,7 +82,7 @@ def source_ce_loss(
                 f"[{labels.min()}, {labels.max()}]"
             )
         weights += [np.eye(num_classes)[labels] * (-1.0 / n)] * 2
-    return (_stack_heads(pair_predictions).log() * Tensor(np.stack(weights))).sum()
+    return (head_probs.log() * Tensor(np.stack(weights))).sum()
 
 
 def discrepancy(p, q) -> float:
@@ -108,33 +94,30 @@ def discrepancy(p, q) -> float:
     return float(np.abs(p - q).sum() / p.shape[0])
 
 
-def intra_consistency_loss(
-    target_pairs: Sequence[tuple[Prediction, Prediction]],
-) -> tuple[Tensor, np.ndarray]:
-    """Batch mean over target samples of the summed pair discrepancies.
-
-    Also returns the detached per-sample, per-domain discrepancy matrix
-    (n, M) that the adaptive weighting consumes.
-    """
-    n, num_classes = target_pairs[0][0].probs.shape
-    heads = _stack_heads(target_pairs)
-    gap = (index(heads, slice(0, None, 2)) - index(heads, slice(1, None, 2))).abs()
-    d_matrix, _ = pair_statistics(target_pairs)
-    return gap.sum() * (1.0 / (n * num_classes)), d_matrix
+def _pair_heads(head_probs: Tensor) -> tuple[Tensor, Tensor]:
+    """The (M, n, K) branch a and branch b probabilities."""
+    return index(head_probs, slice(0, None, 2)), index(head_probs, slice(1, None, 2))
 
 
-def inter_consistency_loss(mean_predictions: Sequence[Tensor]) -> Tensor:
-    """Batch mean of pairwise discrepancies among the M mean predictions.
+def intra_consistency_loss(head_probs: Tensor) -> Tensor:
+    """Batch mean over target samples of the summed pair discrepancies."""
+    _, n, num_classes = head_probs.shape
+    a, b = _pair_heads(head_probs)
+    return (a - b).abs().sum() * (1.0 / (n * num_classes))
+
+
+def inter_consistency_loss(head_probs: Tensor) -> Tensor:
+    """Batch mean of pairwise discrepancies among the M pair means.
 
     A single source domain has no pairs, so the loss is exactly zero (kept
     on the graph with zero gradient so callers can differentiate uniformly).
     """
-    preds = list(mean_predictions)
-    n, num_classes = preds[0].shape
-    if len(preds) == 1:
-        return preds[0].sum() * 0.0
-    means = stack(preds)
-    first, second = np.triu_indices(len(preds), k=1)  # every pair i < j
+    num_heads, n, num_classes = head_probs.shape
+    if num_heads == 2:
+        return head_probs.sum() * 0.0
+    a, b = _pair_heads(head_probs)
+    means = (a + b) * 0.5
+    first, second = np.triu_indices(num_heads // 2, k=1)  # every pair i < j
     gap = (index(means, first) - index(means, second)).abs()
     return gap.sum() * (1.0 / (n * num_classes))
 
@@ -271,23 +254,19 @@ def fuse_pseudo_labels(
     return PseudoBatch(probs=probs, betas=betas, raw_weights=raw, normalized_weights=normalized)
 
 
-def ast_loss(
-    target_pairs: Sequence[tuple[Prediction, Prediction]],
-    pseudo_probs: np.ndarray,
-    betas: np.ndarray,
-) -> Tensor:
+def ast_loss(head_probs: Tensor, pseudo_probs: np.ndarray, betas: np.ndarray) -> Tensor:
     """Beta-weighted batch mean of KL(head prediction || pseudo-label).
 
     ``pseudo_probs`` and ``betas`` are constants; gradient reaches every
     head and the extractor only through the head predictions.
     """
-    n, num_classes = target_pairs[0][0].probs.shape
+    _, n, num_classes = head_probs.shape
     if pseudo_probs.shape != (n, num_classes) or betas.shape != (n,):
         raise ContractError(
             f"pseudo labels {pseudo_probs.shape} / betas {betas.shape} do not match "
             f"a ({n}, {num_classes}) batch"
         )
-    heads = _stack_heads(target_pairs)
-    log_pseudo = Tensor(np.broadcast_to(np.log(np.maximum(pseudo_probs, LOG_FLOOR)), heads.shape))
-    row_weight = Tensor(np.broadcast_to((betas / n)[:, None], heads.shape))
-    return ((heads.log() - log_pseudo) * heads * row_weight).sum()
+    shape = head_probs.shape
+    log_pseudo = Tensor(np.broadcast_to(np.log(np.maximum(pseudo_probs, LOG_FLOOR)), shape))
+    row_weight = Tensor(np.broadcast_to((betas / n)[:, None], shape))
+    return ((head_probs.log() - log_pseudo) * head_probs * row_weight).sum()

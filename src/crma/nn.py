@@ -5,9 +5,12 @@ The model is a plain MLP stack: one extractor shared by all domains and
 exactly one parameter group ("extractor" or "classifier.<m>.<branch>"),
 which is what the trainer's alternating phases key on.
 
-Each head owns its tensors, but all 2M heads run as one batched pass: every
-layer slot's 2M tensors are stacked on the fly (one ``stack`` node per
-slot) and fed to a head-batched ``linear``.
+The heads are stored stacked: each head-layer slot (one layer's weight or
+bias) is a single (2M, ...) leaf tensor in (domain, branch a, branch b)
+order, and each head's Parameter holds a writable view of its row. Names,
+groups, ``parameters()`` order, checkpoints and digests stay per head,
+while every forward pass runs all 2M heads at once straight off the leaves,
+which is also where their gradients land.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, index, linear, softmax, stack
+from .autodiff import DimensionError, Tensor, index, linear, softmax
 
 EXTRACTOR_GROUP = "extractor"
 
@@ -38,23 +41,35 @@ def classifier_group(domain_index: int, branch: str) -> str:
 
 @dataclass
 class Parameter:
-    """One trainable tensor plus its group assignment."""
+    """One trainable tensor plus its group assignment.
+
+    A head's ``tensor`` is a view of row ``row`` of its ``storage`` leaf,
+    the tensor that training differentiates and steps; an extractor
+    tensor is its own storage.
+    """
 
     name: str
     group: str
     tensor: Tensor
+    storage: Tensor | None = None
+    row: int | None = None
+
+    @property
+    def leaf(self) -> Tensor:
+        return self.tensor if self.storage is None else self.storage
+
+    @property
+    def grad(self):
+        """This tensor's gradient, read from its leaf; None when it has none."""
+        g = self.leaf.grad
+        return g if g is None or self.row is None else g[self.row]
 
 
 @dataclass
 class Prediction:
-    """Class probabilities (and the logits they came from) for one head.
-
-    Gradients flow through ``probs`` only; heads run in a batched pass
-    carry detached logits.
-    """
+    """Class probabilities of one head."""
 
     probs: Tensor
-    logits: Tensor
     domain_index: int
     branch: str
 
@@ -121,13 +136,14 @@ class ClassifierHead:
         self.params = _init_layers(rng, widths, group, group)
 
     def logits(self, features: Tensor) -> Tensor:
+        """This head's logits; in a CrmaModel its row views take no gradient."""
         return _mlp_logits(features, [p.tensor for p in self.params])
 
 
 def _mlp_logits(features: Tensor, slots: Sequence[Tensor]) -> Tensor:
     """Head logits from (weight, bias, weight, bias, ...) layer tensors.
 
-    The tensors are one head's, or every head's stacked along a leading
+    The tensors are one head's, or several heads' stacked along a leading
     head axis; relu between hidden layers, linear output.
     """
     h = features
@@ -165,6 +181,16 @@ class CrmaModel:
                 self.heads[(m, branch)] = ClassifierHead(
                     self.extractor.feature_dim, num_classes, head_hidden, m, branch, rng
                 )
+        # one (2M, ...) leaf per head-layer slot; each head's tensor becomes a view of its row
+        heads = list(self.heads.values())
+        self.head_slots = []
+        for j in range(len(heads[0].params)):
+            rows = np.stack([head.params[j].tensor.values for head in heads])
+            slot = Tensor(rows, requires_grad=True, copy=False)
+            for h, head in enumerate(heads):
+                p = head.params[j]
+                p.tensor, p.storage, p.row = Tensor(slot.values[h], copy=False), slot, h
+            self.head_slots.append(slot)
 
     @property
     def input_dim(self) -> int:
@@ -179,35 +205,27 @@ class CrmaModel:
             x = Tensor(np.asarray(x, dtype=np.float64))
         return self.extractor.forward(x)
 
+    def head_probs(self, features: Tensor) -> Tensor:
+        """(2M, n, K) class probabilities of every head, in one batched pass.
+
+        Heads are in (domain, branch a, branch b) order. Features (n, d)
+        feed every head; features (M, n, d) feed domain m's rows to its
+        own pair only.
+        """
+        return softmax(_mlp_logits(features, self.head_slots))
+
     def predict_pair(self, domain_index: int, features: Tensor) -> tuple[Prediction, Prediction]:
+        """One domain's pair on ``features``, read from its rows of the head slots."""
         if not 0 <= domain_index < self.num_domains:
             raise IndexError(
                 f"domain index {domain_index} out of range for {self.num_domains} domains"
             )
-        preds = []
-        for branch in ("a", "b"):
-            logits = self.heads[(domain_index, branch)].logits(features)
-            preds.append(Prediction(softmax(logits), logits, domain_index, branch))
-        return preds[0], preds[1]
-
-    def _all_head_logits(self, features: Tensor) -> Tensor:
-        """(2M, n, K) logits of every head in (domain, branch a, branch b) order."""
-        heads = list(self.heads.values())
-        slots = [
-            stack([head.params[j].tensor for head in heads])
-            for j in range(len(heads[0].params))
-        ]
-        return _mlp_logits(features, slots)
-
-    def predict_all_pairs(self, features: Tensor) -> list[tuple[Prediction, Prediction]]:
-        """Every domain's pair, from one batched pass over all 2M heads."""
-        logits = self._all_head_logits(features)
-        probs = softmax(logits)
-        preds = [
-            Prediction(index(probs, h), Tensor(logits.values[h]), m, branch)
-            for h, (m, branch) in enumerate(self.heads)
-        ]
-        return list(zip(preds[0::2], preds[1::2]))
+        rows = slice(2 * domain_index, 2 * domain_index + 2)
+        probs = softmax(_mlp_logits(features, [index(slot, rows) for slot in self.head_slots]))
+        return (
+            Prediction(index(probs, 0), domain_index, "a"),
+            Prediction(index(probs, 1), domain_index, "b"),
+        )
 
     def final_prediction(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Average the probability vectors of all 2M heads.
@@ -215,7 +233,7 @@ class CrmaModel:
         Returns (probs, labels); labels break argmax ties toward the lowest
         class index, so evaluation is deterministic.
         """
-        head_probs = softmax(self._all_head_logits(self.forward_features(x))).values
+        head_probs = self.head_probs(self.forward_features(x)).values
         # pair sums added domain by domain, the order of a per-pair loop
         total = (head_probs[0::2] + head_probs[1::2]).sum(axis=0)
         probs = total / (2 * self.num_domains)
@@ -230,6 +248,13 @@ class CrmaModel:
 
     def group_parameters(self, prefix: str) -> list[Parameter]:
         return [p for p in self.parameters() if p.group.startswith(prefix)]
+
+    def leaves(self, prefix: str = "") -> list[Tensor]:
+        """The storage leaves of the groups starting with ``prefix``, in parameters() order.
+
+        These are the tensors training differentiates and steps.
+        """
+        return list({id(p.leaf): p.leaf for p in self.group_parameters(prefix)}.values())
 
 
 def mean_pair_prediction(pred_a: Prediction, pred_b: Prediction) -> Tensor:

@@ -4,10 +4,13 @@ Every iteration consumes one DomainBatch and runs, in order: source
 supervision on all parameters, the classifier-side consistency
 maximization (minimizing source CE minus the intra consistency), the
 extractor-side consistency minimization, and the adaptive self-training
-update. Each phase rebuilds its forward graph on a fresh tape. The two
-phases that update one side only switch ``requires_grad`` off on the other
-side for their forward pass, so its subgraph is never recorded or
-differentiated.
+update. Each phase rebuilds its forward graph on a fresh tape and runs all
+2M heads in one batched pass over the model's stacked head storage: the
+target features feed every head, and the M source batches feed their own
+pairs. The two phases that update one side only switch ``requires_grad``
+off on the other side's leaves for the whole phase, so its subgraph is
+never recorded and its gradients are never computed. The optimizer steps
+the storage leaves.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import losses
-from .autodiff import NumericError, Tape, Tensor
+from .autodiff import NumericError, Tape, Tensor, stack
 from .data import BatchIterator, DomainBatch, GeneratedTask
 from .nn import (
     EXTRACTOR_GROUP,
@@ -29,7 +32,6 @@ from .nn import (
     FormatError,
     Parameter,
     _Reader,
-    mean_pair_prediction,
     model_from_bytes,
     model_to_bytes,
 )
@@ -114,36 +116,49 @@ class ConfidenceTracker:
 
 
 class SgdOptimizer:
-    """SGD with optional momentum, one velocity buffer per parameter.
+    """SGD with optional momentum over the parameters' storage leaves.
 
-    ``step`` applies updates only to the requested groups; untouched
-    groups keep both their values and their velocity bit-identical.
+    Each leaf has one velocity buffer; ``velocity`` maps every parameter
+    name to a view of its part of it. ``step`` applies updates only to the
+    requested groups; untouched groups keep both their values and their
+    velocity bit-identical.
     """
 
     def __init__(self, params: Sequence[Parameter], momentum: float = MOMENTUM):
         self.params = list(params)
         self.momentum = momentum
-        self.velocity = {p.name: np.zeros_like(p.tensor.values) for p in self.params}
+        # id(leaf) -> (leaf, its velocity, (group, index into the leaf) of each parameter)
+        self._leaves = {}
+        self.velocity = {}
+        for p in self.params:
+            index = ... if p.row is None else p.row
+            entry = (p.leaf, np.zeros_like(p.leaf.values), [])
+            _, velocity, parts = self._leaves.setdefault(id(p.leaf), entry)
+            parts.append((p.group, index))
+            self.velocity[p.name] = velocity[index]
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.tensor.zero_grad()
+        for leaf, _, _ in self._leaves.values():
+            leaf.zero_grad()
 
     def step(self, lr: float, extractor_lr_multiplier: float = 1.0, groups=None) -> None:
-        for p in self.params:
-            if groups is not None and p.group not in groups:
+        for leaf, velocity, parts in self._leaves.values():
+            keys = [key for group, key in parts if groups is None or group in groups]
+            if not keys:
                 continue
-            grad = p.tensor.grad
-            if grad is None:
-                grad = np.zeros_like(p.tensor.values)
-            rate = lr * (extractor_lr_multiplier if p.group == EXTRACTOR_GROUP else 1.0)
-            if self.momentum > 0:
-                v = self.velocity[p.name]
-                v *= self.momentum
-                v += grad
-                p.tensor.values -= rate * v
-            else:
-                p.tensor.values -= rate * grad
+            if len(keys) == len(parts):  # the whole leaf in one pass
+                keys = [...]
+            grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.values)
+            rate = lr * (extractor_lr_multiplier if parts[0][0] == EXTRACTOR_GROUP else 1.0)
+            for key in keys:
+                values = leaf.values[key]
+                if self.momentum > 0:
+                    v = velocity[key]
+                    v *= self.momentum
+                    v += grad[key]
+                    values -= rate * v
+                else:
+                    values -= rate * grad[key]
 
 
 @dataclass
@@ -181,16 +196,17 @@ def _classifier_groups(model: CrmaModel) -> set[str]:
 
 
 @contextlib.contextmanager
-def _frozen(params: Sequence[Parameter]):
-    """Treat ``params`` as constants: ops on them alone record no tape node."""
-    flags = [p.tensor.requires_grad for p in params]
-    for p in params:
-        p.tensor.requires_grad = False
+def _frozen(leaves: Sequence[Tensor]):
+    """Treat ``leaves`` as constants: ops on them alone record no tape node,
+    and a backward run inside the block computes no gradient for them."""
+    flags = [t.requires_grad for t in leaves]
+    for t in leaves:
+        t.requires_grad = False
     try:
         yield
     finally:
-        for p, flag in zip(params, flags):
-            p.tensor.requires_grad = flag
+        for t, flag in zip(leaves, flags):
+            t.requires_grad = flag
 
 
 def _apply(state: TrainState, tape: Tape, loss: Tensor, lr: float, groups=None) -> None:
@@ -201,18 +217,17 @@ def _apply(state: TrainState, tape: Tape, loss: Tensor, lr: float, groups=None) 
     )
 
 
-def _source_pairs(model: CrmaModel, batch: DomainBatch):
-    pairs = []
-    for m, x in enumerate(batch.source_features):
-        feats = model.forward_features(x)
-        pairs.append(model.predict_pair(m, feats))
-    return pairs
+def _source_features(model: CrmaModel, batch: DomainBatch) -> Tensor:
+    """(M, n, d) features of every domain's source batch, one extractor pass each."""
+    return stack([model.forward_features(x) for x in batch.source_features])
 
 
 def step_source(state: TrainState, batch: DomainBatch, lr: float) -> float:
     """Minimize the summed source cross entropy over all parameters."""
+    model = state.model
     with Tape() as tape:
-        loss = losses.source_ce_loss(_source_pairs(state.model, batch), batch.source_labels)
+        probs = model.head_probs(_source_features(model, batch))
+        loss = losses.source_ce_loss(probs, batch.source_labels)
     value = _loss_value(loss, state)
     _apply(state, tape, loss, lr)
     return value
@@ -227,15 +242,16 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
     if not state.config.ablation.intra_da:
         return None
     model = state.model
-    with _frozen(model.group_parameters(EXTRACTOR_GROUP)), Tape() as tape:
-        src_loss = losses.source_ce_loss(_source_pairs(model, batch), batch.source_labels)
-        target_feats = model.forward_features(batch.target_features)
-        intra, _ = losses.intra_consistency_loss(model.predict_all_pairs(target_feats))
-        objective = losses.classifier_objective(src_loss, intra)
-    value = _loss_value(objective, state)  # guards both component losses
-    src_value, intra_value = src_loss.item(), intra.item()
-    _apply(state, tape, objective, lr, groups=_classifier_groups(model))
-    return src_value, intra_value
+    with _frozen(model.leaves(EXTRACTOR_GROUP)):
+        with Tape() as tape:
+            source_probs = model.head_probs(_source_features(model, batch))
+            src_loss = losses.source_ce_loss(source_probs, batch.source_labels)
+            target_feats = model.forward_features(batch.target_features)
+            intra = losses.intra_consistency_loss(model.head_probs(target_feats))
+            objective = losses.classifier_objective(src_loss, intra)
+        _loss_value(objective, state)  # guards both component losses
+        _apply(state, tape, objective, lr, groups=_classifier_groups(model))
+    return src_loss.item(), intra.item()
 
 
 def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
@@ -252,28 +268,18 @@ def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
     if not use_intra and not use_inter:
         return None
     first_values = None
-    for _ in range(cfg.num_extractor_steps):
-        with _frozen(model.group_parameters("classifier")), Tape() as tape:
-            feats = model.forward_features(batch.target_features)
-            pairs = model.predict_all_pairs(feats)
-            intra_value = inter_value = 0.0
-            terms = []
-            if use_intra:
-                intra, _ = losses.intra_consistency_loss(pairs)
-                intra_value = intra.item()
-                terms.append(intra)
-            if use_inter:
-                means = [mean_pair_prediction(pa, pb) for pa, pb in pairs]
-                inter = losses.inter_consistency_loss(means)
-                inter_value = inter.item()
-                terms.append(inter * cfg.alpha)
-            objective = terms[0]
-            for t in terms[1:]:
-                objective = objective + t
-        _loss_value(objective, state)
-        if first_values is None:
-            first_values = (intra_value, inter_value)
-        _apply(state, tape, objective, lr, groups={EXTRACTOR_GROUP})
+    with _frozen(model.leaves("classifier")):
+        for _ in range(cfg.num_extractor_steps):
+            with Tape() as tape:
+                probs = model.head_probs(model.forward_features(batch.target_features))
+                # an ablated term enters as a constant 0.0
+                intra = losses.intra_consistency_loss(probs) if use_intra else Tensor(0.0)
+                inter = losses.inter_consistency_loss(probs) if use_inter else Tensor(0.0)
+                objective = losses.extractor_objective(intra, inter, cfg.alpha)
+            _loss_value(objective, state)
+            if first_values is None:
+                first_values = (intra.item(), inter.item())
+            _apply(state, tape, objective, lr, groups={EXTRACTOR_GROUP})
     return first_values
 
 
@@ -290,9 +296,8 @@ def step_ast(state: TrainState, batch: DomainBatch, lr: float):
         return None
     model = state.model
     with Tape() as tape:
-        feats = model.forward_features(batch.target_features)
-        pairs = model.predict_all_pairs(feats)
-        d_matrix, mean_values = losses.pair_statistics(pairs)
+        probs = model.head_probs(model.forward_features(batch.target_features))
+        d_matrix, mean_values = losses.pair_statistics(probs.values)
         state.tracker.update(d_matrix)
         fused = losses.fuse_pseudo_labels(
             d_matrix,
@@ -301,7 +306,7 @@ def step_ast(state: TrainState, batch: DomainBatch, lr: float):
             cfg.lam,
             uniform=cfg.uniform_pseudo_weights,
         )
-        loss = losses.ast_loss(pairs, fused.probs, fused.betas)
+        loss = losses.ast_loss(probs, fused.probs, fused.betas)
     value = _loss_value(loss, state)
     if cfg.record_ast_trace:
         state.ast_trace.append(
@@ -469,7 +474,7 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
     optimizer = SgdOptimizer(model.parameters(), momentum=momentum)
     for p in optimizer.params:
         arr = r.array("<f8", p.tensor.values.size)
-        optimizer.velocity[p.name] = arr.reshape(p.tensor.values.shape)
+        optimizer.velocity[p.name][...] = arr.reshape(p.tensor.values.shape)
     (num_domains,) = r.unpack("<I")
     tracker = ConfidenceTracker(num_domains)
     tracker.sums = r.array("<f8", num_domains)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from crma.autodiff import Tape, Tensor, grad_check, softmax
+from crma.autodiff import Tape, Tensor, grad_check, softmax, stack
 from crma.cli import main
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import (
@@ -24,10 +24,11 @@ from crma.losses import (
     inter_consistency_loss,
     intra_consistency_loss,
     kl_divergence,
+    pair_statistics,
     pseudo_label,
     source_ce_loss,
 )
-from crma.nn import EXTRACTOR_GROUP, CrmaModel, mean_pair_prediction, parameters_digest
+from crma.nn import EXTRACTOR_GROUP, CrmaModel, parameters_digest
 from crma.seeds import stream_rng, stream_seed
 from crma.trainer import (
     AblationFlags,
@@ -86,49 +87,43 @@ def test_criterion_1_gradient_correctness():
         num_classes = int(rng.choice([2, 4]))
         n = 8
         model = tiny_model(rng, num_domains, num_classes)
-        params = [p.tensor for p in model.parameters()]
+        params = model.leaves()  # every trainable value, heads in their stacked slots
         source_x = [rng.standard_normal((n, 2)) for _ in range(num_domains)]
         source_y = [rng.integers(0, num_classes, n) for _ in range(num_domains)]
         target_x = rng.standard_normal((n, 2))
 
-        def source_pairs():
-            return [
-                model.predict_pair(m, model.forward_features(source_x[m]))
-                for m in range(num_domains)
-            ]
+        def source_probs():
+            return model.head_probs(stack([model.forward_features(x) for x in source_x]))
 
-        def target_pairs():
-            return model.predict_all_pairs(model.forward_features(target_x))
+        def target_probs():
+            return model.head_probs(model.forward_features(target_x))
 
         def loss_src(*_):
-            return source_ce_loss(source_pairs(), source_y)
+            return source_ce_loss(source_probs(), source_y)
 
         def loss_intra(*_):
-            return intra_consistency_loss(target_pairs())[0]
+            return intra_consistency_loss(target_probs())
 
         def loss_inter(*_):
-            pairs = target_pairs()
-            return inter_consistency_loss([mean_pair_prediction(a, b) for a, b in pairs])
+            return inter_consistency_loss(target_probs())
 
         def loss_classifier_step(*_):
             return classifier_objective(loss_src(), loss_intra())
 
         def loss_extractor_step(*_):
-            pairs = target_pairs()
-            intra, _ = intra_consistency_loss(pairs)
-            inter = inter_consistency_loss([mean_pair_prediction(a, b) for a, b in pairs])
+            probs = target_probs()
+            intra = intra_consistency_loss(probs)
+            inter = inter_consistency_loss(probs)
             return extractor_objective(intra, inter, 0.5)
 
         # freeze pseudo-labels and betas once, outside the differentiated graph
-        pairs_now = target_pairs()
-        _, d_matrix = intra_consistency_loss(pairs_now)
-        mean_values = np.stack(
-            [(a.probs.values + b.probs.values) / 2 for a, b in pairs_now]
-        )
+        probs_now = target_probs().values
+        d_matrix, _ = pair_statistics(probs_now)
+        mean_values = (probs_now[0::2] + probs_now[1::2]) / 2
         fused = fuse_pseudo_labels(d_matrix, mean_values, d_matrix.mean(axis=0), 0.1)
 
         def loss_ast(*_):
-            return ast_loss(target_pairs(), fused.probs, fused.betas)
+            return ast_loss(target_probs(), fused.probs, fused.betas)
 
         for builder in (
             loss_src,
@@ -258,24 +253,18 @@ def test_criterion_3_invariants():
         ok_pseudo &= abs(pseudo_label(rows, w).sum() - 1) < 1e-9
 
     # L_inter vanishes for a single source
-    ok_inter_m1 = all(
-        inter_consistency_loss([Tensor(random_probs(rng, 4, 3))]).item() == 0.0
-        for _ in range(cases)
-    )
+    ok_inter_m1 = True
+    for _ in range(cases):
+        p = random_probs(rng, 4, 3)  # one pair, both heads on the same mean
+        ok_inter_m1 &= inter_consistency_loss(Tensor(np.stack([p, p]))).item() == 0.0
 
     # ast_loss nonnegative
     for _ in range(cases // 5):
         m, k, n = int(rng.integers(1, 4)), int(rng.integers(2, 5)), 4
-        pairs = []
+        heads = []
         for mi in range(m):
-            a, b = random_probs(rng, n, k), random_probs(rng, n, k)
-            pairs.append(
-                (
-                    type("P", (), {"probs": Tensor(a)}),
-                    type("P", (), {"probs": Tensor(b)}),
-                )
-            )
-        loss = ast_loss(pairs, random_probs(rng, n, k), rng.uniform(0, 2, n))
+            heads += [random_probs(rng, n, k), random_probs(rng, n, k)]
+        loss = ast_loss(Tensor(np.stack(heads)), random_probs(rng, n, k), rng.uniform(0, 2, n))
         ok_ast &= loss.item() >= -1e-12
 
     # source-domain permutation invariance
@@ -287,16 +276,11 @@ def test_criterion_3_invariants():
         perm = list(rng.permutation(m))
 
         def build(pack):
-            pairs = [
-                (
-                    type("P", (), {"probs": Tensor(a)}),
-                    type("P", (), {"probs": Tensor(b)}),
-                )
-                for a, b in pack
-            ]
-            intra, d = intra_consistency_loss(pairs)
+            probs = Tensor(np.stack([p for pair in pack for p in pair]))
+            intra = intra_consistency_loss(probs)
+            d, _ = pair_statistics(probs.values)
             mp = np.stack([(a + b) / 2 for a, b in pack])
-            inter = inter_consistency_loss([Tensor(x) for x in mp])
+            inter = inter_consistency_loss(probs)
             return intra.item(), inter.item(), d, mp
 
         i1, e1, d1, mp1 = build(arrays)
@@ -359,29 +343,23 @@ def test_criterion_4_minmax_dynamics():
             step_source(state, batch, lr=0.05)
 
         def measure():
-            feats = model.forward_features(batch.target_features)
-            pairs = model.predict_all_pairs(feats)
-            intra, _ = intra_consistency_loss(pairs)
-            inter = inter_consistency_loss(
-                [mean_pair_prediction(a, b) for a, b in pairs]
-            )
+            probs = model.head_probs(model.forward_features(batch.target_features))
+            intra = intra_consistency_loss(probs)
+            inter = inter_consistency_loss(probs)
             return intra.item(), inter.item()
 
         def grad_norm(groups):
             with Tape() as tape:
-                feats = model.forward_features(batch.target_features)
-                pairs = model.predict_all_pairs(feats)
-                intra, _ = intra_consistency_loss(pairs)
-                inter = inter_consistency_loss(
-                    [mean_pair_prediction(a, b) for a, b in pairs]
-                )
+                probs = model.head_probs(model.forward_features(batch.target_features))
+                intra = intra_consistency_loss(probs)
+                inter = inter_consistency_loss(probs)
                 loss = extractor_objective(intra, inter, cfg.alpha)
             state.optimizer.zero_grad()
             tape.backward(loss)
             total = 0.0
             for p in model.parameters():
-                if p.group in groups and p.tensor.grad is not None:
-                    total += float((p.tensor.grad**2).sum())
+                if p.group in groups and p.grad is not None:
+                    total += float((p.grad**2).sum())
             state.optimizer.zero_grad()
             return math.sqrt(total)
 
@@ -637,7 +615,8 @@ def test_criterion_6_degenerate_equivalences():
                 model.predict_pair(m, model.forward_features(x))
                 for m, x in enumerate(batch.source_features)
             ]
-            loss = source_ce_loss(pairs, batch.source_labels)
+            heads = stack([p.probs for pair in pairs for p in pair])
+            loss = source_ce_loss(heads, batch.source_labels)
         optimizer.zero_grad()
         tape.backward(loss)
         optimizer.step(cfg.base_lr)

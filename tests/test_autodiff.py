@@ -347,6 +347,60 @@ def test_linear_heads_match_per_head_layers():
         np.testing.assert_allclose(batched[h], single, rtol=1e-15, atol=0)
 
 
+GROUPS = pytest.mark.parametrize("groups", [1, 2, 4], ids=["G=1", "G=2", "G=H"])
+
+
+def grouped_operands(rng, groups, heads=4):
+    n, d, k = 5, 3, 2
+    return (
+        away_from_kinks(rng, (groups, n, d)),
+        rng.standard_normal((heads, d, k)),
+        rng.standard_normal((heads, k)),
+    )
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@GROUPS
+def test_linear_grouped_gradients_match_finite_differences(relu, groups):
+    x, w, b = grouped_operands(np.random.default_rng(39), groups)
+    if relu:
+        assert_no_relu_kinks(np.repeat(x, 4 // groups, axis=0), w, b)
+    readout = Tensor(np.random.default_rng(40).standard_normal((4, x.shape[1], w.shape[2])))
+    points = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+    err = grad_check(lambda xt, wt, bt: (linear(xt, wt, bt, relu=relu) * readout).sum(), points)
+    assert err < 1e-7
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@GROUPS
+def test_linear_grouped_matches_per_head_linear_bit_for_bit(relu, groups):
+    # input g feeds heads g*H/G .. (g+1)*H/G - 1; its gradient adds theirs in head order
+    rng = np.random.default_rng(41)
+    x, w, b = grouped_operands(rng, groups)
+    readout = rng.standard_normal((4, x.shape[1], w.shape[2]))
+    ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+    with Tape() as tape:
+        out = linear(*ts, relu=relu)
+        loss = (out * Tensor(readout)).sum()
+    tape.backward(loss)
+    per_input = 4 // groups
+    x_grad = np.zeros_like(x)
+    for h in range(4):
+        single = [Tensor(v, requires_grad=True) for v in (x[h // per_input], w[h], b[h])]
+        with Tape() as tape:
+            one = linear(*single, relu=relu)
+            loss = (one * Tensor(readout[h])).sum()
+        tape.backward(loss)
+        np.testing.assert_array_equal(out.values[h], one.values)
+        np.testing.assert_array_equal(ts[1].grad[h], single[1].grad)
+        np.testing.assert_array_equal(ts[2].grad[h], single[2].grad)
+        if h % per_input == 0:
+            x_grad[h // per_input] = single[0].grad
+        else:
+            x_grad[h // per_input] += single[0].grad
+    np.testing.assert_array_equal(ts[0].grad, x_grad)
+
+
 def test_linear_rejects_misaligned_shapes():
     with pytest.raises(DimensionError, match="linear"):
         linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
@@ -354,6 +408,8 @@ def test_linear_rejects_misaligned_shapes():
         linear(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 2))), Tensor(np.zeros((3, 2))))
     with pytest.raises(DimensionError, match="linear"):
         linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(DimensionError, match="linear"):  # 3 inputs cannot share 4 heads evenly
+        linear(Tensor(np.zeros((3, 2, 3))), Tensor(np.zeros((4, 3, 2))), Tensor(np.zeros((4, 2))))
 
 
 def test_stack_and_index_gradients():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crma.autodiff import Tape, Tensor, grad_check, softmax
+from crma.autodiff import Tape, Tensor, grad_check, softmax, stack
 from crma.losses import (
     ContractError,
     ast_beta,
@@ -17,11 +17,11 @@ from crma.losses import (
     inter_consistency_loss,
     intra_consistency_loss,
     kl_divergence,
+    pair_statistics,
     pseudo_label,
     source_ce_loss,
     uniform_domain_weights,
 )
-from crma.nn import Prediction
 
 
 def random_probs(rng, n, k):
@@ -30,31 +30,14 @@ def random_probs(rng, n, k):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def pairs_from_logits(logit_tensors, num_domains):
-    """Wrap 2M logits tensors into M prediction pairs."""
-    pairs = []
-    for m in range(num_domains):
-        la, lb = logit_tensors[2 * m], logit_tensors[2 * m + 1]
-        pairs.append(
-            (
-                Prediction(softmax(la), la, m, "a"),
-                Prediction(softmax(lb), lb, m, "b"),
-            )
-        )
-    return pairs
+def heads_from_logits(logit_tensors):
+    """(2M, n, K) head probabilities from 2M logits tensors, pair by pair."""
+    return softmax(stack(logit_tensors))
 
 
-def probs_pairs(prob_arrays):
-    """Prediction pairs straight from given probability matrices."""
-    pairs = []
-    for m, (pa, pb) in enumerate(prob_arrays):
-        pairs.append(
-            (
-                Prediction(Tensor(pa), Tensor(pa), m, "a"),
-                Prediction(Tensor(pb), Tensor(pb), m, "b"),
-            )
-        )
-    return pairs
+def head_probs(prob_arrays):
+    """(2M, n, K) head probabilities straight from given (a, b) matrix pairs."""
+    return Tensor(np.stack([p for pair in prob_arrays for p in pair]))
 
 
 # source cross entropy ---------------------------------------------------------
@@ -62,15 +45,13 @@ def probs_pairs(prob_arrays):
 
 def test_source_ce_perfect_prediction_is_zero():
     probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    pairs = probs_pairs([(probs, probs)])
-    loss = source_ce_loss(pairs, [np.array([0, 1])])
+    loss = source_ce_loss(head_probs([(probs, probs)]), [np.array([0, 1])])
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_source_ce_uniform_is_log_k_per_head():
     probs = np.full((3, 4), 0.25)
-    pairs = probs_pairs([(probs, probs)])
-    loss = source_ce_loss(pairs, [np.array([0, 1, 2])])
+    loss = source_ce_loss(head_probs([(probs, probs)]), [np.array([0, 1, 2])])
     # two heads, each contributing a batch-mean of log 4
     assert loss.item() == pytest.approx(2 * math.log(4), rel=1e-12)
 
@@ -79,7 +60,7 @@ def test_source_ce_matches_explicit_loop():
     rng = np.random.default_rng(0)
     prob_arrays = [(random_probs(rng, 8, 3), random_probs(rng, 8, 3)) for _ in range(2)]
     labels = [rng.integers(0, 3, size=8) for _ in range(2)]
-    loss = source_ce_loss(probs_pairs(prob_arrays), labels)
+    loss = source_ce_loss(head_probs(prob_arrays), labels)
 
     expected = 0.0
     for (pa, pb), y in zip(prob_arrays, labels):
@@ -93,16 +74,14 @@ def test_source_ce_matches_explicit_loop():
 
 def test_source_ce_rejects_out_of_range_labels():
     probs = np.full((2, 3), 1 / 3)
-    pairs = probs_pairs([(probs, probs)])
     with pytest.raises(ContractError):
-        source_ce_loss(pairs, [np.array([0, 3])])
+        source_ce_loss(head_probs([(probs, probs)]), [np.array([0, 3])])
 
 
 def test_source_ce_rejects_unequal_domain_batches():
-    small, large = np.full((2, 3), 1 / 3), np.full((4, 3), 1 / 3)
-    pairs = probs_pairs([(small, small), (large, large)])
-    with pytest.raises(ContractError, match="same shape"):
-        source_ce_loss(pairs, [np.array([0, 1]), np.array([0, 1, 2, 0])])
+    small = np.full((2, 3), 1 / 3)
+    with pytest.raises(ContractError, match="does not match batch"):
+        source_ce_loss(head_probs([(small, small)] * 2), [np.array([0, 1]), np.array([0, 1, 2, 0])])
 
 
 # discrepancy -------------------------------------------------------------------
@@ -138,7 +117,9 @@ def test_discrepancy_rejects_unnormalized():
 def test_intra_zero_for_identical_pairs():
     rng = np.random.default_rng(2)
     p = random_probs(rng, 5, 3)
-    loss, d = intra_consistency_loss(probs_pairs([(p, p), (p, p)]))
+    probs = head_probs([(p, p), (p, p)])
+    loss = intra_consistency_loss(probs)
+    d, _ = pair_statistics(probs.values)
     assert loss.item() == 0.0
     np.testing.assert_array_equal(d, np.zeros((5, 2)))
 
@@ -146,7 +127,9 @@ def test_intra_zero_for_identical_pairs():
 def test_intra_single_domain_is_mean_discrepancy():
     rng = np.random.default_rng(3)
     pa, pb = random_probs(rng, 6, 4), random_probs(rng, 6, 4)
-    loss, d = intra_consistency_loss(probs_pairs([(pa, pb)]))
+    probs = head_probs([(pa, pb)])
+    loss = intra_consistency_loss(probs)
+    d, _ = pair_statistics(probs.values)
     per_sample = [discrepancy(pa[i], pb[i]) for i in range(6)]
     assert loss.item() == pytest.approx(np.mean(per_sample), rel=1e-12)
     np.testing.assert_allclose(d[:, 0], per_sample, rtol=1e-12)
@@ -155,7 +138,9 @@ def test_intra_single_domain_is_mean_discrepancy():
 def test_intra_matches_double_loop():
     rng = np.random.default_rng(4)
     arrays = [(random_probs(rng, 7, 3), random_probs(rng, 7, 3)) for _ in range(3)]
-    loss, d = intra_consistency_loss(probs_pairs(arrays))
+    probs = head_probs(arrays)
+    loss = intra_consistency_loss(probs)
+    d, _ = pair_statistics(probs.values)
     expected = 0.0
     for i in range(7):
         for pa, pb in arrays:
@@ -168,19 +153,20 @@ def test_intra_matches_double_loop():
 
 def test_inter_single_domain_is_zero():
     rng = np.random.default_rng(5)
-    assert inter_consistency_loss([Tensor(random_probs(rng, 4, 3))]).item() == 0.0
+    p = random_probs(rng, 4, 3)
+    assert inter_consistency_loss(head_probs([(p, p)])).item() == 0.0
 
 
 def test_inter_equal_means_is_zero():
     rng = np.random.default_rng(6)
-    p = Tensor(random_probs(rng, 4, 3))
-    assert inter_consistency_loss([p, p]).item() == 0.0
+    p = random_probs(rng, 4, 3)
+    assert inter_consistency_loss(head_probs([(p, p), (p, p)])).item() == 0.0
 
 
 def test_inter_matches_pair_loop():
     rng = np.random.default_rng(7)
     means = [random_probs(rng, 5, 4) for _ in range(3)]
-    loss = inter_consistency_loss([Tensor(m) for m in means])
+    loss = inter_consistency_loss(head_probs([(m, m) for m in means]))  # pair mean m
     expected = 0.0
     for i in range(5):
         for a in range(3):
@@ -206,9 +192,9 @@ def test_classifier_objective_gradient_composes():
     labels = rng.integers(0, 3, size=4)
 
     def build(x, y):
-        pairs = pairs_from_logits([x, y], 1)
-        src = source_ce_loss(pairs, [labels])
-        intra, _ = intra_consistency_loss(pairs)
+        heads = heads_from_logits([x, y])
+        src = source_ce_loss(heads, [labels])
+        intra = intra_consistency_loss(heads)
         return classifier_objective(src, intra)
 
     assert grad_check(build, [la, lb]) < 1e-4
@@ -225,9 +211,9 @@ def test_extractor_objective_ignores_source_batches():
         lb = Tensor(target_logits + 0.3, requires_grad=True)
         with Tape() as tape:
             _ = (Tensor(source_batch) * 2.0).sum()  # unrelated source-side work
-            pairs = pairs_from_logits([la, lb], 1)
-            intra, _ = intra_consistency_loss(pairs)
-            inter = inter_consistency_loss([Tensor(random_probs(rng, 4, 3))])
+            intra = intra_consistency_loss(heads_from_logits([la, lb]))
+            mean = random_probs(rng, 4, 3)
+            inter = inter_consistency_loss(head_probs([(mean, mean)]))
             loss = extractor_objective(intra, inter, 0.5)
         tape.backward(loss)
         return la.grad.copy(), lb.grad.copy()
@@ -337,15 +323,14 @@ def test_kl_nonnegative_and_matches_loop():
 def test_ast_loss_zero_when_heads_match_pseudo():
     rng = np.random.default_rng(14)
     p = random_probs(rng, 4, 3)
-    pairs = probs_pairs([(p, p), (p, p)])
-    loss = ast_loss(pairs, p, np.ones(4))
+    loss = ast_loss(head_probs([(p, p), (p, p)]), p, np.ones(4))
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ast_loss_zero_when_beta_zero():
     rng = np.random.default_rng(15)
-    pairs = probs_pairs([(random_probs(rng, 4, 3), random_probs(rng, 4, 3))])
-    loss = ast_loss(pairs, random_probs(rng, 4, 3), np.zeros(4))
+    probs = head_probs([(random_probs(rng, 4, 3), random_probs(rng, 4, 3))])
+    loss = ast_loss(probs, random_probs(rng, 4, 3), np.zeros(4))
     assert loss.item() == 0.0
 
 
@@ -354,7 +339,7 @@ def test_ast_loss_matches_triple_loop():
     arrays = [(random_probs(rng, 4, 3), random_probs(rng, 4, 3)) for _ in range(2)]
     pseudo = random_probs(rng, 4, 3)
     betas = rng.uniform(0.0, 2.0, 4)
-    loss = ast_loss(probs_pairs(arrays), pseudo, betas)
+    loss = ast_loss(head_probs(arrays), pseudo, betas)
 
     expected = 0.0
     for i in range(4):
@@ -372,7 +357,7 @@ def test_ast_loss_nonnegative_property():
         arrays = [(random_probs(rng, n, k), random_probs(rng, n, k)) for _ in range(m)]
         pseudo = random_probs(rng, n, k)
         betas = rng.uniform(0.0, 3.0, n)
-        assert ast_loss(probs_pairs(arrays), pseudo, betas).item() >= -1e-12
+        assert ast_loss(head_probs(arrays), pseudo, betas).item() >= -1e-12
 
 
 # fused batch path matches the per-sample operations ------------------------------
@@ -406,15 +391,19 @@ def test_domain_permutation_equivariance():
     d_means = rng.uniform(0.05, 0.4, m)
     perm = [2, 0, 1]
 
-    intra, d = intra_consistency_loss(probs_pairs(arrays))
+    probs = head_probs(arrays)
+    intra = intra_consistency_loss(probs)
+    d, _ = pair_statistics(probs.values)
     mean_preds = np.stack([(pa + pb) / 2 for pa, pb in arrays])
-    inter = inter_consistency_loss([Tensor(mp) for mp in mean_preds])
+    inter = inter_consistency_loss(probs)
     fused = fuse_pseudo_labels(d, mean_preds, d_means, 0.1)
 
     arrays_p = [arrays[j] for j in perm]
-    intra_p, d_p = intra_consistency_loss(probs_pairs(arrays_p))
+    probs_p = head_probs(arrays_p)
+    intra_p = intra_consistency_loss(probs_p)
+    d_p, _ = pair_statistics(probs_p.values)
     mean_preds_p = mean_preds[perm]
-    inter_p = inter_consistency_loss([Tensor(mp) for mp in mean_preds_p])
+    inter_p = inter_consistency_loss(probs_p)
     fused_p = fuse_pseudo_labels(d_p, mean_preds_p, d_means[perm], 0.1)
 
     assert intra_p.item() == pytest.approx(intra.item(), rel=1e-12)
@@ -434,8 +423,7 @@ def test_pair_discrepancy_gradient_through_logits():
     lb = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
 
     def build(x, y):
-        loss, _ = intra_consistency_loss(pairs_from_logits([x, y], 1))
-        return loss
+        return intra_consistency_loss(heads_from_logits([x, y]))
 
     assert grad_check(build, [la, lb]) < 1e-4
 
@@ -447,6 +435,6 @@ def test_ast_loss_gradient_through_all_logits():
     betas = rng.uniform(0.1, 1.5, 4)
 
     def build(*ts):
-        return ast_loss(pairs_from_logits(list(ts), 2), pseudo, betas)
+        return ast_loss(heads_from_logits(list(ts)), pseudo, betas)
 
     assert grad_check(build, logits) < 1e-4

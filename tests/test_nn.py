@@ -228,9 +228,8 @@ def test_all_pairs_pass_matches_each_pair():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((7, 2))
     feats = model.forward_features(x)
-    batched = model.predict_all_pairs(feats)
+    batched = model.head_probs(feats).values
     for m in range(3):
-        for got, want in zip(batched[m], model.predict_pair(m, feats)):
-            assert (got.domain_index, got.branch) == (want.domain_index, want.branch)
-            np.testing.assert_allclose(got.probs.values, want.probs.values, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(got.logits.values, want.logits.values, rtol=1e-14, atol=0)
+        for h, want in enumerate(model.predict_pair(m, feats)):
+            assert (want.domain_index, want.branch) == (m, "ab"[h])
+            np.testing.assert_allclose(batched[2 * m + h], want.probs.values, rtol=1e-14, atol=0)

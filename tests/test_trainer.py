@@ -1,13 +1,14 @@
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
 
-from crma.autodiff import Tape
+from crma.autodiff import Tape, stack
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import ast_beta, domain_weights, intra_consistency_loss, pseudo_label, source_ce_loss
-from crma.nn import EXTRACTOR_GROUP, CrmaModel, parameters_digest
+from crma.nn import EXTRACTOR_GROUP, CrmaModel, model_to_bytes, parameters_digest
 from crma.trainer import (
     AblationFlags,
     ConfidenceTracker,
@@ -99,15 +100,15 @@ def test_source_gradients_stay_in_own_heads():
     model = state.model
     with Tape() as tape:
         feats = model.forward_features(batch.source_features[0])
-        pair = model.predict_pair(0, feats)
-        loss = source_ce_loss([pair], [batch.source_labels[0]])
+        pred_a, pred_b = model.predict_pair(0, feats)
+        loss = source_ce_loss(stack([pred_a.probs, pred_b.probs]), [batch.source_labels[0]])
     state.optimizer.zero_grad()
     tape.backward(loss)
     for p in model.parameters():
         if p.group.startswith("classifier.0"):
-            assert p.tensor.grad is not None
+            assert p.grad is not None
         elif p.group != EXTRACTOR_GROUP:
-            assert p.tensor.grad is None
+            assert not np.any(p.grad)  # the other heads' rows of the slots stay zero
 
 
 def test_step_classifiers_freezes_extractor():
@@ -168,8 +169,7 @@ def test_minmax_direction_on_full_batch():
 
         def measure():
             feats = state.model.forward_features(batch.target_features)
-            intra, _ = intra_consistency_loss(state.model.predict_all_pairs(feats))
-            return intra.item()
+            return intra_consistency_loss(state.model.head_probs(feats)).item()
 
         before = measure()
         step_classifiers(state, batch, lr=1e-4)
@@ -192,14 +192,14 @@ def test_phases_skip_their_frozen_side():
     heads = model.group_parameters("classifier")
 
     step_classifiers(state, batch, lr=1e-3)
-    assert all(p.tensor.grad is None for p in extractor)
-    assert all(p.tensor.grad is not None for p in heads)
+    assert all(p.grad is None for p in extractor)
+    assert all(p.grad is not None for p in heads)
 
     step_extractor(state, batch, lr=1e-3)
-    assert all(p.tensor.grad is None for p in heads)
-    assert all(p.tensor.grad is not None for p in extractor)
+    assert all(p.grad is None for p in heads)
+    assert all(p.grad is not None for p in extractor)
     # freezing is scoped to the phase's forward pass
-    assert all(p.tensor.requires_grad for p in model.parameters())
+    assert all(t.requires_grad for t in model.leaves())
 
 
 def test_tape_entries_per_phase(monkeypatch):
@@ -224,10 +224,10 @@ def test_tape_entries_per_phase(monkeypatch):
     # a change here means a phase records more (or fewer) tape nodes; update
     # these numbers only together with the reason in CHANGES.md
     assert counts == {
-        "step_source": 28,
-        "step_classifiers": 43,
-        "step_extractor": 33,
-        "step_ast": 21,
+        "step_source": 13,
+        "step_classifiers": 16,
+        "step_extractor": 23,
+        "step_ast": 10,
     }
 
 
@@ -254,7 +254,7 @@ def test_step_ast_first_iteration_matches_hand_oracle():
     # oracle forward pass before the step mutates anything
     model = state.model
     feats = model.forward_features(batch.target_features)
-    pairs = model.predict_all_pairs(feats)
+    pairs = [model.predict_pair(m, feats) for m in range(model.num_domains)]
     k = task.spec.num_classes
     d_expected = np.stack(
         [np.abs(pa.probs.values - pb.probs.values).sum(axis=1) / k for pa, pb in pairs],
@@ -326,6 +326,67 @@ def test_parameter_groups_partition_exactly():
     assert covered == {p.name for p in params}
 
 
+# golden bits -------------------------------------------------------------------
+
+# Recorded at commit befedc1, where every head owned its own tensors: storing
+# the heads as stacked slots must not move a single bit of training.
+GOLDEN = {
+    "m3_full": (
+        TaskSpec(samples_per_domain=80, seed=31),
+        {},
+        "71079831bcea653f9d5ee3c32c7cb5b3ed873f1d42e9dae5b001d45e9ac268b2",
+        "9fb25ac24b4013c7f3f7743e850a3f7ba889248e385e5ea153c45b3c1e1f5c19",
+    ),
+    "m3_ablations_off": (
+        TaskSpec(samples_per_domain=80, seed=32),
+        {"ablation": AblationFlags(False, False, False)},
+        "8a80f540513e58cff6118457619d051e1e1c4b905cb69ed19b448c2d67af1e3d",
+        "f87ebc1dadbdc8bb815ce5f4b90234a41f3527917290889553b630db13a62cad",
+    ),
+    "m1": (
+        TaskSpec(samples_per_domain=80, seed=33, source_shifts=[ShiftSpec()]),
+        {},
+        "3eb8b0b705d9da6ec2c6f3143d307c8b3e1c76f765f879dfb014c3ebfb2ccd31",
+        "d4a1f3377f4b2d8df11173c0a1acd1d7de9110b667d2ddc8219430dcd6b3ce32",
+    ),
+    "blobs4_no_head_hidden": (
+        TaskSpec(
+            generator="gaussian_blobs",
+            num_classes=4,
+            samples_per_domain=80,
+            source_shifts=[ShiftSpec(), ShiftSpec(rotation=math.pi / 4, scale=0.5)],
+            target_shift=ShiftSpec(),
+            seed=34,
+        ),
+        {"head_hidden": ()},
+        "f52d3e157262419ed26c2670e916821727c6a2d72bdf6f1c05e3ad078697d0d8",
+        "5fcd05939028f466e6dde34c6c9d47476988124e71d464e14c3942c581bd2135",
+    ),
+}
+GOLDEN_FRESH_MODEL_SHA256 = "f34d730506072b5561b8b01ee9e21a89c8968c0edc9807dd43ea2f0f6f2b468c"
+
+
+def test_golden_bits_of_the_stacked_head_storage():
+    # parameters_digest and history sha256 of a 2-epoch run
+    for name, (spec, overrides, params, history) in GOLDEN.items():
+        settings = dict(
+            epochs=2, batch_per_domain=16, seed=spec.seed, extractor_hidden=(16, 8), head_hidden=(8,)
+        )
+        state, rows = train(TrainConfig(**{**settings, **overrides}), generate_task(spec))
+        assert parameters_digest(state.model.parameters()) == params, name
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == history, name
+
+    model = CrmaModel(2, 2, 3, rng=np.random.default_rng(2024))
+    assert hashlib.sha256(model_to_bytes(model)).hexdigest() == GOLDEN_FRESH_MODEL_SHA256
+    # a head's tensor is a writable view of its row of the slot
+    slot = model.head_slots[0]
+    before = slot.values.copy()
+    model.heads[(1, "b")].params[0].tensor.values[...] += 1.0
+    changed = np.any(slot.values != before, axis=(1, 2))
+    assert changed.tolist() == [False, False, False, True, False, False]
+    np.testing.assert_array_equal(slot.values[3], before[3] + 1.0)
+
+
 # confidence tracker -------------------------------------------------------------
 
 
@@ -380,7 +441,8 @@ def test_all_ablations_off_equals_pure_source_loop():
             for m, x in enumerate(batch.source_features):
                 feats = model.forward_features(x)
                 pairs.append(model.predict_pair(m, feats))
-            loss = source_ce_loss(pairs, batch.source_labels)
+            heads = stack([p.probs for pair in pairs for p in pair])
+            loss = source_ce_loss(heads, batch.source_labels)
         optimizer.zero_grad()
         tape.backward(loss)
         optimizer.step(1e-3)
