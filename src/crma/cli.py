@@ -6,11 +6,13 @@ Subcommands:
   baseline <config>  adaptive weighting vs. the uniform-ensemble baseline
   curves <run-dir>   validate per-run metric CSVs and write a manifest
 
-Configs are flat ``key = value`` text with ``#`` comments; every field is
-addressable as section.key (see README). Any key can be overridden on the
-command line as ``--section.key=value``. Seeds for run i are derived as
-base seed + i for both the task and the trainer, so methods see paired
-tasks. Exit codes: 0 ok, 1 config error, 2 diverged run.
+Configs are flat ``key = value`` text with ``#`` comments. Every key is one
+row of ``CONFIG_KEYS`` (``SHIFT_KEYS`` for the per-domain shifts), which
+drives parsing, unknown-key suggestions and ``effective.cfg``. Any key can
+be overridden on the command line as ``--section.key=value``; ``--seed`` and
+``--out`` set ``task.seed``/``train.seed`` and ``run.output_dir``. Seeds for
+run i are derived as base seed + i for both the task and the trainer, so
+methods see paired tasks. Exit codes: 0 ok, 1 config error, 2 diverged run.
 """
 
 from __future__ import annotations
@@ -83,37 +85,97 @@ class RunRecord:
     run_dir: str
 
 
-# config parsing ---------------------------------------------------------------
+# config keys ------------------------------------------------------------------
 
-_SHIFT_FIELDS = ("rotation", "rotation_deg", "translation", "scale", "noise_std")
-_STATIC_KEYS = (
-    "task.generator",
-    "task.num_classes",
-    "task.samples_per_domain",
-    "task.seed",
-    "task.generator_noise",
-    *(f"task.target_shift.{f}" for f in _SHIFT_FIELDS),
-    "train.alpha",
-    "train.lambda",
-    "train.base_lr",
-    "train.extractor_lr_multiplier",
-    "train.epochs",
-    "train.batch_per_domain",
-    "train.optimizer",
-    "train.scheduler",
-    "train.seed",
-    "train.intra_da",
-    "train.inter_da",
-    "train.ast",
-    "train.num_extractor_steps",
-    "train.ast_start_epoch",
-    "train.extractor_hidden",
-    "train.head_hidden",
-    "run.num_seeds",
-    "run.output_dir",
-    "run.methods",
+
+def _bool(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("true", "1"):
+        return True
+    if lowered in ("false", "0"):
+        return False
+    raise ValueError(f"expected true/false, got {value!r}")
+
+
+def _optional_float(value: str) -> float | None:
+    return None if value.lower() == "none" else float(value)
+
+
+def _float_pair(value: str) -> tuple[float, ...]:
+    parts = tuple(float(p) for p in value.split(","))
+    if len(parts) != 2:
+        raise ValueError("expected two comma-separated numbers")
+    return parts
+
+
+def _int_tuple(value: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in value.split(",") if p.strip())
+
+
+def _count(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
+def _methods(value: str) -> tuple[str, ...]:
+    methods = tuple(p.strip() for p in value.split(",") if p.strip())
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+    if not methods:
+        raise ValueError(f"name at least one of {METHODS}")
+    return methods
+
+
+def _degrees(value: str) -> float:
+    return math.radians(float(value))
+
+
+# Every config key: (key, value parser, section, field). The section is the
+# object holding the field: ExperimentConfig.task, .train, .train.ablation,
+# or the ExperimentConfig itself for "run".
+CONFIG_KEYS = (
+    ("task.generator", str, "task", "generator"),
+    ("task.num_classes", int, "task", "num_classes"),
+    ("task.samples_per_domain", int, "task", "samples_per_domain"),
+    ("task.seed", int, "task", "seed"),
+    ("task.generator_noise", _optional_float, "task", "generator_noise"),
+    ("train.alpha", float, "train", "alpha"),
+    ("train.lambda", float, "train", "lam"),
+    ("train.base_lr", float, "train", "base_lr"),
+    ("train.extractor_lr_multiplier", float, "train", "extractor_lr_multiplier"),
+    ("train.epochs", int, "train", "epochs"),
+    ("train.batch_per_domain", int, "train", "batch_per_domain"),
+    ("train.optimizer", str, "train", "optimizer"),
+    ("train.scheduler", str, "train", "scheduler"),
+    ("train.seed", int, "train", "seed"),
+    ("train.num_extractor_steps", int, "train", "num_extractor_steps"),
+    ("train.ast_start_epoch", int, "train", "ast_start_epoch"),
+    ("train.extractor_hidden", _int_tuple, "train", "extractor_hidden"),
+    ("train.head_hidden", _int_tuple, "train", "head_hidden"),
+    ("train.intra_da", _bool, "train.ablation", "intra_da"),
+    ("train.inter_da", _bool, "train.ablation", "inter_da"),
+    ("train.ast", _bool, "train.ablation", "ast"),
+    ("run.num_seeds", _count, "run", "num_seeds"),
+    ("run.output_dir", str, "run", "output_dir"),
+    ("run.methods", _methods, "run", "methods"),
 )
-_SOURCE_SHIFT_RE = re.compile(r"^task\.source_shifts\.(\d+)\.(\w+)$")
+# The ShiftSpec keys under task.source_shifts.<i>. and task.target_shift.:
+# (name, value parser, field). rotation_deg is read into rotation and never
+# written back.
+SHIFT_KEYS = (
+    ("rotation", float, "rotation"),
+    ("rotation_deg", _degrees, "rotation"),
+    ("translation", _float_pair, "translation"),
+    ("scale", float, "scale"),
+    ("noise_std", float, "noise_std"),
+)
+_KEY_ROWS = {key: row for key, *row in CONFIG_KEYS}
+_SHIFT_ROWS = {name: row for name, *row in SHIFT_KEYS}
+_TARGET_SHIFT = "task.target_shift"
+_SHIFT_KEY_RE = re.compile(r"^(task\.(?:source_shifts\.(?:0|[1-9]\d*)|target_shift))\.(\w+)$")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -130,148 +192,63 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _suggest(key: str) -> str:
-    candidates = list(_STATIC_KEYS) + [
-        f"task.source_shifts.{i}.{f}" for i in range(4) for f in _SHIFT_FIELDS
-    ]
+def _unknown_key(key: str, prefix: str | None) -> ConfigError:
+    """Names the nearest key, taking shift keys from the typed key's own prefix."""
+    prefixes = [prefix] if prefix else ["task.source_shifts.0", _TARGET_SHIFT]
+    candidates = [*_KEY_ROWS, *(f"{p}.{name}" for p in prefixes for name in _SHIFT_ROWS)]
     close = difflib.get_close_matches(key, candidates, n=1)
-    return f"; did you mean {close[0]!r}?" if close else ""
+    hint = f"; did you mean {close[0]!r}?" if close else ""
+    return ConfigError(f"unknown config key {key!r}{hint}")
 
 
-def _check_keys(kv: dict[str, str]) -> None:
-    for key in kv:
-        if key in _STATIC_KEYS:
-            continue
-        m = _SOURCE_SHIFT_RE.match(key)
-        if m and m.group(2) in _SHIFT_FIELDS:
-            continue
-        raise ConfigError(f"unknown config key {key!r}{_suggest(key)}")
-
-
-def _parse(kind: str, key: str, value: str):
+def _parse(parse, key: str, value: str):
     try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        if kind == "bool":
-            lowered = value.lower()
-            if lowered in ("true", "1"):
-                return True
-            if lowered in ("false", "0"):
-                return False
-            raise ValueError(f"expected true/false, got {value!r}")
-        if kind == "optional_float":
-            return None if value.lower() == "none" else float(value)
-        if kind == "float_pair":
-            parts = [float(p) for p in value.split(",")]
-            if len(parts) != 2:
-                raise ValueError("expected two comma-separated numbers")
-            return tuple(parts)
-        if kind == "int_tuple":
-            return tuple(int(p) for p in value.split(",") if p.strip())
-        if kind == "methods":
-            methods = tuple(p.strip() for p in value.split(",") if p.strip())
-            unknown = [m for m in methods if m not in METHODS]
-            if unknown:
-                raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
-            return methods
-        return value
+        return parse(value)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
-def _build_shift(kv: dict[str, str], prefix: str) -> ShiftSpec:
-    fields: dict[str, object] = {}
-    rot_key, deg_key = f"{prefix}.rotation", f"{prefix}.rotation_deg"
-    if rot_key in kv and deg_key in kv:
-        raise ConfigError(f"set only one of {rot_key!r} and {deg_key!r}")
-    if rot_key in kv:
-        fields["rotation"] = _parse("float", rot_key, kv[rot_key])
-    elif deg_key in kv:
-        fields["rotation"] = math.radians(_parse("float", deg_key, kv[deg_key]))
-    if f"{prefix}.translation" in kv:
-        fields["translation"] = _parse(
-            "float_pair", f"{prefix}.translation", kv[f"{prefix}.translation"]
-        )
-    if f"{prefix}.scale" in kv:
-        fields["scale"] = _parse("float", f"{prefix}.scale", kv[f"{prefix}.scale"])
-    if f"{prefix}.noise_std" in kv:
-        fields["noise_std"] = _parse("float", f"{prefix}.noise_std", kv[f"{prefix}.noise_std"])
-    try:
-        return ShiftSpec(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from exc
-
-
 def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     """Defaults overlaid with the given keys; unknown keys are rejected."""
-    _check_keys(kv)
-    cfg = ExperimentConfig()
+    values: dict[str, dict] = {section: {} for _, _, section, _ in CONFIG_KEYS}
+    shifts: dict[str, dict] = {}  # shift prefix -> ShiftSpec field -> value
+    set_by: dict[tuple[str, str], str] = {}  # (shift prefix, field) -> key
+    for key, value in kv.items():
+        if key in _KEY_ROWS:
+            parse, section, name = _KEY_ROWS[key]
+            values[section][name] = _parse(parse, key, value)
+            continue
+        m = _SHIFT_KEY_RE.match(key)
+        prefix = m and m.group(1)
+        if not m or m.group(2) not in _SHIFT_ROWS:
+            raise _unknown_key(key, prefix)
+        parse, name = _SHIFT_ROWS[m.group(2)]
+        if (prefix, name) in set_by:
+            raise ConfigError(f"set only one of {set_by[prefix, name]!r} and {key!r}")
+        set_by[prefix, name] = key
+        shifts.setdefault(prefix, {})[name] = _parse(parse, key, value)
 
-    task_kwargs: dict[str, object] = {}
-    for name, kind in (
-        ("generator", "str"),
-        ("num_classes", "int"),
-        ("samples_per_domain", "int"),
-        ("seed", "int"),
-        ("generator_noise", "optional_float"),
-    ):
-        key = f"task.{name}"
-        if key in kv:
-            task_kwargs[name] = _parse(kind, key, kv[key])
+    for prefix, fields in shifts.items():
+        try:
+            shifts[prefix] = ShiftSpec(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{prefix}: {exc}") from exc
+    task = values["task"]
+    if _TARGET_SHIFT in shifts:
+        task["target_shift"] = shifts.pop(_TARGET_SHIFT)
+    indices = sorted(int(p.rsplit(".", 1)[1]) for p in shifts)
+    if indices != list(range(len(indices))):
+        raise ConfigError(
+            f"task.source_shifts indices must be contiguous from 0, got {indices}"
+        )
+    if indices:
+        task["source_shifts"] = [shifts[f"task.source_shifts.{i}"] for i in indices]
 
-    shift_indices = sorted(
-        {int(m.group(1)) for k in kv if (m := _SOURCE_SHIFT_RE.match(k))}
+    cfg = ExperimentConfig(
+        task=TaskSpec(**task),
+        train=TrainConfig(ablation=AblationFlags(**values["train.ablation"]), **values["train"]),
+        **values["run"],
     )
-    if shift_indices:
-        if shift_indices != list(range(len(shift_indices))):
-            raise ConfigError(
-                f"task.source_shifts indices must be contiguous from 0, got {shift_indices}"
-            )
-        task_kwargs["source_shifts"] = [
-            _build_shift(kv, f"task.source_shifts.{i}") for i in shift_indices
-        ]
-    if any(k.startswith("task.target_shift.") for k in kv):
-        task_kwargs["target_shift"] = _build_shift(kv, "task.target_shift")
-    cfg.task = replace(cfg.task, **task_kwargs)
-
-    train_kwargs: dict[str, object] = {}
-    for name, kind in (
-        ("alpha", "float"),
-        ("base_lr", "float"),
-        ("extractor_lr_multiplier", "float"),
-        ("epochs", "int"),
-        ("batch_per_domain", "int"),
-        ("optimizer", "str"),
-        ("scheduler", "str"),
-        ("seed", "int"),
-        ("num_extractor_steps", "int"),
-        ("ast_start_epoch", "int"),
-        ("extractor_hidden", "int_tuple"),
-        ("head_hidden", "int_tuple"),
-    ):
-        key = f"train.{name}"
-        if key in kv:
-            train_kwargs[name] = _parse(kind, key, kv[key])
-    if "train.lambda" in kv:
-        train_kwargs["lam"] = _parse("float", "train.lambda", kv["train.lambda"])
-    flags = AblationFlags()
-    for name in ("intra_da", "inter_da", "ast"):
-        key = f"train.{name}"
-        if key in kv:
-            setattr(flags, name, _parse("bool", key, kv[key]))
-    cfg.train = replace(cfg.train, ablation=flags, **train_kwargs)
-
-    if "run.num_seeds" in kv:
-        cfg.num_seeds = _parse("int", "run.num_seeds", kv["run.num_seeds"])
-        if cfg.num_seeds < 1:
-            raise ConfigError("run.num_seeds must be >= 1")
-    if "run.output_dir" in kv:
-        cfg.output_dir = kv["run.output_dir"]
-    if "run.methods" in kv:
-        cfg.methods = _parse("methods", "run.methods", kv["run.methods"])
-
     try:
         cfg.task.validate()
         cfg.train.validate()
@@ -298,40 +275,15 @@ def effective_config_text(cfg: ExperimentConfig) -> str:
     Rotations are written in radians (the canonical field), so the
     round-trip is bit-exact even when the input used rotation_deg.
     """
-    lines = {}
-    lines["run.num_seeds"] = _fmt(cfg.num_seeds)
-    lines["run.output_dir"] = cfg.output_dir
-    lines["run.methods"] = ",".join(cfg.methods)
-    t = cfg.task
-    lines["task.generator"] = t.generator
-    lines["task.num_classes"] = _fmt(t.num_classes)
-    lines["task.samples_per_domain"] = _fmt(t.samples_per_domain)
-    lines["task.seed"] = _fmt(t.seed)
-    lines["task.generator_noise"] = _fmt(t.generator_noise)
-    shifts = [(f"task.source_shifts.{i}", s) for i, s in enumerate(t.source_shifts)]
-    shifts.append(("task.target_shift", t.target_shift))
-    for prefix, s in shifts:
-        lines[f"{prefix}.rotation"] = _fmt(s.rotation)
-        lines[f"{prefix}.translation"] = _fmt(s.translation)
-        lines[f"{prefix}.scale"] = _fmt(s.scale)
-        lines[f"{prefix}.noise_std"] = _fmt(s.noise_std)
-    tr = cfg.train
-    lines["train.alpha"] = _fmt(tr.alpha)
-    lines["train.lambda"] = _fmt(tr.lam)
-    lines["train.base_lr"] = _fmt(tr.base_lr)
-    lines["train.extractor_lr_multiplier"] = _fmt(tr.extractor_lr_multiplier)
-    lines["train.epochs"] = _fmt(tr.epochs)
-    lines["train.batch_per_domain"] = _fmt(tr.batch_per_domain)
-    lines["train.optimizer"] = tr.optimizer
-    lines["train.scheduler"] = tr.scheduler
-    lines["train.seed"] = _fmt(tr.seed)
-    lines["train.intra_da"] = _fmt(tr.ablation.intra_da)
-    lines["train.inter_da"] = _fmt(tr.ablation.inter_da)
-    lines["train.ast"] = _fmt(tr.ablation.ast)
-    lines["train.num_extractor_steps"] = _fmt(tr.num_extractor_steps)
-    lines["train.ast_start_epoch"] = _fmt(tr.ast_start_epoch)
-    lines["train.extractor_hidden"] = _fmt(tr.extractor_hidden)
-    lines["train.head_hidden"] = _fmt(tr.head_hidden)
+    sections = {
+        "task": cfg.task, "train": cfg.train, "train.ablation": cfg.train.ablation, "run": cfg
+    }
+    lines = {key: _fmt(getattr(sections[section], name)) for key, _, section, name in CONFIG_KEYS}
+    shifts = {f"task.source_shifts.{i}": s for i, s in enumerate(cfg.task.source_shifts)}
+    shifts[_TARGET_SHIFT] = cfg.task.target_shift
+    for prefix, shift in shifts.items():
+        for _, _, name in SHIFT_KEYS:  # keyed by field, so an alias adds no line
+            lines[f"{prefix}.{name}"] = _fmt(getattr(shift, name))
     body = "\n".join(f"{k} = {v}" for k, v in sorted(lines.items()))
     return f"# effective configuration (all keys explicit)\n{body}\n"
 
@@ -505,13 +457,11 @@ def _load_experiment(args, extra: Sequence[str]) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {args.config}")
     kv = parse_config_text(path.read_text())
     kv.update(_parse_overrides(extra))
-    cfg = build_experiment_config(kv)
-    if args.out is not None:
-        cfg.output_dir = args.out
     if args.seed is not None:
-        cfg.task = replace(cfg.task, seed=args.seed)
-        cfg.train = replace(cfg.train, seed=args.seed)
-    return cfg
+        kv["task.seed"] = kv["train.seed"] = args.seed
+    if args.out is not None:
+        kv["run.output_dir"] = args.out
+    return build_experiment_config(kv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -522,10 +472,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     for name in ("run", "ablate", "baseline"):
         p = sub.add_parser(name)
         p.add_argument("config")
-        p.add_argument("--seed", type=int, default=None, help="base seed for task and training")
+        p.add_argument("--seed", default=None, help="base seed for task and training")
         p.add_argument("--out", default=None, help="output directory")
-        if name == "baseline":
-            p.add_argument("--mode", default="uniform", choices=["uniform"])
     curves_p = sub.add_parser("curves")
     curves_p.add_argument("run_dir")
 

@@ -84,6 +84,8 @@ class TaskSpec:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
         if not self.source_shifts:
             raise ValueError("need at least one source domain")
+        if self.seed < 0:
+            raise ValueError(f"task seed must be >= 0, got {self.seed}")
         if self.samples_per_domain < 4 * self.num_classes:
             raise InsufficientDataError(
                 f"samples_per_domain={self.samples_per_domain} is below the "

@@ -257,16 +257,6 @@ class CrmaModel:
         return list({id(p.leaf): p.leaf for p in self.group_parameters(prefix)}.values())
 
 
-def mean_pair_prediction(pred_a: Prediction, pred_b: Prediction) -> Tensor:
-    """Element-wise mean of the pair's probability matrices."""
-    if pred_a.probs.shape != pred_b.probs.shape:
-        raise DimensionError(
-            f"mean_pair_prediction: shapes {pred_a.probs.shape} and "
-            f"{pred_b.probs.shape} differ"
-        )
-    return (pred_a.probs + pred_b.probs) * 0.5
-
-
 def parameters_digest(params: Iterable[Parameter]) -> str:
     """SHA-256 over parameter names and raw little-endian float64 bytes."""
     h = hashlib.sha256()

@@ -87,6 +87,12 @@ class TrainConfig:
             raise ValueError("learning rates must be > 0")
         if self.epochs < 1 or self.batch_per_domain < 1 or self.num_extractor_steps < 1:
             raise ValueError("epochs, batch size, and extractor steps must be >= 1")
+        if not self.extractor_hidden:
+            raise ValueError("extractor_hidden needs at least one layer")
+        if min((*self.extractor_hidden, *self.head_hidden)) < 1:
+            raise ValueError("hidden layer widths must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"train seed must be >= 0, got {self.seed}")
         if self.optimizer not in ("sgd", "sgd_momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.scheduler not in ("constant", "cosine_annealing"):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from crma.cli import (
     ABLATION_GRID,
+    CONFIG_KEYS,
+    SHIFT_KEYS,
     ConfigError,
     ExperimentConfig,
     ablation_variants,
@@ -47,6 +50,8 @@ def test_parse_config_text_basics():
 def test_unknown_key_suggests_nearest():
     with pytest.raises(ConfigError, match=r"trian\.alpha.*train\.alpha"):
         build_experiment_config({"trian.alpha": "0.5"})
+    with pytest.raises(ConfigError, match=r"did you mean 'task\.source_shifts\.5\.rotation'"):
+        build_experiment_config({"task.source_shifts.5.rotaton": "0.5"})
 
 
 def test_defaults_without_any_keys():
@@ -97,6 +102,13 @@ def test_bad_values_are_config_errors():
         {"task.source_shifts.0.rotation": "1", "task.source_shifts.0.rotation_deg": "2"},
         {"task.source_shifts.1.rotation": "1"},  # index 0 missing
         {"train.epochs": "0"},
+        {"train.extractor_hidden": ""},
+        {"train.extractor_hidden": "0"},
+        {"train.extractor_hidden": "8,-1"},
+        {"train.head_hidden": "0"},
+        {"task.seed": "-1"},
+        {"train.seed": "-1"},
+        {"run.methods": ""},
     ):
         with pytest.raises(ConfigError):
             build_experiment_config(kv)
@@ -213,6 +225,15 @@ def test_seed_flag_offsets_both_seeds(tmp_path):
     assert (out / "runs" / "crma_seed7").is_dir()
 
 
+def test_bad_seed_flag_is_a_config_error(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    for seed in ("-1", "abc"):
+        assert main(["run", str(cfg_path), "--out", str(out), "--seed", seed]) == 1
+        assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_command_produces_eight_rows(tmp_path):
     cfg_path = write_cfg(
         tmp_path,
@@ -288,3 +309,15 @@ def test_uniform_ensemble_equals_ast_pseudo_labels_single_source():
     adaptive = fuse_pseudo_labels(d, mean_preds, means, 0.1, uniform=False)
     uniform = fuse_pseudo_labels(d, mean_preds, means, 0.1, uniform=True)
     np.testing.assert_allclose(adaptive.probs, uniform.probs, rtol=1e-12)
+
+
+def test_readme_key_table_lists_exactly_the_config_keys():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    expected = [key for key, *_ in CONFIG_KEYS] + [
+        f"{prefix}.{name}"
+        for prefix in ("task.source_shifts.N", "task.target_shift")
+        for name, *_ in SHIFT_KEYS
+    ]
+    assert sorted(documented) == sorted(expected)

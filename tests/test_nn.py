@@ -7,7 +7,6 @@ from crma.nn import (
     FeatureExtractor,
     FormatError,
     load_model,
-    mean_pair_prediction,
     model_from_bytes,
     model_to_bytes,
     parameters_digest,
@@ -88,27 +87,6 @@ def test_domain_index_out_of_range():
     feats = model.forward_features(np.zeros((1, 2)))
     with pytest.raises(IndexError):
         model.predict_pair(2, feats)
-
-
-def test_mean_pair_prediction():
-    model = small_model()
-    feats = model.forward_features(np.random.default_rng(4).standard_normal((6, 2)))
-    pred_a, pred_b = model.predict_pair(1, feats)
-
-    same = mean_pair_prediction(pred_a, pred_a)
-    np.testing.assert_array_equal(same.values, pred_a.probs.values)
-
-    mixed = mean_pair_prediction(pred_a, pred_b)
-    np.testing.assert_allclose(
-        mixed.values, (pred_a.probs.values + pred_b.probs.values) / 2, rtol=1e-15
-    )
-    np.testing.assert_allclose(mixed.values.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_mean_pair_prediction_hand_case():
-    a = type("P", (), {"probs": Tensor([[1.0, 0.0]])})
-    b = type("P", (), {"probs": Tensor([[0.0, 1.0]])})
-    np.testing.assert_array_equal(mean_pair_prediction(a, b).values, [[0.5, 0.5]])
 
 
 def test_final_prediction_single_pair_equal_heads():
