@@ -7,9 +7,10 @@ which is what evaluation-only paths use.
 
 Everything is float64. Elementwise ops take equal shapes or a scalar
 with a tensor; the other broadcasts are the row-broadcast bias of
-:func:`add_bias` and :func:`linear`, and the leading head axis of
-:func:`linear`, which runs H stacked layers in one node, on one shared
-input or on G inputs that each feed H/G consecutive heads.
+:func:`add_bias` and :func:`linear`, and the leading axes of
+:func:`linear`: a group axis on the input runs one layer over G inputs in
+one node, and a head axis on the weight runs H stacked layers, on one
+shared input or on G inputs that each feed H/G consecutive heads.
 Backwards only compute the gradients of operands that require one, so a
 subgraph built from frozen tensors is neither recorded nor differentiated.
 """
@@ -365,6 +366,10 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
 
     Plain: x (n, d), weight (d, k), bias (k,). Value and gradients are
     bit-identical to ``add_bias(matmul(x, weight), bias)`` (then ``.relu()``).
+    Grouped: x (G, n, d) with the same weight and bias gives (G, n, k), and
+    value and gradients are bit-identical to G plain nodes, one per group,
+    recorded in group order on one tape: the weight and bias gradients add
+    the groups last group first, the order in which that tape adds them.
     Head-batched: weight (H, d, k) and bias (H, k) hold H layers and the
     output is (H, n, k). x (n, d) feeds every head; x (G, n, d), with G
     dividing H, feeds input g to the H/G consecutive heads from g*H/G on
@@ -377,9 +382,9 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
     if not (
         w.values.ndim in (2, 3)
         and b.shape == w.shape[:-2] + w.shape[-1:]
-        and x.values.ndim in ((2, 3) if heads else (2,))
+        and x.values.ndim in (2, 3)
         and x.shape[-1] == w.shape[-2]
-        and (x.values.ndim == 2 or w.shape[0] % x.shape[0] == 0)
+        and (not heads or x.values.ndim == 2 or w.shape[0] % x.shape[0] == 0)
     ):
         raise DimensionError(
             f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not align"
@@ -392,8 +397,8 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
         values = (xs @ ws).reshape(w.shape[0], -1, w.shape[2])
         values += b.values[:, None, :]
     else:
-        xs, ws = x.values, w.values
-        values = xs @ ws
+        xs, ws = x.values.reshape((-1,) + x.shape[-2:]), w.values  # (G, n, d), G = 1 when plain
+        values = x.values @ ws
         values += b.values
     if relu:
         np.maximum(values, 0.0, out=values)
@@ -402,12 +407,20 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
     def backward_fn(g):
         if relu:  # g is this node's own gradient buffer, done with after this call
             np.multiply(g, out.values > 0.0, out=g)
-        if b.requires_grad:
-            # einsum adds the rows in the order sum(axis=-2) does, much faster
-            _accum(b, np.einsum("hnk->hk", g) if heads else g.sum(axis=0), owned=True)
-        gs = g.reshape(ws.shape[:-2] + g.shape[-2:])
-        if w.requires_grad:
-            _accum(w, (np.swapaxes(xs, -1, -2) @ gs).reshape(w.shape), owned=True)
+        if heads:
+            if b.requires_grad:
+                # einsum adds the rows in the order sum(axis=-2) does, much faster
+                _accum(b, np.einsum("hnk->hk", g), owned=True)
+            gs = g.reshape(ws.shape[:-2] + g.shape[-2:])
+            if w.requires_grad:
+                _accum(w, (np.swapaxes(xs, -1, -2) @ gs).reshape(w.shape), owned=True)
+        else:
+            gs = g.reshape(xs.shape[:-1] + g.shape[-1:])
+            for i in reversed(range(len(gs))):  # last group first
+                if b.requires_grad:
+                    _accum(b, gs[i].sum(axis=0), owned=True)
+                if w.requires_grad:
+                    _accum(w, xs[i].T @ gs[i], owned=True)
         if x.requires_grad:
             wt = np.swapaxes(ws, -1, -2)
             if heads:  # an input's gradient sums over the heads it fed, in head order
@@ -415,7 +428,7 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
                 for j in range(1, ws.shape[1]):
                     gx += gs[:, j] @ wt[:, j]
             else:
-                gx = gs @ wt
+                gx = g @ wt
             _accum(x, gx.reshape(x.shape), owned=True)
 
     _maybe_record(out, backward_fn)

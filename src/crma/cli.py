@@ -12,7 +12,8 @@ drives parsing, unknown-key suggestions and ``effective.cfg``. Any key can
 be overridden on the command line as ``--section.key=value``; ``--seed`` and
 ``--out`` set ``task.seed``/``train.seed`` and ``run.output_dir``. Seeds for
 run i are derived as base seed + i for both the task and the trainer, so
-methods see paired tasks. Exit codes: 0 ok, 1 config error, 2 diverged run.
+methods see paired tasks. Exit codes: 0 ok, 1 config or usage error, 2 diverged
+run.
 """
 
 from __future__ import annotations
@@ -464,8 +465,17 @@ def _load_experiment(args, extra: Sequence[str]) -> ExperimentConfig:
     return build_experiment_config(kv)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as a ConfigError (exit 1) instead of exiting 2,
+    the code of a diverged run; subparsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="crma", description="Multi-source adaptation experiment runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -477,8 +487,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     curves_p = sub.add_parser("curves")
     curves_p.add_argument("run_dir")
 
-    args, extra = parser.parse_known_args(argv)
     try:
+        args, extra = parser.parse_known_args(argv)
         if args.command == "curves":
             manifest = emit_curves(args.run_dir)
             print(f"wrote {manifest}")

@@ -102,9 +102,11 @@ class FeatureExtractor:
         self.params = _init_layers(rng, widths, "extractor", EXTRACTOR_GROUP)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.values.ndim != 2 or x.shape[1] != self.input_dim:
+        """Features of x (n, d), or of G batches x (G, n, d) in one grouped pass."""
+        if x.values.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
             raise DimensionError(
-                f"extractor expects (n, {self.input_dim}) inputs, got {x.shape}"
+                f"extractor expects (n, {self.input_dim}) or (G, n, {self.input_dim}) "
+                f"inputs, got {x.shape}"
             )
         h = x
         for i in range(0, len(self.params), 2):

@@ -6,16 +6,17 @@ maximization (minimizing source CE minus the intra consistency), the
 extractor-side consistency minimization, and the adaptive self-training
 update. Each phase rebuilds its forward graph on a fresh tape and runs all
 2M heads in one batched pass over the model's stacked head storage: the
-target features feed every head, and the M source batches feed their own
-pairs. The two phases that update one side only switch ``requires_grad``
-off on the other side's leaves for the whole phase, so its subgraph is
-never recorded and its gradients are never computed. The optimizer steps
-the storage leaves.
+target features feed every head, and the M source batches, which share
+one grouped extractor pass, feed their own pairs. The two phases that
+update one side only switch ``requires_grad`` off on the other side's
+leaves for the whole phase, so its subgraph is never recorded and its
+gradients are never computed. The optimizer steps the storage leaves.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import struct
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import losses
-from .autodiff import NumericError, Tape, Tensor, stack
+from .autodiff import NumericError, Tape, Tensor
 from .data import BatchIterator, DomainBatch, GeneratedTask
 from .nn import (
     EXTRACTOR_GROUP,
@@ -40,6 +41,14 @@ from .seeds import stream_rng, stream_seed
 LOSS_CEILING = 1e6
 MOMENTUM = 0.9
 COSINE_FLOOR_FRACTION = 0.01
+
+# glibc keeps this much free memory at the top of the heap when it trims it.
+# Each phase frees its arrays when it ends; without the pad glibc hands them
+# back to the system and the next phase page-faults them in again. On the
+# moons shape 2 MiB was the smallest pad that removed those faults (1 MiB was
+# not enough), so this leaves 2x headroom.
+HEAP_TOP_PAD_BYTES = 4 << 20
+_M_TOP_PAD = -2  # mallopt parameter number, from glibc's malloc.h
 
 TRAINER_CHECKPOINT_MAGIC = b"CRMATRN\x00"
 TRAINER_CHECKPOINT_VERSION = 1
@@ -179,6 +188,17 @@ class TrainState:
     ast_trace: list = field(default_factory=list)
 
 
+def _keep_freed_heap() -> None:
+    """Set glibc's heap top pad for this process; a no-op without glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, HEAP_TOP_PAD_BYTES)
+
+
 def learning_rate(config: TrainConfig, epoch: int) -> float:
     """Per-epoch learning rate; cosine anneals from base down to 1% of base."""
     if config.scheduler == "constant" or config.epochs == 1:
@@ -224,8 +244,8 @@ def _apply(state: TrainState, tape: Tape, loss: Tensor, lr: float, groups=None) 
 
 
 def _source_features(model: CrmaModel, batch: DomainBatch) -> Tensor:
-    """(M, n, d) features of every domain's source batch, one extractor pass each."""
-    return stack([model.forward_features(x) for x in batch.source_features])
+    """(M, n, d) features of the M source batches, in one grouped extractor pass."""
+    return model.forward_features(np.stack(batch.source_features))
 
 
 def step_source(state: TrainState, batch: DomainBatch, lr: float) -> float:
@@ -349,9 +369,12 @@ def train(config: TrainConfig, task: GeneratedTask):
 
     History rows carry the epoch-mean phase losses, the epoch's learning
     rate, target test accuracy, and the per-domain mean normalized weight
-    and running-mean columns. Skipped phases log 0.0.
+    and running-mean columns. Skipped phases log 0.0. Sets the process's heap
+    top pad first (``HEAP_TOP_PAD_BYTES``), so heap freed by one phase stays
+    mapped for the next.
     """
     config.validate()
+    _keep_freed_heap()
     num_domains = task.num_sources
     model = CrmaModel(
         input_dim=task.input_dim,

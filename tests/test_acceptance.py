@@ -93,7 +93,7 @@ def test_criterion_1_gradient_correctness():
         target_x = rng.standard_normal((n, 2))
 
         def source_probs():
-            return model.head_probs(stack([model.forward_features(x) for x in source_x]))
+            return model.head_probs(model.forward_features(np.stack(source_x)))
 
         def target_probs():
             return model.head_probs(model.forward_features(target_x))

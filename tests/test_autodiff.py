@@ -401,6 +401,48 @@ def test_linear_grouped_matches_per_head_linear_bit_for_bit(relu, groups):
     np.testing.assert_array_equal(ts[0].grad, x_grad)
 
 
+def shared_weight_operands(rng, groups):
+    n, d, k = 5, 3, 2
+    return away_from_kinks(rng, (groups, n, d)), rng.standard_normal((d, k)), rng.standard_normal(k)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_linear_over_groups_gradients_match_finite_differences(relu):
+    x, w, b = shared_weight_operands(np.random.default_rng(43), 3)
+    if relu:
+        assert_no_relu_kinks(x, w, b)
+    readout = Tensor(np.random.default_rng(44).standard_normal((3, x.shape[1], w.shape[1])))
+    points = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+    err = grad_check(lambda xt, wt, bt: (linear(xt, wt, bt, relu=relu) * readout).sum(), points)
+    assert err < 1e-7
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("groups", [1, 3, 4], ids=["G=1", "G=3", "G=4"])
+def test_linear_over_groups_matches_plain_nodes_bit_for_bit(relu, groups):
+    # G plain nodes recorded in group order on one tape add their weight and
+    # bias gradients last group first; the grouped node adds them alike
+    rng = np.random.default_rng(45)
+    x, w, b = shared_weight_operands(rng, groups)
+    readout = rng.standard_normal((groups, x.shape[1], w.shape[1]))
+    ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+    with Tape() as tape:
+        out = linear(*ts, relu=relu)
+        loss = (out * Tensor(readout)).sum()
+    tape.backward(loss)
+    xs = [Tensor(x_g, requires_grad=True) for x_g in x]
+    wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        outs = [linear(x_g, wt, bt, relu=relu) for x_g in xs]
+        loss = sum((o * Tensor(r)).sum() for o, r in zip(outs, readout))
+    tape.backward(loss)
+    for i in range(groups):
+        np.testing.assert_array_equal(out.values[i], outs[i].values)
+        np.testing.assert_array_equal(ts[0].grad[i], xs[i].grad)
+    np.testing.assert_array_equal(ts[1].grad, wt.grad)
+    np.testing.assert_array_equal(ts[2].grad, bt.grad)
+
+
 def test_linear_rejects_misaligned_shapes():
     with pytest.raises(DimensionError, match="linear"):
         linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
@@ -410,6 +452,8 @@ def test_linear_rejects_misaligned_shapes():
         linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros(2)))
     with pytest.raises(DimensionError, match="linear"):  # 3 inputs cannot share 4 heads evenly
         linear(Tensor(np.zeros((3, 2, 3))), Tensor(np.zeros((4, 3, 2))), Tensor(np.zeros((4, 2))))
+    with pytest.raises(DimensionError, match="linear"):  # grouped input of the wrong width
+        linear(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
 
 
 def test_stack_and_index_gradients():

@@ -202,6 +202,20 @@ def test_cli_missing_config_exits_one(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 1
 
 
+@pytest.mark.parametrize("argv", [["run"], ["frobnicate"]], ids=["no-config", "unknown-command"])
+def test_cli_usage_error_exits_one(argv, capsys):
+    # exit 2 means a diverged run, so a bad command line must not use it
+    assert main(argv) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: crma" in capsys.readouterr().out
+
+
 def test_cli_diverged_run_exits_two(tmp_path, monkeypatch, capsys):
     import crma.cli as cli_module
     from crma.trainer import DivergedRunError

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import io
 import math
@@ -224,7 +225,7 @@ def test_tape_entries_per_phase(monkeypatch):
     # a change here means a phase records more (or fewer) tape nodes; update
     # these numbers only together with the reason in CHANGES.md
     assert counts == {
-        "step_source": 13,
+        "step_source": 8,
         "step_classifiers": 16,
         "step_extractor": 23,
         "step_ast": 10,
@@ -448,6 +449,22 @@ def test_all_ablations_off_equals_pure_source_loop():
         optimizer.step(1e-3)
 
     assert parameters_digest(model.parameters()) == parameters_digest(state.model.parameters())
+
+
+def test_second_run_keeps_the_freed_heap():
+    # train() sets glibc's heap top pad, so the memory a phase frees stays
+    # mapped for the next phase instead of being page-faulted in again
+    resource = pytest.importorskip("resource")
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("no glibc mallopt here")
+    task = generate_task(TaskSpec(seed=0))
+    train(TrainConfig(epochs=2), task)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    state, _ = train(TrainConfig(epochs=2), task)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / state.iteration < 10
 
 
 def test_training_is_deterministic():
