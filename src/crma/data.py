@@ -187,11 +187,6 @@ def apply_shift(shift: ShiftSpec, x: np.ndarray, rng: np.random.Generator | None
     return out
 
 
-def invert_shift(shift: ShiftSpec, x: np.ndarray) -> np.ndarray:
-    """Exact inverse of the affine part (noise is not invertible)."""
-    return ((x - np.asarray(shift.translation)) / shift.scale) @ _rotation_matrix(-shift.rotation).T
-
-
 def _generate_domain(spec: TaskSpec, shift: ShiftSpec, rng: np.random.Generator):
     if spec.generator == "two_moons":
         x, y = _two_moons(spec.samples_per_domain, spec.noise, rng)
@@ -443,6 +438,7 @@ def load_dataset(path) -> GeneratedTask:
                 test_x, test_y = features, labels
             else:
                 raise DatasetFormatError(f"unknown block role {role} at offset {r.pos}")
+        r.expect_end()
     except DatasetFormatError:
         raise
     except ValueError as exc:  # _Reader truncation and struct errors

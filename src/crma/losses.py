@@ -1,15 +1,17 @@
-"""Loss terms, adaptive domain weighting, and pseudo-label fusion.
+"""Loss terms, pair statistics, and adaptive pseudo-label fusion.
 
-Differentiable quantities (source cross entropy, the two consistency
-losses, the self-training loss) are built through the autodiff ops so
-they can drive training. Pseudo-labels, their per-domain weights, and the
-per-sample self-training weight beta are plain numpy and deliberately
-detached: they act as fixed targets, and letting gradients flow into them
-would let the model lower the loss by degrading its own targets.
-
-The loss terms take the (2M, n, K) probabilities of every head, in
+The four losses (source cross entropy, the two consistency losses, the
+self-training loss) are built through the autodiff ops so they can drive
+training. They take the (2M, n, K) probabilities of every head, in
 (domain, branch a, branch b) order, as one tensor and compute over that
 head axis, so each loss records a handful of tape nodes whatever M is.
+
+``pair_statistics`` gives a target batch's per-sample pair discrepancies
+and pair means, and ``fuse_pseudo_labels`` turns them into the batch's
+per-domain weights, pseudo-labels and self-training weights beta. Both are
+plain numpy and deliberately detached: their outputs act as fixed targets,
+and letting gradients flow into them would let the model lower the loss by
+degrading its own targets.
 """
 
 from __future__ import annotations
@@ -26,24 +28,10 @@ logger = logging.getLogger(__name__)
 
 # Floor for the weight denominator d_m + lambda * mean_m.
 WEIGHT_DENOM_FLOOR = 1e-8
-# A probability vector's entries must sum to 1 within this much.
-PROB_SUM_TOL = 1e-6
 
 
 class ContractError(ValueError):
     """An argument violates a documented precondition."""
-
-
-def _check_prob_vector(p: np.ndarray, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ContractError(f"{name} must be a 1-d probability vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ContractError(f"{name} contains NaN or Inf")
-    total = float(p.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ContractError(f"{name} rows must sum to 1, got {total}")
-    return p
 
 
 def pair_statistics(head_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,15 +73,6 @@ def source_ce_loss(head_probs: Tensor, labels_per_domain: Sequence[np.ndarray]) 
     return (head_probs.log() * Tensor(np.stack(weights))).sum()
 
 
-def discrepancy(p, q) -> float:
-    """Mean absolute gap between two K-class probability vectors: L1/K."""
-    p = _check_prob_vector(p, "p")
-    q = _check_prob_vector(q, "q")
-    if p.shape != q.shape:
-        raise ContractError(f"p and q must match, got {p.shape} and {q.shape}")
-    return float(np.abs(p - q).sum() / p.shape[0])
-
-
 def _pair_heads(head_probs: Tensor) -> tuple[Tensor, Tensor]:
     """The (M, n, K) branch a and branch b probabilities."""
     return index(head_probs, slice(0, None, 2)), index(head_probs, slice(1, None, 2))
@@ -133,79 +112,6 @@ def extractor_objective(l_intra: Tensor, l_inter: Tensor, alpha: float) -> Tenso
 
 
 @dataclass
-class DomainWeights:
-    """Per-domain mixing weights for one target sample."""
-
-    raw: np.ndarray
-    normalized: np.ndarray
-
-
-def domain_weights(
-    d_row: np.ndarray, running_means: np.ndarray, lam: float
-) -> DomainWeights:
-    """Inverse-discrepancy weights with the running-mean regularizer.
-
-    raw w_m = 1 / (d_m + lam * mean_m), denominator floored at 1e-8. When
-    every denominator sits at the floor the normalized weights fall back to
-    uniform (and the event is logged).
-    """
-    d_row = np.asarray(d_row, dtype=np.float64)
-    running_means = np.asarray(running_means, dtype=np.float64)
-    if d_row.shape != running_means.shape:
-        raise ContractError(
-            f"discrepancies {d_row.shape} and means {running_means.shape} differ"
-        )
-    if lam < 0 or np.any(d_row < 0) or np.any(running_means < 0):
-        raise ContractError("discrepancies, running means, and lambda must be >= 0")
-    denom = d_row + lam * running_means
-    raw = 1.0 / np.maximum(denom, WEIGHT_DENOM_FLOOR)
-    if np.all(denom <= WEIGHT_DENOM_FLOOR):
-        logger.warning(
-            "all weight denominators at the %g floor; using uniform weights",
-            WEIGHT_DENOM_FLOOR,
-        )
-        normalized = np.full(d_row.shape[0], 1.0 / d_row.shape[0])
-    else:
-        normalized = raw / raw.sum()
-    return DomainWeights(raw=raw, normalized=normalized)
-
-
-def uniform_domain_weights(num_domains: int) -> DomainWeights:
-    """Equal-contribution weights (raw w_m = 1/M), the ensemble baseline."""
-    w = np.full(num_domains, 1.0 / num_domains)
-    return DomainWeights(raw=w.copy(), normalized=w.copy())
-
-
-def pseudo_label(mean_prediction_rows: np.ndarray, weights: DomainWeights) -> np.ndarray:
-    """Convex combination of the M mean-prediction rows for one sample."""
-    rows = np.asarray(mean_prediction_rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] != weights.normalized.shape[0]:
-        raise ContractError(
-            f"expected (M, K) rows matching {weights.normalized.shape[0]} weights, "
-            f"got shape {rows.shape}"
-        )
-    return weights.normalized @ rows
-
-
-def ast_beta(raw_weights: np.ndarray, running_means: np.ndarray) -> float:
-    """Self-training weight: min of running means times the summed raw weights."""
-    raw_weights = np.asarray(raw_weights, dtype=np.float64)
-    running_means = np.asarray(running_means, dtype=np.float64)
-    return float(running_means.min() * raw_weights.sum())
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) with q floored at 1e-12 and the 0 * log 0 = 0 convention."""
-    p = _check_prob_vector(p, "p")
-    q = _check_prob_vector(q, "q")
-    if p.shape != q.shape:
-        raise ContractError(f"p and q must match, got {p.shape} and {q.shape}")
-    q = np.maximum(q, LOG_FLOOR)
-    terms = np.where(p > 0.0, p * (np.log(np.maximum(p, LOG_FLOOR)) - np.log(q)), 0.0)
-    return float(terms.sum())
-
-
-@dataclass
 class PseudoBatch:
     """Fused pseudo-labels and weights for one target batch, all detached."""
 
@@ -224,13 +130,18 @@ def fuse_pseudo_labels(
 ) -> PseudoBatch:
     """Per-sample pseudo-labels, weights, and betas for a target batch.
 
+    Raw weights are w_m = 1 / (d_m + lam * mean_m), the denominator floored
+    at 1e-8; a sample whose every denominator sits at the floor gets
+    uniform normalized weights (and the event is logged). Each pseudo-label
+    is the normalized-weight mix of the M mean predictions, and each beta is
+    min_m(mean_m) * sum_m(w_m).
+
     ``mean_prediction_values`` is the stacked (M, n, K) mean predictions.
     ``uniform=True`` swaps the adaptive weights for raw w_m = 1/M (betas are
     still computed from those raw weights), the uniform-ensemble baseline.
     """
     n, num_domains = d_matrix.shape
     num_classes = mean_prediction_values.shape[2]
-    # Vectorized over the batch; matches the per-sample ops above exactly.
     if uniform:
         raw = np.full((n, num_domains), 1.0 / num_domains)
         normalized = raw.copy()

@@ -137,10 +137,6 @@ class ClassifierHead:
         group = classifier_group(domain_index, branch)
         self.params = _init_layers(rng, widths, group, group)
 
-    def logits(self, features: Tensor) -> Tensor:
-        """This head's logits; in a CrmaModel its row views take no gradient."""
-        return _mlp_logits(features, [p.tensor for p in self.params])
-
 
 def _mlp_logits(features: Tensor, slots: Sequence[Tensor]) -> Tensor:
     """Head logits from (weight, bias, weight, bias, ...) layer tensors.
@@ -319,6 +315,14 @@ class _Reader:
         item = np.dtype(dtype).itemsize
         return np.frombuffer(self.take(item * count), dtype=dtype).copy()
 
+    def expect_end(self) -> None:
+        """Reject bytes left over after the last field."""
+        if self.pos != len(self.data):
+            raise FormatError(
+                f"malformed {self.what}: data ends at offset {self.pos}, "
+                f"file has {len(self.data)} bytes ({len(self.data) - self.pos} trailing)"
+            )
+
 
 def model_from_bytes(data: bytes) -> CrmaModel:
     r = _Reader(data, "model checkpoint")
@@ -338,14 +342,5 @@ def model_from_bytes(data: bytes) -> CrmaModel:
     for p in model.parameters():
         arr = r.array("<f8", p.tensor.values.size)
         p.tensor.values[...] = arr.reshape(p.tensor.values.shape)
+    r.expect_end()
     return model
-
-
-def save_model(model: CrmaModel, path) -> None:
-    with open(path, "wb") as f:
-        f.write(model_to_bytes(model))
-
-
-def load_model(path) -> CrmaModel:
-    with open(path, "rb") as f:
-        return model_from_bytes(f.read())

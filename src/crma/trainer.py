@@ -85,7 +85,6 @@ class TrainConfig:
     num_extractor_steps: int = 1
     ast_start_epoch: int = 0
     uniform_pseudo_weights: bool = False
-    record_ast_trace: bool = False
     extractor_hidden: tuple[int, ...] = (64, 64)
     head_hidden: tuple[int, ...] = (32,)
 
@@ -185,7 +184,6 @@ class TrainState:
     iteration: int = 0
     epoch: int = 0
     history: list = field(default_factory=list)
-    ast_trace: list = field(default_factory=list)
 
 
 def _keep_freed_heap() -> None:
@@ -334,18 +332,6 @@ def step_ast(state: TrainState, batch: DomainBatch, lr: float):
         )
         loss = losses.ast_loss(probs, fused.probs, fused.betas)
     value = _loss_value(loss, state)
-    if cfg.record_ast_trace:
-        state.ast_trace.append(
-            {
-                "iteration": state.iteration,
-                "d_matrix": d_matrix.copy(),
-                "running_means": state.tracker.means.copy(),
-                "raw_weights": fused.raw_weights.copy(),
-                "normalized_weights": fused.normalized_weights.copy(),
-                "pseudo_probs": fused.probs.copy(),
-                "betas": fused.betas.copy(),
-            }
-        )
     _apply(state, tape, loss, lr)
     return value, fused
 
@@ -505,10 +491,16 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
         arr = r.array("<f8", p.tensor.values.size)
         optimizer.velocity[p.name][...] = arr.reshape(p.tensor.values.shape)
     (num_domains,) = r.unpack("<I")
+    if num_domains != model.num_domains:
+        raise FormatError(
+            f"trainer checkpoint tracker has {num_domains} domains at offset {r.pos - 4}, "
+            f"the model has {model.num_domains}"
+        )
     tracker = ConfidenceTracker(num_domains)
     tracker.sums = r.array("<f8", num_domains)
     tracker.counts = r.array("<i8", num_domains)
     iteration, epoch = r.unpack("<QQ")
+    r.expect_end()
     return TrainState(
         model=model,
         optimizer=optimizer,

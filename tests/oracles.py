@@ -1,0 +1,94 @@
+"""Explicit-loop references for the formulas that training computes batched.
+
+Each function handles one sample (or one vector) with plain Python loops
+over its entries, so it shares no code and no vectorization with
+``crma.losses``. Tests compare the batched training code against these.
+"""
+
+import math
+
+import numpy as np
+
+LOG_FLOOR = 1e-12
+WEIGHT_DENOM_FLOOR = 1e-8
+
+
+def discrepancy(p, q) -> float:
+    """Mean absolute gap between two K-class probability vectors: L1/K."""
+    total = 0.0
+    for i in range(len(p)):
+        total += abs(p[i] - q[i])
+    return total / len(p)
+
+
+def kl_divergence(p, q) -> float:
+    """KL(p || q) with both logs floored at 1e-12 and 0 * log 0 = 0."""
+    total = 0.0
+    for i in range(len(p)):
+        if p[i] > 0:
+            total += p[i] * (math.log(max(p[i], LOG_FLOOR)) - math.log(max(q[i], LOG_FLOOR)))
+    return total
+
+
+def domain_weights(d_row, running_means, lam) -> tuple[np.ndarray, np.ndarray]:
+    """One sample's (raw, normalized) weights: raw w_m = 1 / (d_m + lam * mean_m).
+
+    Each denominator is floored at 1e-8; when every one sits at the floor
+    the normalized weights fall back to uniform.
+    """
+    num_domains = len(d_row)
+    raw = np.zeros(num_domains)
+    all_floored = True
+    for m in range(num_domains):
+        denom = d_row[m] + lam * running_means[m]
+        if denom > WEIGHT_DENOM_FLOOR:
+            all_floored = False
+        raw[m] = 1.0 / max(denom, WEIGHT_DENOM_FLOOR)
+    if all_floored:
+        return raw, uniform_domain_weights(num_domains)[1]
+    total = 0.0
+    for m in range(num_domains):
+        total += raw[m]
+    normalized = np.zeros(num_domains)
+    for m in range(num_domains):
+        normalized[m] = raw[m] / total
+    return raw, normalized
+
+
+def uniform_domain_weights(num_domains) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-contribution (raw, normalized) weights, raw w_m = 1/M."""
+    w = np.zeros(num_domains)
+    for m in range(num_domains):
+        w[m] = 1.0 / num_domains
+    return w, w.copy()
+
+
+def pseudo_label(mean_prediction_rows, normalized) -> np.ndarray:
+    """One sample's pseudo-label: the weighted sum of its M mean-prediction rows."""
+    num_classes = len(mean_prediction_rows[0])
+    fused = np.zeros(num_classes)
+    for m in range(len(normalized)):
+        for k in range(num_classes):
+            fused[k] += normalized[m] * mean_prediction_rows[m][k]
+    return fused
+
+
+def ast_beta(raw, running_means) -> float:
+    """Self-training weight: min of the running means times the summed raw weights."""
+    total = 0.0
+    for w in raw:
+        total += w
+    return min(running_means) * total
+
+
+def invert_shift(shift, x) -> np.ndarray:
+    """Exact inverse of a ShiftSpec's affine part, one point at a time."""
+    c, s = math.cos(shift.rotation), math.sin(shift.rotation)
+    out = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        u = (x[i, 0] - shift.translation[0]) / shift.scale
+        v = (x[i, 1] - shift.translation[1]) / shift.scale
+        # rotate by -rotation
+        out[i, 0] = c * u + s * v
+        out[i, 1] = -s * u + c * v
+    return out

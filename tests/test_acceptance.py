@@ -10,22 +10,18 @@ import time
 
 import numpy as np
 
+import crma.losses
 from crma.autodiff import Tape, Tensor, grad_check, softmax, stack
 from crma.cli import main
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import (
-    ast_beta,
     ast_loss,
     classifier_objective,
-    discrepancy,
-    domain_weights,
     extractor_objective,
     fuse_pseudo_labels,
     inter_consistency_loss,
     intra_consistency_loss,
-    kl_divergence,
     pair_statistics,
-    pseudo_label,
     source_ce_loss,
 )
 from crma.nn import EXTRACTOR_GROUP, CrmaModel, parameters_digest
@@ -45,6 +41,8 @@ from crma.trainer import (
     step_source,
     train,
 )
+
+from oracles import ast_beta, discrepancy, domain_weights, kl_divergence, pseudo_label
 
 
 def report(num, description, ok):
@@ -147,64 +145,66 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_formula_oracles():
+    # the batched code that training runs, against the per-sample loops of
+    # tests/oracles.py, on 1000 random target batches
     started = time.monotonic()
     rng = np.random.default_rng(200)
     worst = 0.0
 
     def gap(a, b):
-        return abs(a - b)
+        return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
     for _ in range(1000):
         k = int(rng.integers(2, 6))
         m = int(rng.integers(1, 5))
-        p = random_probs(rng, 1, k)[0]
-        q = random_probs(rng, 1, k)[0]
+        n = int(rng.integers(1, 6))
+        heads = np.stack([random_probs(rng, n, k) for _ in range(2 * m)])  # (2M, n, K)
 
-        # discrepancy: mean absolute component gap
-        expected = sum(abs(p[i] - q[i]) for i in range(k)) / k
-        worst = max(worst, gap(discrepancy(p, q), expected))
+        # discrepancy: mean absolute component gap of each pair, per sample
+        d_matrix, mean_values = pair_statistics(heads)
+        for i in range(n):
+            for j in range(m):
+                worst = max(worst, gap(d_matrix[i, j], discrepancy(heads[2 * j, i], heads[2 * j + 1, i])))
 
-        # KL divergence with the 0 log 0 convention
-        expected = sum(
-            p[i] * (math.log(max(p[i], 1e-12)) - math.log(max(q[i], 1e-12)))
-            for i in range(k)
-            if p[i] > 0
-        )
-        worst = max(worst, gap(kl_divergence(p, q), expected))
+        # KL divergence with the 0 log 0 convention, beta-weighted over the batch
+        pseudo = random_probs(rng, n, k)
+        betas = rng.uniform(0.0, 2.0, n)
+        expected = 0.0
+        for i in range(n):
+            for h in range(2 * m):
+                expected += betas[i] * kl_divergence(heads[h, i], pseudo[i])
+        worst = max(worst, gap(ast_loss(Tensor(heads), pseudo, betas).item(), expected / n))
 
-        # weights, pseudo-label, beta
-        d_row = rng.uniform(0.0, 0.6, m)
+        # weights, pseudo-labels, betas
+        d_rows = rng.uniform(0.0, 0.6, (n, m))
         means = rng.uniform(0.001, 0.6, m)
         lam = float(rng.uniform(0.0, 0.5))
-        w = domain_weights(d_row, means, lam)
-        raw_expected = np.array(
-            [1.0 / max(d_row[i] + lam * means[i], 1e-8) for i in range(m)]
-        )
-        worst = max(worst, float(np.abs(w.raw - raw_expected).max()))
-        norm_expected = raw_expected / raw_expected.sum()
-        worst = max(worst, float(np.abs(w.normalized - norm_expected).max()))
+        fused = fuse_pseudo_labels(d_rows, mean_values, means, lam)
+        for i in range(n):
+            raw, normalized = domain_weights(d_rows[i], means, lam)
+            worst = max(
+                worst,
+                gap(fused.raw_weights[i], raw),
+                gap(fused.normalized_weights[i], normalized),
+                gap(fused.probs[i], pseudo_label(mean_values[:, i], normalized)),
+                gap(fused.betas[i], ast_beta(raw, means)),
+            )
 
-        rows = np.vstack([random_probs(rng, 1, k) for _ in range(m)])
-        fused = pseudo_label(rows, w)
-        fused_expected = np.zeros(k)
-        for i in range(m):
-            fused_expected += w.normalized[i] * rows[i]
-        worst = max(worst, float(np.abs(fused - fused_expected).max()))
-
-        beta_expected = min(means) * sum(w.raw)
-        worst = max(worst, gap(ast_beta(w.raw, means), beta_expected))
-
-    # hand-arithmetic anchor cases
-    w = domain_weights(np.array([0.1, 0.4]), np.array([0.2, 0.2]), 0.1)
+    # hand-arithmetic anchor cases, each on an n = 1 batch
+    two_rows = np.full((2, 1, 2), 0.5)
+    w = fuse_pseudo_labels(np.array([[0.1, 0.4]]), two_rows, np.array([0.2, 0.2]), 0.1)
+    beta = fuse_pseudo_labels(np.array([[0.1, 0.39]]), two_rows, np.array([0.2, 0.3]), 0.1).betas[0]
+    d, _ = pair_statistics(np.array([[[0.5, 0.3, 0.2]], [[0.2, 0.3, 0.5]]]))
+    kl = ast_loss(Tensor(np.array([[[1.0, 0.0]], [[1.0, 0.0]]])), np.array([[0.5, 0.5]]), np.ones(1))
     anchors = (
-        gap(w.raw[0], 1 / 0.12) < 1e-12
-        and gap(w.raw[1], 1 / 0.42) < 1e-12
-        and abs(w.raw[0] - 8.3333) < 5e-4
-        and abs(w.raw[1] - 2.3810) < 5e-4
-        and abs(w.normalized[0] - 0.7778) < 5e-4
-        and gap(ast_beta(w.raw, np.array([0.2, 0.3])), 0.2 * (1 / 0.12 + 1 / 0.42)) < 1e-12
-        and gap(discrepancy([0.5, 0.3, 0.2], [0.2, 0.3, 0.5]), 0.2) < 1e-12
-        and gap(kl_divergence([1.0, 0.0], [0.5, 0.5]), math.log(2)) < 1e-12
+        gap(w.raw_weights[0, 0], 1 / 0.12) < 1e-12
+        and gap(w.raw_weights[0, 1], 1 / 0.42) < 1e-12
+        and abs(w.raw_weights[0, 0] - 8.3333) < 5e-4
+        and abs(w.raw_weights[0, 1] - 2.3810) < 5e-4
+        and abs(w.normalized_weights[0, 0] - 0.7778) < 5e-4
+        and gap(beta, 0.2 * (1 / 0.12 + 1 / 0.42)) < 1e-12
+        and gap(d[0, 0], 0.2) < 1e-12
+        and gap(kl.item(), 2 * math.log(2)) < 1e-12  # two heads, each KL = log 2
     )
     elapsed = time.monotonic() - started
     report(
@@ -234,23 +234,24 @@ def test_criterion_3_invariants():
         k = int(rng.integers(2, 6))
         m = int(rng.integers(1, 4))
         pa, pb = random_probs(rng, 2, k), random_probs(rng, 2, k)
-        mean_pred = (pa + pb) / 2
-        ok_mean &= bool(np.all(np.abs(mean_pred.sum(axis=1) - 1) < 1e-9))
+        d, mean_pred = pair_statistics(np.stack([pa, pb]))
+        ok_mean &= bool(np.all(np.abs(mean_pred[0].sum(axis=1) - 1) < 1e-9))
 
-        p, q = pa[0], pb[0]
-        d = discrepancy(p, q)
-        ok_d &= 0.0 <= d <= 2.0 / k + 1e-12
-        ok_d &= abs(d - discrepancy(q, p)) < 1e-15
-        ok_d &= discrepancy(p, p) == 0.0
-        ok_kl &= kl_divergence(p, q) >= -1e-12
+        ok_d &= bool(np.all((0.0 <= d) & (d <= 2.0 / k + 1e-12)))
+        ok_d &= bool(np.all(np.abs(d - pair_statistics(np.stack([pb, pa]))[0]) < 1e-15))
+        ok_d &= bool(np.all(pair_statistics(np.stack([pa, pa]))[0] == 0.0))
+        # one pair with both heads at p = pa[0], pseudo-label q = pb[0], beta 1
+        kl = ast_loss(Tensor(np.stack([pa[:1], pa[:1]])), pb[:1], np.ones(1))
+        ok_kl &= kl.item() >= -1e-12
 
         d_row = rng.uniform(0, 0.5, m)
         means = rng.uniform(0.001, 0.5, m)
-        w = domain_weights(d_row, means, 0.1)
-        ok_w &= abs(w.normalized.sum() - 1) < 1e-9
-        ok_w &= bool(np.all(w.normalized > 0) and np.all(w.normalized <= 1))
         rows = np.vstack([random_probs(rng, 1, k) for _ in range(m)])
-        ok_pseudo &= abs(pseudo_label(rows, w).sum() - 1) < 1e-9
+        fused = fuse_pseudo_labels(d_row[None, :], rows[:, None, :], means, 0.1)
+        w = fused.normalized_weights[0]
+        ok_w &= abs(w.sum() - 1) < 1e-9
+        ok_w &= bool(np.all(w > 0) and np.all(w <= 1))
+        ok_pseudo &= abs(fused.probs[0].sum() - 1) < 1e-9
 
     # L_inter vanishes for a single source
     ok_inter_m1 = True
@@ -678,7 +679,7 @@ def test_criterion_7_determinism(tmp_path):
 # criterion 8: confidence tracker fidelity --------------------------------------------
 
 
-def test_criterion_8_tracker_fidelity():
+def test_criterion_8_tracker_fidelity(monkeypatch):
     task = generate_task(TaskSpec(samples_per_domain=80, seed=80))
     cfg = TrainConfig(
         epochs=20,
@@ -686,10 +687,18 @@ def test_criterion_8_tracker_fidelity():
         seed=80,
         extractor_hidden=(12, 8),
         head_hidden=(6,),
-        record_ast_trace=True,
     )
+    # record every batch's discrepancies as the trainer hands them to fusion
+    d_matrices = []
+    fuse = crma.losses.fuse_pseudo_labels
+
+    def recording_fuse(d_matrix, *args, **kwargs):
+        d_matrices.append(d_matrix.copy())
+        return fuse(d_matrix, *args, **kwargs)
+
+    monkeypatch.setattr(crma.losses, "fuse_pseudo_labels", recording_fuse)
     state, history = train(cfg, task)
-    full = np.vstack([t["d_matrix"] for t in state.ast_trace])
+    full = np.vstack(d_matrices)
     replay = full.mean(axis=0)
     gap = float(np.abs(state.tracker.means - replay).max())
     report(

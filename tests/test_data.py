@@ -12,10 +12,11 @@ from crma.data import (
     TaskSpec,
     apply_shift,
     generate_task,
-    invert_shift,
     load_dataset,
     save_dataset,
 )
+
+from oracles import invert_shift
 
 
 def blob_spec(**kwargs):
@@ -206,6 +207,16 @@ def test_dataset_truncation_reports_offset(tmp_path):
     (tmp_path / "cut.bin").write_bytes(data[: len(data) - 100])
     with pytest.raises(DatasetFormatError, match="offset"):
         load_dataset(tmp_path / "cut.bin")
+
+
+def test_dataset_trailing_bytes_report_offset(tmp_path):
+    task = generate_task(blob_spec(samples_per_domain=60))
+    path = tmp_path / "task.bin"
+    save_dataset(task, path)
+    size = path.stat().st_size
+    (tmp_path / "long.bin").write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(DatasetFormatError, match=f"offset {size}.*8 trailing"):
+        load_dataset(tmp_path / "long.bin")
 
 
 def test_dataset_version_mismatch(tmp_path):

@@ -7,19 +7,22 @@ import pytest
 from crma.autodiff import Tape, Tensor, grad_check, softmax, stack
 from crma.losses import (
     ContractError,
-    ast_beta,
     ast_loss,
     classifier_objective,
-    discrepancy,
-    domain_weights,
     extractor_objective,
     fuse_pseudo_labels,
     inter_consistency_loss,
     intra_consistency_loss,
-    kl_divergence,
     pair_statistics,
-    pseudo_label,
     source_ce_loss,
+)
+
+from oracles import (
+    ast_beta,
+    discrepancy,
+    domain_weights,
+    kl_divergence,
+    pseudo_label,
     uniform_domain_weights,
 )
 
@@ -38,6 +41,20 @@ def heads_from_logits(logit_tensors):
 def head_probs(prob_arrays):
     """(2M, n, K) head probabilities straight from given (a, b) matrix pairs."""
     return Tensor(np.stack([p for pair in prob_arrays for p in pair]))
+
+
+def pair_discrepancy(p, q):
+    """pair_statistics' discrepancy of one pair on an n = 1 batch."""
+    d, _ = pair_statistics(np.array([[p], [q]], dtype=np.float64))
+    return d[0, 0]
+
+
+def fuse_one(d_row, running_means, lam, rows=None, uniform=False):
+    """fuse_pseudo_labels on an n = 1 batch; ``rows`` are its (M, K) mean predictions."""
+    d_row = np.asarray(d_row, dtype=np.float64)
+    rows = np.full((d_row.size, 2), 0.5) if rows is None else np.asarray(rows)
+    means = np.asarray(running_means, dtype=np.float64)
+    return fuse_pseudo_labels(d_row[None, :], rows[:, None, :], means, lam, uniform=uniform)
 
 
 # source cross entropy ---------------------------------------------------------
@@ -89,10 +106,10 @@ def test_source_ce_rejects_unequal_domain_batches():
 
 def test_discrepancy_hand_cases():
     p = np.array([0.5, 0.3, 0.2])
-    assert discrepancy(p, p) == 0.0
-    assert discrepancy([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+    assert pair_discrepancy(p, p) == 0.0
+    assert pair_discrepancy([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
     q = np.array([0.2, 0.3, 0.5])
-    assert discrepancy(p, q) == pytest.approx(0.2, rel=1e-12)
+    assert pair_discrepancy(p, q) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_discrepancy_metric_properties():
@@ -100,15 +117,11 @@ def test_discrepancy_metric_properties():
     for _ in range(200):
         k = rng.integers(2, 6)
         p, q, r = (random_probs(rng, 1, k)[0] for _ in range(3))
-        d_pq = discrepancy(p, q)
+        d_pq = pair_discrepancy(p, q)
+        assert d_pq == discrepancy(p, q)
         assert 0.0 <= d_pq <= 2.0 / k + 1e-12
-        assert d_pq == pytest.approx(discrepancy(q, p), rel=1e-12)
-        assert d_pq <= discrepancy(p, r) + discrepancy(r, q) + 1e-12
-
-
-def test_discrepancy_rejects_unnormalized():
-    with pytest.raises(ContractError):
-        discrepancy([0.5, 0.6], [0.5, 0.5])
+        assert d_pq == pytest.approx(pair_discrepancy(q, p), rel=1e-12)
+        assert d_pq <= pair_discrepancy(p, r) + pair_discrepancy(r, q) + 1e-12
 
 
 # consistency losses ------------------------------------------------------------
@@ -228,54 +241,63 @@ def test_extractor_objective_ignores_source_batches():
 
 
 def test_domain_weights_symmetric_case():
-    w = domain_weights(np.array([0.2, 0.2, 0.2]), np.array([0.1, 0.1, 0.1]), 0.5)
-    np.testing.assert_allclose(w.normalized, 1 / 3, rtol=1e-12)
+    fused = fuse_one([0.2, 0.2, 0.2], [0.1, 0.1, 0.1], 0.5)
+    np.testing.assert_allclose(fused.normalized_weights[0], 1 / 3, rtol=1e-12)
 
 
 def test_domain_weights_hand_case():
-    w = domain_weights(np.array([0.1, 0.4]), np.array([0.2, 0.2]), 0.1)
-    np.testing.assert_allclose(w.raw, [1 / 0.12, 1 / 0.42], rtol=1e-12)
-    np.testing.assert_allclose(w.raw, [8.3333, 2.3810], atol=5e-4)
-    np.testing.assert_allclose(w.normalized, [0.7778, 0.2222], atol=5e-4)
-    assert w.normalized.sum() == pytest.approx(1.0, abs=1e-9)
+    fused = fuse_one([0.1, 0.4], [0.2, 0.2], 0.1)
+    raw, normalized = fused.raw_weights[0], fused.normalized_weights[0]
+    np.testing.assert_allclose(raw, [1 / 0.12, 1 / 0.42], rtol=1e-12)
+    np.testing.assert_allclose(raw, [8.3333, 2.3810], atol=5e-4)
+    np.testing.assert_allclose(normalized, [0.7778, 0.2222], atol=5e-4)
+    assert normalized.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_domain_weights_floor_limit():
-    w = domain_weights(np.array([0.0, 0.3]), np.array([0.5, 0.5]), 0.0)
-    assert w.raw[0] == pytest.approx(1e8)
-    assert w.normalized[0] == pytest.approx(1.0, abs=1e-6)
+    fused = fuse_one([0.0, 0.3], [0.5, 0.5], 0.0)
+    assert fused.raw_weights[0, 0] == pytest.approx(1e8)
+    assert fused.normalized_weights[0, 0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_domain_weights_all_floored_falls_back_to_uniform(caplog):
+    # row 0 has every denominator at the floor, row 1 has none there
+    d = np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.3]])
+    rows = np.full((3, 2, 2), 0.5)
     with caplog.at_level(logging.WARNING, logger="crma.losses"):
-        w = domain_weights(np.zeros(3), np.zeros(3), 0.1)
-    np.testing.assert_allclose(w.normalized, 1 / 3)
-    assert any("floor" in r.message for r in caplog.records)
+        fused = fuse_pseudo_labels(d, rows, np.zeros(3), 0.1)
+    np.testing.assert_allclose(fused.normalized_weights[0], 1 / 3)
+    assert not np.allclose(fused.normalized_weights[1], 1 / 3)
+    assert any("floor" in r.message and "1 samples" in r.message for r in caplog.records)
 
 
 def test_pseudo_label_cases():
     rng = np.random.default_rng(10)
     single = random_probs(rng, 1, 3)
-    w1 = domain_weights(np.array([0.3]), np.array([0.2]), 0.1)
-    np.testing.assert_allclose(pseudo_label(single, w1), single[0], rtol=1e-12)
+    fused1 = fuse_one([0.3], [0.2], 0.1, rows=single)
+    np.testing.assert_allclose(fused1.probs[0], single[0], rtol=1e-12)
 
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(
-        pseudo_label(rows, uniform_domain_weights(2)), [0.5, 0.5], rtol=1e-12
+        fuse_one([0.1, 0.4], [0.2, 0.2], 0.1, rows=rows, uniform=True).probs[0],
+        [0.5, 0.5],
+        rtol=1e-12,
     )
 
     rows3 = np.vstack([random_probs(rng, 1, 4) for _ in range(3)])
-    w3 = domain_weights(rng.uniform(0.05, 0.5, 3), rng.uniform(0.05, 0.5, 3), 0.1)
-    fused = pseudo_label(rows3, w3)
-    expected = sum(w3.normalized[m] * rows3[m] for m in range(3))
-    np.testing.assert_allclose(fused, expected, rtol=1e-12)
-    assert fused.sum() == pytest.approx(1.0, abs=1e-12)
+    fused3 = fuse_one(rng.uniform(0.05, 0.5, 3), rng.uniform(0.05, 0.5, 3), 0.1, rows=rows3)
+    w3 = fused3.normalized_weights[0]
+    expected = sum(w3[m] * rows3[m] for m in range(3))
+    np.testing.assert_allclose(fused3.probs[0], expected, rtol=1e-12)
+    assert fused3.probs[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ast_beta_cases():
-    assert ast_beta(np.array([3.0, 4.0]), np.zeros(2)) == 0.0
-    beta = ast_beta(np.array([8.3333, 2.3810]), np.array([0.2, 0.3]))
-    assert beta == pytest.approx(0.2 * (8.3333 + 2.3810), rel=1e-12)
+    # raw weights 3 and 4, running means 0
+    assert fuse_one([1 / 3, 1 / 4], [0.0, 0.0], 0.1).betas[0] == 0.0
+    # raw weights 1/0.12 and 1/0.42 (8.3333 and 2.3810), running means 0.2 and 0.3
+    beta = fuse_one([0.1, 0.39], [0.2, 0.3], 0.1).betas[0]
+    assert beta == pytest.approx(0.2 * (1 / 0.12 + 1 / 0.42), rel=1e-12)
     assert beta == pytest.approx(2.1429, abs=5e-4)
 
 
@@ -287,21 +309,26 @@ def test_ast_beta_scale_invariance():
         d = rng.uniform(0.05, 0.6, 3)
         means = rng.uniform(0.05, 0.6, 3)
         c = rng.uniform(0.5, 20.0)
-        w = domain_weights(d, means, 0.1)
-        w_scaled = domain_weights(c * d, c * means, 0.1)
-        beta = ast_beta(w.raw, means)
-        beta_scaled = ast_beta(w_scaled.raw, c * means)
+        beta = fuse_one(d, means, 0.1).betas[0]
+        beta_scaled = fuse_one(c * d, c * means, 0.1).betas[0]
         assert beta_scaled == pytest.approx(beta, rel=1e-9)
 
 
 # KL and the self-training loss ---------------------------------------------------
 
 
+def pair_kl(p, q):
+    """ast_loss of one pair of heads both at ``p`` toward pseudo-label ``q``,
+    beta 1, on an n = 1 batch: twice KL(p || q)."""
+    p = np.array([p], dtype=np.float64)
+    return ast_loss(head_probs([(p, p)]), np.array([q], dtype=np.float64), np.ones(1)).item()
+
+
 def test_kl_cases():
     rng = np.random.default_rng(12)
     p = random_probs(rng, 1, 4)[0]
-    assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
-    assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2), rel=1e-12)
+    assert pair_kl(p, p) == pytest.approx(0.0, abs=1e-12)
+    assert pair_kl([1.0, 0.0], [0.5, 0.5]) == 2 * math.log(2)
 
 
 def test_kl_nonnegative_and_matches_loop():
@@ -310,14 +337,9 @@ def test_kl_nonnegative_and_matches_loop():
         k = rng.integers(2, 6)
         p = random_probs(rng, 1, k)[0]
         q = random_probs(rng, 1, k)[0]
-        val = kl_divergence(p, q)
+        val = pair_kl(p, q)
         assert val >= -1e-12
-        expected = sum(
-            p[i] * (math.log(max(p[i], 1e-12)) - math.log(max(q[i], 1e-12)))
-            for i in range(k)
-            if p[i] > 0
-        )
-        assert val == pytest.approx(expected, rel=1e-12)
+        assert val == pytest.approx(2 * kl_divergence(p, q), rel=1e-12)
 
 
 def test_ast_loss_zero_when_heads_match_pseudo():
@@ -360,7 +382,7 @@ def test_ast_loss_nonnegative_property():
         assert ast_loss(head_probs(arrays), pseudo, betas).item() >= -1e-12
 
 
-# fused batch path matches the per-sample operations ------------------------------
+# fused batch path matches the per-sample oracles ------------------------------
 
 
 @pytest.mark.parametrize("uniform", [False, True])
@@ -372,13 +394,13 @@ def test_fuse_pseudo_labels_matches_per_sample_ops(uniform):
     mean_preds = np.stack([random_probs(rng, n, k) for _ in range(m)])
     fused = fuse_pseudo_labels(d, mean_preds, means, 0.1, uniform=uniform)
     for i in range(n):
-        w = uniform_domain_weights(m) if uniform else domain_weights(d[i], means, 0.1)
-        np.testing.assert_allclose(fused.raw_weights[i], w.raw, rtol=1e-12)
-        np.testing.assert_allclose(fused.normalized_weights[i], w.normalized, rtol=1e-12)
+        raw, normalized = uniform_domain_weights(m) if uniform else domain_weights(d[i], means, 0.1)
+        np.testing.assert_allclose(fused.raw_weights[i], raw, rtol=1e-12)
+        np.testing.assert_allclose(fused.normalized_weights[i], normalized, rtol=1e-12)
         np.testing.assert_allclose(
-            fused.probs[i], pseudo_label(mean_preds[:, i, :], w), rtol=1e-12
+            fused.probs[i], pseudo_label(mean_preds[:, i, :], normalized), rtol=1e-12
         )
-        assert fused.betas[i] == pytest.approx(ast_beta(w.raw, means), rel=1e-12)
+        assert fused.betas[i] == pytest.approx(ast_beta(raw, means), rel=1e-12)
 
 
 # permutation equivariance ---------------------------------------------------------

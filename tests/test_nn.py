@@ -6,11 +6,9 @@ from crma.nn import (
     CrmaModel,
     FeatureExtractor,
     FormatError,
-    load_model,
     model_from_bytes,
     model_to_bytes,
     parameters_digest,
-    save_model,
 )
 
 
@@ -149,12 +147,12 @@ def test_head_perturbation_is_local():
     model = small_model(seed=22)
     x = np.random.default_rng(9).standard_normal((6, 2))
     feats = model.forward_features(x)
-    before = {key: model.heads[key].logits(feats).values.copy() for key in model.heads}
+    before = model.head_probs(feats).values.copy()
     model.heads[(0, "a")].params[0].tensor.values += 0.1
-    after = {key: model.heads[key].logits(feats).values for key in model.heads}
-    assert not np.allclose(after[(0, "a")], before[(0, "a")])
-    for key in [(0, "b"), (1, "a"), (1, "b")]:
-        np.testing.assert_array_equal(after[key], before[key])
+    after = model.head_probs(feats).values
+    # rows in (domain, branch) order: (0, a), (0, b), (1, a), (1, b)
+    assert not np.allclose(after[0], before[0])
+    np.testing.assert_array_equal(after[1:], before[1:])
 
 
 def test_final_prediction_invariant_to_domain_order():
@@ -176,11 +174,9 @@ def test_final_prediction_invariant_to_domain_order():
     np.testing.assert_allclose(probs_perm, probs, atol=1e-12)
 
 
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
+def test_checkpoint_round_trip_is_bit_exact():
     model = small_model(seed=77, num_domains=3, num_classes=4)
-    path = tmp_path / "model.bin"
-    save_model(model, path)
-    loaded = load_model(path)
+    loaded = model_from_bytes(model_to_bytes(model))
     assert parameters_digest(loaded.parameters()) == parameters_digest(model.parameters())
     x = np.random.default_rng(11).standard_normal((7, 2))
     np.testing.assert_array_equal(
@@ -194,6 +190,12 @@ def test_checkpoint_truncation_reports_offset():
     blob = model_to_bytes(small_model())
     with pytest.raises(FormatError, match="offset"):
         model_from_bytes(blob[: len(blob) // 2])
+
+
+def test_checkpoint_trailing_bytes_report_offset():
+    blob = model_to_bytes(small_model())
+    with pytest.raises(FormatError, match=f"offset {len(blob)}.*3 trailing"):
+        model_from_bytes(blob + b"xyz")
 
 
 def test_checkpoint_bad_magic():

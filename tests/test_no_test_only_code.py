@@ -1,0 +1,59 @@
+"""Every module-level function and class in ``src/crma`` has a caller outside the tests.
+
+A definition that only tests reach lets an oracle check code that training
+never runs. Reference loops for tests belong in ``tests/oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# name -> why it may stay without a caller for now
+ALLOWED = {
+    "save_dataset": "the dataset format is wired into `crma run` or deleted by the ROADMAP's dataset item",
+    "load_dataset": "the dataset format is wired into `crma run` or deleted by the ROADMAP's dataset item",
+}
+
+
+def _referenced_names(node):
+    """Names that ``node`` refers to: a Name, an attribute, an import, or a string.
+
+    Strings count because the benchmark harness names what it wraps in them.
+    """
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname] if node.asname else [node.name]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def test_every_src_definition_has_a_caller_outside_the_tests():
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py"))]
+    }
+    # name -> (file, line) of every reference
+    references = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            for name in _referenced_names(node):
+                references.setdefault(name, []).append((path, node.lineno))
+
+    unreferenced = []
+    for path in sorted((ROOT / "src" / "crma").glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in ALLOWED:
+                continue
+            outside = [
+                (where, line)
+                for where, line in references.get(node.name, [])
+                if where != path or not node.lineno <= line <= node.end_lineno
+            ]
+            if not outside:
+                unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unreferenced, f"defined in src/ but only tests use them: {unreferenced}"

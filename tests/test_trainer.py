@@ -8,8 +8,8 @@ import pytest
 
 from crma.autodiff import Tape, stack
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
-from crma.losses import ast_beta, domain_weights, intra_consistency_loss, pseudo_label, source_ce_loss
-from crma.nn import EXTRACTOR_GROUP, CrmaModel, model_to_bytes, parameters_digest
+from crma.losses import intra_consistency_loss, source_ce_loss
+from crma.nn import EXTRACTOR_GROUP, CrmaModel, FormatError, model_to_bytes, parameters_digest
 from crma.trainer import (
     AblationFlags,
     ConfidenceTracker,
@@ -28,6 +28,8 @@ from crma.trainer import (
     train,
     write_history_csv,
 )
+
+from oracles import ast_beta, domain_weights, pseudo_label
 
 
 def tiny_task(seed=0, n=80):
@@ -249,7 +251,7 @@ def test_step_ast_skipped_when_ablated_or_before_start():
 
 def test_step_ast_first_iteration_matches_hand_oracle():
     task = tiny_task(seed=11)
-    state = fresh_state(task, seed=11, record_ast_trace=True)
+    state = fresh_state(task, seed=11)
     batch = first_batch(task)
 
     # oracle forward pass before the step mutates anything
@@ -266,35 +268,39 @@ def test_step_ast_first_iteration_matches_hand_oracle():
 
     result = step_ast(state, batch, lr=1e-3)
     assert result is not None
-    trace = state.ast_trace[0]
+    _, fused = result
 
-    np.testing.assert_allclose(trace["d_matrix"], d_expected, rtol=1e-12)
-    np.testing.assert_allclose(trace["running_means"], means_expected, rtol=1e-12)
+    np.testing.assert_allclose(state.tracker.sums, d_expected.sum(axis=0), rtol=1e-12)
+    np.testing.assert_array_equal(state.tracker.counts, d_expected.shape[0])
+    np.testing.assert_allclose(state.tracker.means, means_expected, rtol=1e-12)
     for i in range(d_expected.shape[0]):
-        w = domain_weights(d_expected[i], means_expected, state.config.lam)
-        np.testing.assert_allclose(trace["raw_weights"][i], w.raw, rtol=1e-12)
+        raw, normalized = domain_weights(d_expected[i], means_expected, state.config.lam)
+        np.testing.assert_allclose(fused.raw_weights[i], raw, rtol=1e-12)
         np.testing.assert_allclose(
-            trace["pseudo_probs"][i], pseudo_label(mean_preds[:, i, :], w), rtol=1e-12
+            fused.probs[i], pseudo_label(mean_preds[:, i, :], normalized), rtol=1e-12
         )
-        assert trace["betas"][i] == pytest.approx(ast_beta(w.raw, means_expected), rel=1e-12)
+        assert fused.betas[i] == pytest.approx(ast_beta(raw, means_expected), rel=1e-12)
 
 
 def test_step_ast_update_then_weight_golden_trace():
     # two iterations on a fixed setup; the frozen numbers pin down the
     # update-then-weight tracker order
     task = tiny_task(seed=12)
-    state = fresh_state(task, seed=12, record_ast_trace=True)
+    state = fresh_state(task, seed=12)
     stream = iter(BatchIterator(task.sources, task.target, 16, seed=0))
+    means, betas = [], []
     for _ in range(2):
-        step_ast(state, next(stream), lr=1e-3)
+        _, fused = step_ast(state, next(stream), lr=1e-3)
+        means.append(state.tracker.means.copy())
+        betas.append(fused.betas)
     golden_means = [
         [0.04471152171515645, 0.046852316450951725, 0.021901119072283738],
         [0.03677322291053872, 0.05246596254989201, 0.026094707220443696],
     ]
-    np.testing.assert_allclose(state.ast_trace[0]["running_means"], golden_means[0], rtol=1e-9)
-    np.testing.assert_allclose(state.ast_trace[1]["running_means"], golden_means[1], rtol=1e-9)
+    np.testing.assert_allclose(means[0], golden_means[0], rtol=1e-9)
+    np.testing.assert_allclose(means[1], golden_means[1], rtol=1e-9)
     golden_beta0 = 4.721722202852189
-    assert state.ast_trace[0]["betas"][0] == pytest.approx(golden_beta0, rel=1e-9)
+    assert betas[0][0] == pytest.approx(golden_beta0, rel=1e-9)
 
 
 def test_step_ast_zero_gradient_when_heads_match_pseudo():
@@ -623,6 +629,24 @@ def test_checkpoint_round_trip_and_resumed_evaluation(tmp_path):
 
     save_checkpoint(restored, tmp_path / "second.ckpt")
     assert (tmp_path / "second.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_trainer_checkpoint_rejects_trailing_bytes_and_foreign_tracker(tmp_path):
+    task = tiny_task(seed=25)
+    state = fresh_state(task, seed=25)
+    step_ast(state, first_batch(task), lr=1e-3)
+    path = tmp_path / "trainer.ckpt"
+    save_checkpoint(state, path)
+    size = path.stat().st_size
+    (tmp_path / "long.ckpt").write_bytes(path.read_bytes() + b"garbage!")
+    with pytest.raises(FormatError, match=f"offset {size}.*8 trailing"):
+        load_checkpoint(tmp_path / "long.ckpt", state.config)
+
+    # a tracker sized for 2 domains next to a 3-domain model
+    state.tracker = ConfidenceTracker(2)
+    save_checkpoint(state, tmp_path / "foreign.ckpt")
+    with pytest.raises(FormatError, match="tracker has 2 domains.*the model has 3"):
+        load_checkpoint(tmp_path / "foreign.ckpt", state.config)
 
 
 def test_history_csv_schema():
