@@ -213,7 +213,8 @@ def generate_task(spec: TaskSpec) -> GeneratedTask:
     tx, ty = _generate_domain(spec, spec.target_shift, rng)
 
     test_idx = []
-    for c in np.unique(ty):
+    # the sorted labels; np.unique's first call would import numpy.ma
+    for c in np.flatnonzero(np.bincount(ty)):
         members = np.flatnonzero(ty == c)
         members = rng.permutation(members)
         test_idx.extend(members[: int(round(TEST_FRACTION * members.size))])
@@ -438,6 +439,11 @@ def load_dataset(path) -> GeneratedTask:
                 test_x, test_y = features, labels
             else:
                 raise DatasetFormatError(f"unknown block role {role} at offset {r.pos}")
+            # target-train labels are optional (metrics only); the others are required
+            if labels is None and role != _ROLE_TARGET_TRAIN:
+                raise DatasetFormatError(f"block {name!r} has no labels")
+            if labels is not None and np.any((labels < 0) | (labels >= num_classes)):
+                raise DatasetFormatError(f"block {name!r} has labels outside [0, {num_classes})")
         r.expect_end()
     except DatasetFormatError:
         raise

@@ -5,12 +5,14 @@ The model is a plain MLP stack: one extractor shared by all domains and
 exactly one parameter group ("extractor" or "classifier.<m>.<branch>"),
 which is what the trainer's alternating phases key on.
 
-The heads are stored stacked: each head-layer slot (one layer's weight or
-bias) is a single (2M, ...) leaf tensor in (domain, branch a, branch b)
-order, and each head's Parameter holds a writable view of its row. Names,
-groups, ``parameters()`` order, checkpoints and digests stay per head,
-while every forward pass runs all 2M heads at once straight off the leaves,
-which is also where their gradients land.
+The heads exist only in stacked form: ``CrmaModel`` allocates each
+head-layer slot (one layer's weight or bias) as a single (2M, ...) leaf
+tensor in (domain, branch a, branch b) order, draws each head's weights
+straight into its row, and gives each head a Parameter that is a writable
+view of that row. Names, groups, ``parameters()`` order, checkpoints and
+digests stay per head, while every forward pass runs all 2M heads at once
+off the leaves, which is also where their gradients land and what the
+optimizer steps. No other module knows how the heads are stored.
 """
 
 from __future__ import annotations
@@ -79,16 +81,6 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def _init_layers(rng, widths, name_prefix, group):
-    params = []
-    for i in range(len(widths) - 1):
-        w = Tensor(_glorot(rng, widths[i], widths[i + 1]), requires_grad=True)
-        b = Tensor(np.zeros(widths[i + 1]), requires_grad=True)
-        params.append(Parameter(f"{name_prefix}.layer{i}.weight", group, w))
-        params.append(Parameter(f"{name_prefix}.layer{i}.bias", group, b))
-    return params
-
-
 class FeatureExtractor:
     """MLP mapping inputs to features, relu after every layer."""
 
@@ -99,7 +91,12 @@ class FeatureExtractor:
         self.hidden_dims = tuple(int(d) for d in hidden_dims)
         self.feature_dim = self.hidden_dims[-1]
         widths = (self.input_dim, *self.hidden_dims)
-        self.params = _init_layers(rng, widths, "extractor", EXTRACTOR_GROUP)
+        self.params = []
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            w = Tensor(_glorot(rng, fan_in, fan_out), requires_grad=True)
+            b = Tensor(np.zeros(fan_out), requires_grad=True)
+            self.params.append(Parameter(f"extractor.layer{i}.weight", EXTRACTOR_GROUP, w))
+            self.params.append(Parameter(f"extractor.layer{i}.bias", EXTRACTOR_GROUP, b))
 
     def forward(self, x: Tensor) -> Tensor:
         """Features of x (n, d), or of G batches x (G, n, d) in one grouped pass."""
@@ -112,30 +109,6 @@ class FeatureExtractor:
         for i in range(0, len(self.params), 2):
             h = linear(h, self.params[i].tensor, self.params[i + 1].tensor, relu=True)
         return h
-
-
-class ClassifierHead:
-    """MLP classifier: relu between hidden layers, linear output of width K."""
-
-    def __init__(
-        self,
-        feature_dim: int,
-        num_classes: int,
-        hidden_dims: Sequence[int],
-        domain_index: int,
-        branch: str,
-        rng: np.random.Generator,
-    ):
-        if branch not in ("a", "b"):
-            raise ValueError(f"branch must be 'a' or 'b', got {branch!r}")
-        self.feature_dim = int(feature_dim)
-        self.num_classes = int(num_classes)
-        self.hidden_dims = tuple(int(d) for d in hidden_dims)
-        self.domain_index = int(domain_index)
-        self.branch = branch
-        widths = (self.feature_dim, *self.hidden_dims, self.num_classes)
-        group = classifier_group(domain_index, branch)
-        self.params = _init_layers(rng, widths, group, group)
 
 
 def _mlp_logits(features: Tensor, slots: Sequence[Tensor]) -> Tensor:
@@ -171,24 +144,27 @@ class CrmaModel:
         self.num_classes = int(num_classes)
         self.num_domains = int(num_domains)
         self.extractor = FeatureExtractor(input_dim, extractor_hidden, rng)
+        self.head_hidden = tuple(int(d) for d in head_hidden)
+        widths = (self.feature_dim, *self.head_hidden, self.num_classes)
+        groups = [classifier_group(m, b) for m in range(self.num_domains) for b in ("a", "b")]
+        names = [f"layer{i}.{kind}" for i in range(len(widths) - 1) for kind in ("weight", "bias")]
+        # one (2M, ...) leaf per head-layer slot: weight, bias, weight, bias, ...
+        self.head_slots = [
+            Tensor(np.zeros((len(groups), *shape)), requires_grad=True, copy=False)
+            for fan_in, fan_out in zip(widths, widths[1:])
+            for shape in ((fan_in, fan_out), (fan_out,))
+        ]
         # Initialization draw order is fixed: extractor first, then heads in
-        # (domain, branch a, branch b) order; checkpoints use the same order.
-        self.heads: dict[tuple[int, str], ClassifierHead] = {}
-        for m in range(self.num_domains):
-            for branch in ("a", "b"):
-                self.heads[(m, branch)] = ClassifierHead(
-                    self.extractor.feature_dim, num_classes, head_hidden, m, branch, rng
-                )
-        # one (2M, ...) leaf per head-layer slot; each head's tensor becomes a view of its row
-        heads = list(self.heads.values())
-        self.head_slots = []
-        for j in range(len(heads[0].params)):
-            rows = np.stack([head.params[j].tensor.values for head in heads])
-            slot = Tensor(rows, requires_grad=True, copy=False)
-            for h, head in enumerate(heads):
-                p = head.params[j]
-                p.tensor, p.storage, p.row = Tensor(slot.values[h], copy=False), slot, h
-            self.head_slots.append(slot)
+        # (domain, branch a, branch b) order, layer by layer; biases stay zero.
+        for h in range(len(groups)):
+            for weight in self.head_slots[0::2]:
+                weight.values[h] = _glorot(rng, *weight.shape[1:])
+        # each head's parameters are views of its rows, in checkpoint order
+        self._head_params = [
+            Parameter(f"{group}.{name}", group, Tensor(slot.values[h], copy=False), slot, h)
+            for h, group in enumerate(groups)
+            for name, slot in zip(names, self.head_slots)
+        ]
 
     @property
     def input_dim(self) -> int:
@@ -238,11 +214,7 @@ class CrmaModel:
         return probs, np.argmax(probs, axis=1).astype(np.int32)
 
     def parameters(self) -> list[Parameter]:
-        params = list(self.extractor.params)
-        for m in range(self.num_domains):
-            for branch in ("a", "b"):
-                params.extend(self.heads[(m, branch)].params)
-        return params
+        return [*self.extractor.params, *self._head_params]
 
     def group_parameters(self, prefix: str) -> list[Parameter]:
         return [p for p in self.parameters() if p.group.startswith(prefix)]
@@ -277,14 +249,9 @@ def parameters_digest(params: Iterable[Parameter]) -> str:
 
 def model_to_bytes(model: CrmaModel) -> bytes:
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    ext = model.extractor
-    head = model.heads[(0, "a")]
-    parts.append(struct.pack("<III", ext.input_dim, model.num_classes, model.num_domains))
-    parts.append(struct.pack("<I", len(ext.hidden_dims)))
-    parts.append(struct.pack(f"<{len(ext.hidden_dims)}I", *ext.hidden_dims))
-    parts.append(struct.pack("<I", len(head.hidden_dims)))
-    if head.hidden_dims:
-        parts.append(struct.pack(f"<{len(head.hidden_dims)}I", *head.hidden_dims))
+    parts.append(struct.pack("<III", model.input_dim, model.num_classes, model.num_domains))
+    for dims in (model.extractor.hidden_dims, model.head_hidden):
+        parts.append(struct.pack(f"<I{len(dims)}I", len(dims), *dims))
     for p in model.parameters():
         parts.append(np.ascontiguousarray(p.tensor.values, dtype="<f8").tobytes())
     return b"".join(parts)
@@ -324,6 +291,11 @@ class _Reader:
             )
 
 
+def _mlp_size(widths: Sequence[int]) -> int:
+    """Weight and bias entries of an MLP with these layer widths."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+
+
 def model_from_bytes(data: bytes) -> CrmaModel:
     r = _Reader(data, "model checkpoint")
     if r.take(8) != CHECKPOINT_MAGIC:
@@ -335,10 +307,16 @@ def model_from_bytes(data: bytes) -> CrmaModel:
     (n_ext,) = r.unpack("<I")
     extractor_hidden = r.unpack(f"<{n_ext}I")
     (n_head,) = r.unpack("<I")
-    head_hidden = r.unpack(f"<{n_head}I") if n_head else ()
-    model = CrmaModel(
-        input_dim, num_classes, num_domains, extractor_hidden, head_hidden
-    )
+    head_hidden = r.unpack(f"<{n_head}I")
+    # check the header's size claim before allocating the model it describes
+    widths = (input_dim, *extractor_hidden)
+    count = _mlp_size(widths) + 2 * num_domains * _mlp_size((widths[-1], *head_hidden, num_classes))
+    if 8 * count > len(data) - r.pos:
+        raise FormatError(
+            f"truncated model checkpoint: the header implies {count} parameters, "
+            f"{len(data) - r.pos} bytes are left at offset {r.pos}"
+        )
+    model = CrmaModel(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
     for p in model.parameters():
         arr = r.array("<f8", p.tensor.values.size)
         p.tensor.values[...] = arr.reshape(p.tensor.values.shape)

@@ -10,7 +10,8 @@ target features feed every head, and the M source batches, which share
 one grouped extractor pass, feed their own pairs. The two phases that
 update one side only switch ``requires_grad`` off on the other side's
 leaves for the whole phase, so its subgraph is never recorded and its
-gradients are never computed. The optimizer steps the storage leaves.
+gradients are never computed. The optimizer steps whole storage leaves:
+all of them, or the side the phase trains.
 """
 
 from __future__ import annotations
@@ -133,46 +134,37 @@ class SgdOptimizer:
     """SGD with optional momentum over the parameters' storage leaves.
 
     Each leaf has one velocity buffer; ``velocity`` maps every parameter
-    name to a view of its part of it. ``step`` applies updates only to the
-    requested groups; untouched groups keep both their values and their
-    velocity bit-identical.
+    name to a view of its part of it. ``step`` updates the given leaves, or
+    all of them, as whole arrays; every other leaf keeps both its values
+    and its velocity bit-identical.
     """
 
     def __init__(self, params: Sequence[Parameter], momentum: float = MOMENTUM):
         self.params = list(params)
         self.momentum = momentum
-        # id(leaf) -> (leaf, its velocity, (group, index into the leaf) of each parameter)
+        # id(leaf) -> (leaf, its velocity, whether it is an extractor leaf)
         self._leaves = {}
         self.velocity = {}
         for p in self.params:
-            index = ... if p.row is None else p.row
-            entry = (p.leaf, np.zeros_like(p.leaf.values), [])
-            _, velocity, parts = self._leaves.setdefault(id(p.leaf), entry)
-            parts.append((p.group, index))
-            self.velocity[p.name] = velocity[index]
+            entry = (p.leaf, np.zeros_like(p.leaf.values), p.group == EXTRACTOR_GROUP)
+            velocity = self._leaves.setdefault(id(p.leaf), entry)[1]
+            self.velocity[p.name] = velocity[... if p.row is None else p.row]
 
     def zero_grad(self) -> None:
         for leaf, _, _ in self._leaves.values():
             leaf.zero_grad()
 
-    def step(self, lr: float, extractor_lr_multiplier: float = 1.0, groups=None) -> None:
-        for leaf, velocity, parts in self._leaves.values():
-            keys = [key for group, key in parts if groups is None or group in groups]
-            if not keys:
-                continue
-            if len(keys) == len(parts):  # the whole leaf in one pass
-                keys = [...]
+    def step(self, lr: float, extractor_lr_multiplier: float = 1.0, leaves=None) -> None:
+        entries = self._leaves.values() if leaves is None else [self._leaves[id(t)] for t in leaves]
+        for leaf, velocity, extractor in entries:
             grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.values)
-            rate = lr * (extractor_lr_multiplier if parts[0][0] == EXTRACTOR_GROUP else 1.0)
-            for key in keys:
-                values = leaf.values[key]
-                if self.momentum > 0:
-                    v = velocity[key]
-                    v *= self.momentum
-                    v += grad[key]
-                    values -= rate * v
-                else:
-                    values -= rate * grad[key]
+            rate = lr * (extractor_lr_multiplier if extractor else 1.0)
+            if self.momentum > 0:
+                velocity *= self.momentum
+                velocity += grad
+                leaf.values -= rate * velocity
+            else:
+                leaf.values -= rate * grad
 
 
 @dataclass
@@ -215,10 +207,6 @@ def _loss_value(loss: Tensor, state: TrainState) -> float:
     return value
 
 
-def _classifier_groups(model: CrmaModel) -> set[str]:
-    return {p.group for p in model.parameters() if p.group != EXTRACTOR_GROUP}
-
-
 @contextlib.contextmanager
 def _frozen(leaves: Sequence[Tensor]):
     """Treat ``leaves`` as constants: ops on them alone record no tape node,
@@ -233,11 +221,11 @@ def _frozen(leaves: Sequence[Tensor]):
             t.requires_grad = flag
 
 
-def _apply(state: TrainState, tape: Tape, loss: Tensor, lr: float, groups=None) -> None:
+def _apply(state: TrainState, tape: Tape, loss: Tensor, lr: float, leaves=None) -> None:
     state.optimizer.zero_grad()
     tape.backward(loss)
     state.optimizer.step(
-        lr, extractor_lr_multiplier=state.config.extractor_lr_multiplier, groups=groups
+        lr, extractor_lr_multiplier=state.config.extractor_lr_multiplier, leaves=leaves
     )
 
 
@@ -266,6 +254,7 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
     if not state.config.ablation.intra_da:
         return None
     model = state.model
+    heads = model.leaves("classifier")
     with _frozen(model.leaves(EXTRACTOR_GROUP)):
         with Tape() as tape:
             source_probs = model.head_probs(_source_features(model, batch))
@@ -274,7 +263,7 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
             intra = losses.intra_consistency_loss(model.head_probs(target_feats))
             objective = losses.classifier_objective(src_loss, intra)
         _loss_value(objective, state)  # guards both component losses
-        _apply(state, tape, objective, lr, groups=_classifier_groups(model))
+        _apply(state, tape, objective, lr, leaves=heads)
     return src_loss.item(), intra.item()
 
 
@@ -292,6 +281,7 @@ def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
     if not use_intra and not use_inter:
         return None
     first_values = None
+    extractor = model.leaves(EXTRACTOR_GROUP)
     with _frozen(model.leaves("classifier")):
         for _ in range(cfg.num_extractor_steps):
             with Tape() as tape:
@@ -303,7 +293,7 @@ def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
             _loss_value(objective, state)
             if first_values is None:
                 first_values = (intra.item(), inter.item())
-            _apply(state, tape, objective, lr, groups={EXTRACTOR_GROUP})
+            _apply(state, tape, objective, lr, leaves=extractor)
     return first_values
 
 

@@ -24,7 +24,7 @@ from crma.losses import (
     pair_statistics,
     source_ce_loss,
 )
-from crma.nn import EXTRACTOR_GROUP, CrmaModel, parameters_digest
+from crma.nn import EXTRACTOR_GROUP, CrmaModel, classifier_group, parameters_digest
 from crma.seeds import stream_rng, stream_seed
 from crma.trainer import (
     AblationFlags,
@@ -299,7 +299,8 @@ def test_criterion_3_invariants():
     for new_m, old_m in enumerate(order):
         for branch in ("a", "b"):
             for p_new, p_old in zip(
-                permuted.heads[(new_m, branch)].params, base.heads[(old_m, branch)].params
+                permuted.group_parameters(classifier_group(new_m, branch)),
+                base.group_parameters(classifier_group(old_m, branch)),
             ):
                 p_new.tensor.values[...] = p_old.tensor.values
     x = rng.standard_normal((50, 2))
@@ -492,7 +493,6 @@ def hand_single_source_variant(task, cfg, iterations):
     )
     mean_sum, count = 0.0, 0
     snapshots = []
-    classifier_groups = {p.group for p in model.parameters() if p.group != EXTRACTOR_GROUP}
     for _ in range(iterations):
         batch = next(stream)
         x_src, y_src = batch.source_features[0], batch.source_labels[0]
@@ -527,14 +527,14 @@ def hand_single_source_variant(task, cfg, iterations):
             loss = ce() - gap_loss
         optimizer.zero_grad()
         tape.backward(loss)
-        optimizer.step(cfg.base_lr, groups=classifier_groups)
+        optimizer.step(cfg.base_lr, leaves=model.leaves("classifier"))
 
         # phase 3: extractor minimizes the pair gap (inter term is empty)
         with Tape() as tape:
             loss, _, _ = pair_gap()
         optimizer.zero_grad()
         tape.backward(loss)
-        optimizer.step(cfg.base_lr, groups={EXTRACTOR_GROUP})
+        optimizer.step(cfg.base_lr, leaves=model.leaves(EXTRACTOR_GROUP))
 
         # phase 4: self-training toward the fused (single-domain) pseudo-label
         with Tape() as tape:

@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +233,44 @@ def test_dataset_version_mismatch(tmp_path):
     (tmp_path / "bad.bin").write_bytes(bytes(data))
     with pytest.raises(DatasetFormatError, match="version"):
         load_dataset(tmp_path / "bad.bin")
+
+
+@pytest.mark.parametrize(
+    "defect, block",
+    [("label_out_of_range", "source0"), ("unlabeled_source", "source1"),
+     ("unlabeled_target_test", "target_test")],
+)
+def test_dataset_rejects_bad_labels_where_they_enter(tmp_path, defect, block):
+    task = generate_task(blob_spec(samples_per_domain=60))
+    if defect == "label_out_of_range":
+        task.sources[0].labels[5] = 7  # K = 4
+    elif defect == "unlabeled_source":
+        task.sources[1] = dataclasses.replace(task.sources[1], labels=None)
+    else:
+        task.target_test_labels = None
+    path = tmp_path / "task.bin"
+    save_dataset(task, path)
+    with pytest.raises(DatasetFormatError, match=f"block '{block}'"):
+        load_dataset(path)
+
+
+def test_a_training_process_never_imports_numpy_ma():
+    # np.unique's first call imports numpy.ma, which costs start-up time and memory
+    script = (
+        "import sys\n"
+        "from crma.data import TaskSpec, generate_task\n"
+        "from crma.trainer import TrainConfig, train\n"
+        "task = generate_task(TaskSpec(samples_per_domain=200))\n"
+        "train(TrainConfig(epochs=1, extractor_hidden=(8,), head_hidden=(4,)), task)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_default_spec_is_the_rotated_moons_benchmark():

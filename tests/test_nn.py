@@ -1,11 +1,17 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from crma.autodiff import DimensionError, Tensor
 from crma.nn import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CrmaModel,
     FeatureExtractor,
     FormatError,
+    classifier_group,
     model_from_bytes,
     model_to_bytes,
     parameters_digest,
@@ -56,7 +62,10 @@ def test_seeded_init_is_bit_exact():
 
 def test_identical_heads_predict_identically():
     model = small_model()
-    for pa, pb in zip(model.heads[(0, "a")].params, model.heads[(0, "b")].params):
+    for pa, pb in zip(
+        model.group_parameters(classifier_group(0, "a")),
+        model.group_parameters(classifier_group(0, "b")),
+    ):
         pb.tensor.values[...] = pa.tensor.values
     feats = model.forward_features(np.random.default_rng(2).standard_normal((5, 2)))
     pred_a, pred_b = model.predict_pair(0, feats)
@@ -65,7 +74,7 @@ def test_identical_heads_predict_identically():
 
 def test_zero_logit_head_is_uniform():
     model = small_model(num_classes=2)
-    for p in model.heads[(0, "a")].params:
+    for p in model.group_parameters(classifier_group(0, "a")):
         p.tensor.values[...] = 0.0
     feats = model.forward_features(np.ones((3, 2)))
     pred_a, _ = model.predict_pair(0, feats)
@@ -89,7 +98,10 @@ def test_domain_index_out_of_range():
 
 def test_final_prediction_single_pair_equal_heads():
     model = small_model(num_domains=1)
-    for pa, pb in zip(model.heads[(0, "a")].params, model.heads[(0, "b")].params):
+    for pa, pb in zip(
+        model.group_parameters(classifier_group(0, "a")),
+        model.group_parameters(classifier_group(0, "b")),
+    ):
         pb.tensor.values[...] = pa.tensor.values
     x = np.random.default_rng(5).standard_normal((4, 2))
     probs, _ = model.final_prediction(x)
@@ -100,9 +112,8 @@ def test_final_prediction_single_pair_equal_heads():
 
 def test_final_prediction_uniform_ties_break_low():
     model = small_model()
-    for head in model.heads.values():
-        for p in head.params:
-            p.tensor.values[...] = 0.0
+    for p in model.group_parameters("classifier"):
+        p.tensor.values[...] = 0.0
     probs, labels = model.final_prediction(np.random.default_rng(6).standard_normal((5, 2)))
     np.testing.assert_allclose(probs, 1.0 / 3.0)
     np.testing.assert_array_equal(labels, 0)
@@ -148,7 +159,7 @@ def test_head_perturbation_is_local():
     x = np.random.default_rng(9).standard_normal((6, 2))
     feats = model.forward_features(x)
     before = model.head_probs(feats).values.copy()
-    model.heads[(0, "a")].params[0].tensor.values += 0.1
+    model.group_parameters(classifier_group(0, "a"))[0].tensor.values += 0.1
     after = model.head_probs(feats).values
     # rows in (domain, branch) order: (0, a), (0, b), (1, a), (1, b)
     assert not np.allclose(after[0], before[0])
@@ -165,7 +176,8 @@ def test_final_prediction_invariant_to_domain_order():
     for new_m, old_m in enumerate(perm):
         for branch in ("a", "b"):
             for p_new, p_old in zip(
-                permuted.heads[(new_m, branch)].params, model.heads[(old_m, branch)].params
+                permuted.group_parameters(classifier_group(new_m, branch)),
+                model.group_parameters(classifier_group(old_m, branch)),
             ):
                 p_new.tensor.values[...] = p_old.tensor.values
     for p_new, p_old in zip(permuted.extractor.params, model.extractor.params):
@@ -196,6 +208,24 @@ def test_checkpoint_trailing_bytes_report_offset():
     blob = model_to_bytes(small_model())
     with pytest.raises(FormatError, match=f"offset {len(blob)}.*3 trailing"):
         model_from_bytes(blob + b"xyz")
+
+
+def test_checkpoint_header_size_is_checked_before_allocating():
+    # 36 bytes whose header declares one extractor layer of width 2**18: the
+    # reader must refuse it from the header alone, not build the model first
+    header = CHECKPOINT_MAGIC + struct.pack("<I3I", CHECKPOINT_VERSION, 2, 2, 1)
+    blob = header + struct.pack("<II", 1, 2**18) + struct.pack("<I", 0)
+    assert len(blob) == 36
+    count = 3 * 2**18 + 2 * (2**18 + 1) * 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            model_from_bytes(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert f"{count} parameters, 0 bytes are left" in str(err.value)
 
 
 def test_checkpoint_bad_magic():

@@ -9,7 +9,14 @@ import pytest
 from crma.autodiff import Tape, stack
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import intra_consistency_loss, source_ce_loss
-from crma.nn import EXTRACTOR_GROUP, CrmaModel, FormatError, model_to_bytes, parameters_digest
+from crma.nn import (
+    EXTRACTOR_GROUP,
+    CrmaModel,
+    FormatError,
+    classifier_group,
+    model_to_bytes,
+    parameters_digest,
+)
 from crma.trainer import (
     AblationFlags,
     ConfidenceTracker,
@@ -307,10 +314,11 @@ def test_step_ast_zero_gradient_when_heads_match_pseudo():
     task = tiny_task(seed=13)
     state = fresh_state(task, seed=13, momentum=False)
     model = state.model
-    reference = model.heads[(0, "a")].params
-    for key in model.heads:
-        for p_dst, p_src in zip(model.heads[key].params, reference):
-            p_dst.tensor.values[...] = p_src.tensor.values
+    reference = model.group_parameters(classifier_group(0, "a"))
+    for m in range(model.num_domains):
+        for branch in ("a", "b"):
+            for p_dst, p_src in zip(model.group_parameters(classifier_group(m, branch)), reference):
+                p_dst.tensor.values[...] = p_src.tensor.values
     batch = first_batch(task)
     before = parameters_digest(model.parameters())
     result = step_ast(state, batch, lr=1e-3)
@@ -388,7 +396,7 @@ def test_golden_bits_of_the_stacked_head_storage():
     # a head's tensor is a writable view of its row of the slot
     slot = model.head_slots[0]
     before = slot.values.copy()
-    model.heads[(1, "b")].params[0].tensor.values[...] += 1.0
+    model.group_parameters(classifier_group(1, "b"))[0].tensor.values[...] += 1.0
     changed = np.any(slot.values != before, axis=(1, 2))
     assert changed.tolist() == [False, False, False, True, False, False]
     np.testing.assert_array_equal(slot.values[3], before[3] + 1.0)
