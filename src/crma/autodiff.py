@@ -121,14 +121,9 @@ class Tensor:
     def log(self) -> "Tensor":
         """Natural log of ``max(x, LOG_FLOOR)``; zero gradient below the floor."""
         a = self
-        if np.any(a.values < 0.0):
-            raise NumericError("log of negative value")
-        clipped = np.maximum(a.values, LOG_FLOOR)
-        out = _result(np.log(clipped), (a,))
-        _maybe_record(
-            out,
-            lambda g: _accum(a, np.where(a.values >= LOG_FLOOR, g / clipped, 0.0)),
-        )
+        clipped, values = _floored_log(a.values)
+        out = _result(values, (a,))
+        _maybe_record(out, lambda g: _accum(a, _floored_log_grad(a.values, clipped, g)))
         return out
 
     def exp(self) -> "Tensor":
@@ -229,6 +224,19 @@ def _accum(t: Tensor, g, owned: bool = False) -> None:
         t.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         t.grad += g
+
+
+def _floored_log(values):
+    """``max(values, LOG_FLOOR)`` and its natural log; negative values are an error."""
+    if np.any(values < 0.0):
+        raise NumericError("log of negative value")
+    clipped = np.maximum(values, LOG_FLOOR)
+    return clipped, np.log(clipped)
+
+
+def _floored_log_grad(values, clipped, g):
+    """The floored log's backward: ``g / clipped``, zero below the floor."""
+    return np.where(values >= LOG_FLOOR, g / clipped, 0.0)
 
 
 def _check_elementwise(a: Tensor, b: Tensor, op: str) -> None:
@@ -422,7 +430,9 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
                 if w.requires_grad:
                     _accum(w, xs[i].T @ gs[i], owned=True)
         if x.requires_grad:
-            wt = np.swapaxes(ws, -1, -2)
+            # a contiguous transpose, not the strided view: OpenBLAS 0.3.31 ran
+            # these products 1.3-1.8x faster on it (2-core Xeon), same bits
+            wt = np.ascontiguousarray(np.swapaxes(ws, -1, -2))
             if heads:  # an input's gradient sums over the heads it fed, in head order
                 gx = gs[:, 0] @ wt[:, 0]
                 for j in range(1, ws.shape[1]):

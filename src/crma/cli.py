@@ -12,8 +12,9 @@ drives parsing, unknown-key suggestions and ``effective.cfg``. Any key can
 be overridden on the command line as ``--section.key=value``; ``--seed`` and
 ``--out`` set ``task.seed``/``train.seed`` and ``run.output_dir``. Seeds for
 run i are derived as base seed + i for both the task and the trainer, so
-methods see paired tasks. Exit codes: 0 ok, 1 config or usage error, 2 diverged
-run.
+methods see paired tasks. Each finished run prints a progress line to stderr.
+Exit codes: 0 ok, 1 config or usage error, 2 diverged run (its partial
+metrics and the finished runs' results and summary are written first).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import math
 import re
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -309,8 +311,20 @@ def ablation_variants(cfg: ExperimentConfig) -> list[Variant]:
     return variants
 
 
+def _write_metrics(run_dir: Path, history: Sequence[dict], num_domains: int) -> None:
+    run_dir.mkdir(parents=True, exist_ok=True)
+    with open(run_dir / "metrics.csv", "w") as f:
+        write_history_csv(history, num_domains, f)
+
+
 def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunRecord]:
-    """Train every (variant, seed) pair and write per-run artifacts."""
+    """Train every (variant, seed) pair and write per-run artifacts.
+
+    Prints one progress line per finished run to stderr. When a run
+    diverges, its partial history still goes to its ``metrics.csv``,
+    ``results.csv`` and ``summary.*`` are written for the runs that
+    finished, and the ``DivergedRunError`` propagates.
+    """
     out_root = Path(cfg.output_dir)
     runs_dir = out_root / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
@@ -326,12 +340,16 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
                 ablation=replace(variant.flags),
                 uniform_pseudo_weights=variant.uniform,
             )
-            state, history = train(train_cfg, task)
-            accuracy = history[-1]["target_acc"]
+            started = time.perf_counter()
             run_dir = runs_dir / f"{variant.label}_seed{train_cfg.seed}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            with open(run_dir / "metrics.csv", "w") as f:
-                write_history_csv(history, task.num_sources, f)
+            try:
+                state, history = train(train_cfg, task)
+            except DivergedRunError as err:
+                _write_metrics(run_dir, err.history, task.num_sources)
+                write_results(cfg, records)
+                raise
+            accuracy = history[-1]["target_acc"]
+            _write_metrics(run_dir, history, task.num_sources)
             save_checkpoint(state, run_dir / "model.ckpt")
             meta = {
                 "method": variant.method,
@@ -344,6 +362,11 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
             }
             (run_dir / "run.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
             records.append(RunRecord(variant, train_cfg.seed, accuracy, str(run_dir)))
+            print(
+                f"{variant.label} seed {train_cfg.seed}: target_acc {accuracy:.4f} "
+                f"in {time.perf_counter() - started:.2f} s",
+                file=sys.stderr,
+            )
     return records
 
 

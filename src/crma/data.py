@@ -131,8 +131,8 @@ class GeneratedTask:
 class DomainBatch:
     """One iteration's samples: a labeled batch per source, one target batch."""
 
-    source_features: list[np.ndarray]
-    source_labels: list[np.ndarray]
+    source_features: np.ndarray  # (M, n, d), the sources stacked
+    source_labels: np.ndarray    # (M, n)
     target_features: np.ndarray
     source_indices: list[np.ndarray]
     target_indices: np.ndarray
@@ -300,8 +300,8 @@ class BatchIterator:
             src_idx = [s.take(b) for s in self._streams[:-1]]
             tgt_idx = self._streams[-1].take(b)
             yield DomainBatch(
-                source_features=[d.features[idx] for d, idx in zip(self.sources, src_idx)],
-                source_labels=[d.labels[idx] for d, idx in zip(self.sources, src_idx)],
+                source_features=np.stack([d.features[i] for d, i in zip(self.sources, src_idx)]),
+                source_labels=np.stack([d.labels[i] for d, i in zip(self.sources, src_idx)]),
                 target_features=self.target.features[tgt_idx],
                 source_indices=src_idx,
                 target_indices=tgt_idx,

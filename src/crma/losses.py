@@ -1,10 +1,13 @@
 """Loss terms, pair statistics, and adaptive pseudo-label fusion.
 
 The four losses (source cross entropy, the two consistency losses, the
-self-training loss) are built through the autodiff ops so they can drive
-training. They take the (2M, n, K) probabilities of every head, in
-(domain, branch a, branch b) order, as one tensor and compute over that
-head axis, so each loss records a handful of tape nodes whatever M is.
+self-training loss) are autodiff nodes so they can drive training. They
+take the (2M, n, K) probabilities of every head, in (domain, branch a,
+branch b) order, as one tensor and compute over that head axis. Each loss
+records one tape node whatever M is; its backward runs the numpy
+arithmetic of the equivalent chain of autodiff ops (``log``, ``index``,
+``sub``, ``abs``, ``sum``, ...; kept in ``tests/oracles.py``) in that
+chain's order, so values and gradients have the chain's bits.
 
 ``pair_statistics`` gives a target batch's per-sample pair discrepancies
 and pair means, and ``fuse_pseudo_labels`` turns them into the batch's
@@ -22,7 +25,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import LOG_FLOOR, Tensor, index
+from .autodiff import (
+    LOG_FLOOR,
+    Tensor,
+    _accum,
+    _floored_log,
+    _floored_log_grad,
+    _maybe_record,
+    _result,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -46,59 +57,96 @@ def pair_statistics(head_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d_matrix, (a + b) * 0.5
 
 
+def _loss_node(value, head_probs: Tensor, backward_fn) -> Tensor:
+    """``value`` as one tape node on ``head_probs``; ``backward_fn(g)`` adds its gradient."""
+    out = _result(value, (head_probs,))
+    _maybe_record(out, backward_fn)
+    return out
+
+
+def _add_to_pairs(head_probs: Tensor, grad_a: np.ndarray, grad_b: np.ndarray) -> None:
+    """Add (M, n, K) gradients into the branch a and branch b rows.
+
+    Zeros first, then the b rows, then the a rows: the order in which the
+    two ``index`` nodes of the op-chain form add theirs, so losses sharing
+    a head tensor accumulate with the same bits (``tests/oracles.py``).
+    """
+    if head_probs.grad is None:
+        head_probs.grad = np.zeros_like(head_probs.values)
+    head_probs.grad[1::2] += grad_b
+    head_probs.grad[0::2] += grad_a
+
+
 def source_ce_loss(head_probs: Tensor, labels_per_domain: Sequence[np.ndarray]) -> Tensor:
     """Summed softmax cross entropy over every domain's classifier pair.
 
     ``head_probs`` holds each pair's (2, n, K) probabilities on its own
-    domain's labeled batch; the loss is the sum over domains and branches
-    of the batch-mean negative log probability of the true class.
+    domain's labeled batch, and ``labels_per_domain`` the (M, n) labels (an
+    array, or M length-n arrays); the loss is the sum over domains and
+    branches of the batch-mean negative log probability of the true class.
     """
     num_heads, n, num_classes = head_probs.shape
     if num_heads != 2 * len(labels_per_domain):
         raise ContractError(
             f"{num_heads} heads but {len(labels_per_domain)} label arrays"
         )
-    # each head's row of weights: its domain's one-hot labels over -n
-    weights = []
     for labels in labels_per_domain:
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise ContractError(f"labels shape {labels.shape} does not match batch {n}")
-        if labels.min() < 0 or labels.max() >= num_classes:
-            raise ContractError(
-                f"labels must lie in 0..{num_classes - 1}, got range "
-                f"[{labels.min()}, {labels.max()}]"
-            )
-        weights += [np.eye(num_classes)[labels] * (-1.0 / n)] * 2
-    return (head_probs.log() * Tensor(np.stack(weights))).sum()
+        if np.shape(labels) != (n,):
+            raise ContractError(f"labels shape {np.shape(labels)} does not match batch {n}")
+    labels = np.asarray(labels_per_domain)
+    low, high = labels.min(), labels.max()
+    if low < 0 or high >= num_classes:
+        raise ContractError(
+            f"labels must lie in 0..{num_classes - 1}, got range [{low}, {high}]"
+        )
+    # each head's row of weights: its domain's one-hot labels over -n, with
+    # the bits of np.eye(K)[labels] * (-1 / n), signed zeros included
+    weights = (np.repeat(labels, 2, axis=0)[..., None] == np.arange(num_classes)) * (-1.0 / n)
+    x = head_probs.values
+    clipped, logs = _floored_log(x)
 
+    def backward_fn(g):
+        _accum(head_probs, _floored_log_grad(x, clipped, g * weights), owned=True)
 
-def _pair_heads(head_probs: Tensor) -> tuple[Tensor, Tensor]:
-    """The (M, n, K) branch a and branch b probabilities."""
-    return index(head_probs, slice(0, None, 2)), index(head_probs, slice(1, None, 2))
+    return _loss_node(np.sum(logs * weights), head_probs, backward_fn)
 
 
 def intra_consistency_loss(head_probs: Tensor) -> Tensor:
     """Batch mean over target samples of the summed pair discrepancies."""
     _, n, num_classes = head_probs.shape
-    a, b = _pair_heads(head_probs)
-    return (a - b).abs().sum() * (1.0 / (n * num_classes))
+    gaps = head_probs.values[0::2] - head_probs.values[1::2]
+    scale = 1.0 / (n * num_classes)
+
+    def backward_fn(g):
+        grad = (g * scale) * np.sign(gaps)
+        _add_to_pairs(head_probs, grad, -grad)
+
+    return _loss_node(np.sum(np.abs(gaps)) * scale, head_probs, backward_fn)
 
 
-def inter_consistency_loss(head_probs: Tensor) -> Tensor:
+def inter_consistency_loss(head_probs: Tensor, pairs=None) -> Tensor:
     """Batch mean of pairwise discrepancies among the M pair means.
 
-    A single source domain has no pairs, so the loss is exactly zero (kept
-    on the graph with zero gradient so callers can differentiate uniformly).
+    ``pairs`` is the (first, second) index of every domain pair i < j,
+    ``np.triu_indices(M, k=1)`` when not given. A single source domain has
+    no pairs, so the loss is exactly zero, with a zero gradient.
     """
     num_heads, n, num_classes = head_probs.shape
-    if num_heads == 2:
-        return head_probs.sum() * 0.0
-    a, b = _pair_heads(head_probs)
-    means = (a + b) * 0.5
-    first, second = np.triu_indices(num_heads // 2, k=1)  # every pair i < j
-    gap = (index(means, first) - index(means, second)).abs()
-    return gap.sum() * (1.0 / (n * num_classes))
+    x = head_probs.values
+    first, second = np.triu_indices(num_heads // 2, k=1) if pairs is None else pairs
+    means = (x[0::2] + x[1::2]) * 0.5
+    gaps = means[first] - means[second]
+    scale = 1.0 / (n * num_classes)
+
+    def backward_fn(g):
+        grad = (g * scale) * np.sign(gaps)
+        grad_means = np.zeros_like(means)
+        np.add.at(grad_means, second, -grad)
+        np.add.at(grad_means, first, grad)
+        grad_heads = grad_means * 0.5
+        _add_to_pairs(head_probs, grad_heads, grad_heads)
+
+    return _loss_node(np.sum(np.abs(gaps)) * scale, head_probs, backward_fn)
 
 
 def classifier_objective(l_src: Tensor, l_intra: Tensor) -> Tensor:
@@ -177,7 +225,14 @@ def ast_loss(head_probs: Tensor, pseudo_probs: np.ndarray, betas: np.ndarray) ->
             f"pseudo labels {pseudo_probs.shape} / betas {betas.shape} do not match "
             f"a ({n}, {num_classes}) batch"
         )
-    shape = head_probs.shape
-    log_pseudo = Tensor(np.broadcast_to(np.log(np.maximum(pseudo_probs, LOG_FLOOR)), shape))
-    row_weight = Tensor(np.broadcast_to((betas / n)[:, None], shape))
-    return ((head_probs.log() - log_pseudo) * head_probs * row_weight).sum()
+    x = head_probs.values
+    clipped, logs = _floored_log(x)
+    log_gap = logs - np.log(np.maximum(pseudo_probs, LOG_FLOOR))
+    row_weight = (betas / n)[:, None]
+
+    def backward_fn(g):
+        grad = g * row_weight
+        _accum(head_probs, grad * log_gap, owned=True)
+        _accum(head_probs, _floored_log_grad(x, clipped, grad * x), owned=True)
+
+    return _loss_node(np.sum(log_gap * x * row_weight), head_probs, backward_fn)

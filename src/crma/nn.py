@@ -165,6 +165,12 @@ class CrmaModel:
             for h, group in enumerate(groups)
             for name, slot in zip(names, self.head_slots)
         ]
+        # the leaf lists and the inter-consistency pair index, fixed for the model's life
+        self._leaves = {
+            prefix: tuple({id(p.leaf): p.leaf for p in self.group_parameters(prefix)}.values())
+            for prefix in ("", EXTRACTOR_GROUP, "classifier")
+        }
+        self.domain_pairs = np.triu_indices(self.num_domains, k=1)  # every pair i < j
 
     @property
     def input_dim(self) -> int:
@@ -219,12 +225,13 @@ class CrmaModel:
     def group_parameters(self, prefix: str) -> list[Parameter]:
         return [p for p in self.parameters() if p.group.startswith(prefix)]
 
-    def leaves(self, prefix: str = "") -> list[Tensor]:
-        """The storage leaves of the groups starting with ``prefix``, in parameters() order.
+    def leaves(self, prefix: str = "") -> tuple[Tensor, ...]:
+        """The storage leaves of every group (``""``), of the extractor
+        (``"extractor"``) or of the heads (``"classifier"``), in parameters() order.
 
         These are the tensors training differentiates and steps.
         """
-        return list({id(p.leaf): p.leaf for p in self.group_parameters(prefix)}.values())
+        return self._leaves[prefix]
 
 
 def parameters_digest(params: Iterable[Parameter]) -> str:
@@ -308,7 +315,16 @@ def model_from_bytes(data: bytes) -> CrmaModel:
     extractor_hidden = r.unpack(f"<{n_ext}I")
     (n_head,) = r.unpack("<I")
     head_hidden = r.unpack(f"<{n_head}I")
-    # check the header's size claim before allocating the model it describes
+    # check the header's ranges and size claim before allocating the model it describes
+    for ok, what in (
+        (input_dim >= 1, f"input_dim {input_dim}, need >= 1"),
+        (n_ext >= 1, "no extractor layer, need at least one"),
+        (min((*extractor_hidden, *head_hidden), default=1) >= 1, "a hidden width of 0, need >= 1"),
+        (num_classes >= 2, f"num_classes {num_classes}, need >= 2"),
+        (num_domains >= 1, f"num_domains {num_domains}, need >= 1"),
+    ):
+        if not ok:
+            raise FormatError(f"malformed model checkpoint header: {what}")
     widths = (input_dim, *extractor_hidden)
     count = _mlp_size(widths) + 2 * num_domains * _mlp_size((widths[-1], *head_hidden, num_classes))
     if 8 * count > len(data) - r.pos:

@@ -229,16 +229,11 @@ def _apply(state: TrainState, tape: Tape, loss: Tensor, lr: float, leaves=None) 
     )
 
 
-def _source_features(model: CrmaModel, batch: DomainBatch) -> Tensor:
-    """(M, n, d) features of the M source batches, in one grouped extractor pass."""
-    return model.forward_features(np.stack(batch.source_features))
-
-
 def step_source(state: TrainState, batch: DomainBatch, lr: float) -> float:
     """Minimize the summed source cross entropy over all parameters."""
     model = state.model
     with Tape() as tape:
-        probs = model.head_probs(_source_features(model, batch))
+        probs = model.head_probs(model.forward_features(batch.source_features))
         loss = losses.source_ce_loss(probs, batch.source_labels)
     value = _loss_value(loss, state)
     _apply(state, tape, loss, lr)
@@ -257,7 +252,7 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
     heads = model.leaves("classifier")
     with _frozen(model.leaves(EXTRACTOR_GROUP)):
         with Tape() as tape:
-            source_probs = model.head_probs(_source_features(model, batch))
+            source_probs = model.head_probs(model.forward_features(batch.source_features))
             src_loss = losses.source_ce_loss(source_probs, batch.source_labels)
             target_feats = model.forward_features(batch.target_features)
             intra = losses.intra_consistency_loss(model.head_probs(target_feats))
@@ -288,7 +283,11 @@ def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
                 probs = model.head_probs(model.forward_features(batch.target_features))
                 # an ablated term enters as a constant 0.0
                 intra = losses.intra_consistency_loss(probs) if use_intra else Tensor(0.0)
-                inter = losses.inter_consistency_loss(probs) if use_inter else Tensor(0.0)
+                inter = (
+                    losses.inter_consistency_loss(probs, model.domain_pairs)
+                    if use_inter
+                    else Tensor(0.0)
+                )
                 objective = losses.extractor_objective(intra, inter, cfg.alpha)
             _loss_value(objective, state)
             if first_values is None:

@@ -1,13 +1,19 @@
-"""Explicit-loop references for the formulas that training computes batched.
+"""References for what training computes batched or fused.
 
-Each function handles one sample (or one vector) with plain Python loops
-over its entries, so it shares no code and no vectorization with
+Most functions handle one sample (or one vector) with plain Python loops
+over its entries, so they share no code and no vectorization with
 ``crma.losses``. Tests compare the batched training code against these.
+
+The ``*_chain`` functions are the four losses as chains of autodiff ops,
+the form they had before each became one tape node. Their values and
+gradients are the bits the single-node losses must reproduce.
 """
 
 import math
 
 import numpy as np
+
+from crma.autodiff import Tensor, index
 
 LOG_FLOOR = 1e-12
 WEIGHT_DENOM_FLOOR = 1e-8
@@ -92,3 +98,48 @@ def invert_shift(shift, x) -> np.ndarray:
         out[i, 0] = c * u + s * v
         out[i, 1] = -s * u + c * v
     return out
+
+
+# the losses as op chains ------------------------------------------------------
+
+
+def _pair_heads(head_probs):
+    """The (M, n, K) branch a and branch b probabilities, as two index nodes."""
+    return index(head_probs, slice(0, None, 2)), index(head_probs, slice(1, None, 2))
+
+
+def source_ce_chain(head_probs, labels_per_domain):
+    """Source cross entropy: log, times the one-hot weights over -n, summed."""
+    _, n, num_classes = head_probs.shape
+    weights = []
+    for labels in labels_per_domain:
+        weights += [np.eye(num_classes)[labels] * (-1.0 / n)] * 2
+    return (head_probs.log() * Tensor(np.stack(weights))).sum()
+
+
+def intra_consistency_chain(head_probs):
+    """Summed |a - b| over every pair, over n * K."""
+    _, n, num_classes = head_probs.shape
+    a, b = _pair_heads(head_probs)
+    return (a - b).abs().sum() * (1.0 / (n * num_classes))
+
+
+def inter_consistency_chain(head_probs):
+    """Summed |mean_i - mean_j| over the domain pairs i < j, over n * K."""
+    num_heads, n, num_classes = head_probs.shape
+    if num_heads == 2:
+        return head_probs.sum() * 0.0
+    a, b = _pair_heads(head_probs)
+    means = (a + b) * 0.5
+    first, second = np.triu_indices(num_heads // 2, k=1)
+    gap = (index(means, first) - index(means, second)).abs()
+    return gap.sum() * (1.0 / (n * num_classes))
+
+
+def ast_chain(head_probs, pseudo_probs, betas):
+    """Beta-weighted KL(head || pseudo-label), both logs floored."""
+    _, n, _ = head_probs.shape
+    shape = head_probs.shape
+    log_pseudo = Tensor(np.broadcast_to(np.log(np.maximum(pseudo_probs, LOG_FLOOR)), shape))
+    row_weight = Tensor(np.broadcast_to((betas / n)[:, None], shape))
+    return ((head_probs.log() - log_pseudo) * head_probs * row_weight).sum()

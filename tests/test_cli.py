@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -218,15 +219,48 @@ def test_cli_help_exits_zero(capsys):
 
 def test_cli_diverged_run_exits_two(tmp_path, monkeypatch, capsys):
     import crma.cli as cli_module
-    from crma.trainer import DivergedRunError
+    from crma.trainer import DivergedRunError, train
 
-    def exploding_train(cfg, task):
-        raise DivergedRunError("loss 2e+06 at iteration 3", 3)
+    def second_run_explodes(cfg, task):
+        if cfg.seed == 0:
+            return train(cfg, task)
+        _, history = train(replace(cfg, epochs=1), task)  # one epoch in, then it diverges
+        raise DivergedRunError("loss 2e+06 at iteration 8", 8, history)
 
-    monkeypatch.setattr(cli_module, "train", exploding_train)
+    monkeypatch.setattr(cli_module, "train", second_run_explodes)
     cfg_path = write_cfg(tmp_path)
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-    assert "diverged" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "diverged: loss 2e+06 at iteration 8" in captured.err
+    assert captured.out == ""
+    # the finished run keeps every artifact, the diverged one its partial metrics
+    finished, diverged = out / "runs" / "crma_seed0", out / "runs" / "crma_seed1"
+    assert len((finished / "metrics.csv").read_text().splitlines()) == 1 + 2
+    assert (finished / "model.ckpt").exists() and (finished / "run.json").exists()
+    assert len((diverged / "metrics.csv").read_text().splitlines()) == 1 + 1
+    assert not (diverged / "run.json").exists()
+    results = (out / "results.csv").read_text().splitlines()
+    assert len(results) == 2 and results[1].startswith("crma,1,1,1,0,")
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert len(summary) == 2 and summary[1].startswith("crma,1,1,1,1,")
+    assert "crma" in (out / "summary.txt").read_text()
+
+
+def test_sweep_prints_one_progress_line_per_finished_run(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    labels = [line.split(":")[0] for line in lines]
+    assert labels == ["crma seed 0", "crma seed 1", "source_only seed 0", "source_only seed 1"]
+    results = (out / "results.csv").read_text().splitlines()[1:]
+    for line, row in zip(lines, results):
+        assert re.fullmatch(r"[a-z_]+ seed \d: target_acc 0\.\d{4} in \d+\.\d\d s", line)
+        assert float(line.split("target_acc ")[1].split()[0]) == round(float(row.split(",")[-1]), 4)
+    # stdout is the summary table alone, as without progress lines
+    assert captured.out == (out / "summary.txt").read_text()
 
 
 def test_seed_flag_offsets_both_seeds(tmp_path):

@@ -18,11 +18,16 @@ from crma.losses import (
 )
 
 from oracles import (
+    LOG_FLOOR,
     ast_beta,
+    ast_chain,
     discrepancy,
     domain_weights,
+    inter_consistency_chain,
+    intra_consistency_chain,
     kl_divergence,
     pseudo_label,
+    source_ce_chain,
     uniform_domain_weights,
 )
 
@@ -460,3 +465,86 @@ def test_ast_loss_gradient_through_all_logits():
         return ast_loss(heads_from_logits(list(ts)), pseudo, betas)
 
     assert grad_check(build, logits) < 1e-4
+
+
+# single-node losses keep the bits of their op chains ------------------------------
+
+SHAPES = [(m, k) for m in range(1, 5) for k in range(2, 6)]
+
+
+def floored_probs(rng, shape):
+    """Random probabilities with exact pair ties and entries at and below LOG_FLOOR."""
+    values = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    low = rng.random(shape) < 0.15
+    values[low] = rng.choice([0.0, 1e-15, LOG_FLOOR, 2e-12], size=int(low.sum()))
+    ties = rng.random(values[0::2].shape) < 0.1
+    values[1::2][ties] = values[0::2][ties]
+    return values
+
+
+def loss_bits(build, values):
+    """(value bytes, head-gradient bytes, tape entries) of ``build`` on a fresh head leaf."""
+    probs = Tensor(values, requires_grad=True)
+    with Tape() as tape:
+        loss = build(probs)
+    tape.backward(loss)
+    return loss.values.tobytes(), probs.grad.tobytes(), len(tape)
+
+
+def assert_same_bits(chain, node, values, node_entries):
+    want_value, want_grad, _ = loss_bits(chain, values)
+    value, grad, entries = loss_bits(node, values)
+    assert value == want_value
+    assert grad == want_grad
+    assert entries == node_entries
+
+
+@pytest.mark.parametrize("m, k", SHAPES)
+def test_single_node_losses_keep_the_op_chain_bits(m, k):
+    rng = np.random.default_rng(1000 + 10 * m + k)
+    n = 9
+    values = floored_probs(rng, (2 * m, n, k))
+    labels = rng.integers(0, k, size=(m, n))
+    pseudo = floored_probs(rng, (2, n, k))[0]
+    betas = rng.uniform(0.0, 2.0, n)
+
+    assert_same_bits(
+        lambda p: source_ce_chain(p, list(labels)), lambda p: source_ce_loss(p, labels), values, 1
+    )
+    assert_same_bits(intra_consistency_chain, intra_consistency_loss, values, 1)
+    assert_same_bits(inter_consistency_chain, inter_consistency_loss, values, 1)
+    assert_same_bits(
+        lambda p: ast_chain(p, pseudo, betas), lambda p: ast_loss(p, pseudo, betas), values, 1
+    )
+
+
+@pytest.mark.parametrize("m, k", SHAPES)
+def test_single_node_losses_sharing_a_head_tensor_accumulate_in_chain_order(m, k):
+    # the upstream gradients are -1 and alpha, not 1, and both terms add into
+    # one head gradient, so this pins the order of every accumulation
+    rng = np.random.default_rng(2000 + 10 * m + k)
+    n = 7
+    values = floored_probs(rng, (2 * m, n, k))
+    labels = rng.integers(0, k, size=(m, n))
+    assert_same_bits(
+        lambda p: classifier_objective(source_ce_chain(p, list(labels)), intra_consistency_chain(p)),
+        lambda p: classifier_objective(source_ce_loss(p, labels), intra_consistency_loss(p)),
+        values,
+        3,
+    )
+    assert_same_bits(
+        lambda p: extractor_objective(intra_consistency_chain(p), inter_consistency_chain(p), 0.3),
+        lambda p: extractor_objective(intra_consistency_loss(p), inter_consistency_loss(p), 0.3),
+        values,
+        4,
+    )
+
+
+def test_source_ce_targets_keep_signed_zeros():
+    # the one-hot weights are np.eye(K)[labels] * (-1/n): -0.0 off the label
+    probs = Tensor(np.full((2, 3, 4), 0.25), requires_grad=True)
+    with Tape() as tape:
+        loss = source_ce_loss(probs, np.array([[0, 3, 1]]))
+    tape.backward(loss)
+    off_label = probs.grad[:, [0, 0, 0, 1, 1, 1, 2, 2, 2], [1, 2, 3, 0, 1, 2, 0, 2, 3]]
+    assert np.all(off_label == 0.0) and np.all(np.signbit(off_label))

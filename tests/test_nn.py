@@ -228,6 +228,38 @@ def test_checkpoint_header_size_is_checked_before_allocating():
     assert f"{count} parameters, 0 bytes are left" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "input_dim, extractor_hidden, head_hidden, num_classes, num_domains, what",
+    [
+        (0, (4,), (3,), 2, 1, "input_dim 0"),
+        (2, (), (3,), 2, 1, "no extractor layer"),
+        (2, (4, 0), (3,), 2, 1, "hidden width of 0"),
+        (2, (4,), (0,), 2, 1, "hidden width of 0"),
+        (2, (4,), (3,), 1, 1, "num_classes 1"),
+        (2, (4,), (3,), 2, 0, "num_domains 0"),
+    ],
+    ids=["input-dim", "no-extractor", "extractor-width", "head-width", "classes", "domains"],
+)
+def test_checkpoint_out_of_range_header_is_a_format_error(
+    input_dim, extractor_hidden, head_hidden, num_classes, num_domains, what
+):
+    # a complete blob: the header's parameter count in float64 zeros follows it
+    def mlp(widths):
+        return sum((a + 1) * b for a, b in zip(widths, widths[1:]))
+
+    widths = (input_dim, *extractor_hidden)
+    count = mlp(widths) + 2 * num_domains * mlp((widths[-1], *head_hidden, num_classes))
+    blob = (
+        CHECKPOINT_MAGIC
+        + struct.pack("<I3I", CHECKPOINT_VERSION, input_dim, num_classes, num_domains)
+        + struct.pack(f"<I{len(extractor_hidden)}I", len(extractor_hidden), *extractor_hidden)
+        + struct.pack(f"<I{len(head_hidden)}I", len(head_hidden), *head_hidden)
+        + bytes(8 * count)
+    )
+    with pytest.raises(FormatError, match=what):
+        model_from_bytes(blob)
+
+
 def test_checkpoint_bad_magic():
     with pytest.raises(FormatError, match="magic"):
         model_from_bytes(b"NOTMAGIC" + b"\x00" * 64)

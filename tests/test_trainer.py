@@ -234,10 +234,10 @@ def test_tape_entries_per_phase(monkeypatch):
     # a change here means a phase records more (or fewer) tape nodes; update
     # these numbers only together with the reason in CHANGES.md
     assert counts == {
-        "step_source": 8,
-        "step_classifiers": 16,
-        "step_extractor": 23,
-        "step_ast": 10,
+        "step_source": 6,
+        "step_classifiers": 9,
+        "step_extractor": 9,
+        "step_ast": 6,
     }
 
 
