@@ -323,7 +323,9 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
     Prints one progress line per finished run to stderr. When a run
     diverges, its partial history still goes to its ``metrics.csv``,
     ``results.csv`` and ``summary.*`` are written for the runs that
-    finished, and the ``DivergedRunError`` propagates.
+    finished, and the ``DivergedRunError`` propagates. The diverged run's
+    directory keeps no ``run.json`` or ``model.ckpt``, not even from an
+    earlier sweep into the same directory.
     """
     out_root = Path(cfg.output_dir)
     runs_dir = out_root / "runs"
@@ -345,6 +347,10 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
             try:
                 state, history = train(train_cfg, task)
             except DivergedRunError as err:
+                # a finished run of an earlier sweep into this directory
+                # must not leave its run.json beside the partial history
+                for stale in ("run.json", "model.ckpt"):
+                    (run_dir / stale).unlink(missing_ok=True)
                 _write_metrics(run_dir, err.history, task.num_sources)
                 write_results(cfg, records)
                 raise

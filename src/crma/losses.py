@@ -94,6 +94,8 @@ def source_ce_loss(head_probs: Tensor, labels_per_domain: Sequence[np.ndarray]) 
         if np.shape(labels) != (n,):
             raise ContractError(f"labels shape {np.shape(labels)} does not match batch {n}")
     labels = np.asarray(labels_per_domain)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
     low, high = labels.min(), labels.max()
     if low < 0 or high >= num_classes:
         raise ContractError(
@@ -124,16 +126,15 @@ def intra_consistency_loss(head_probs: Tensor) -> Tensor:
     return _loss_node(np.sum(np.abs(gaps)) * scale, head_probs, backward_fn)
 
 
-def inter_consistency_loss(head_probs: Tensor, pairs=None) -> Tensor:
+def inter_consistency_loss(head_probs: Tensor) -> Tensor:
     """Batch mean of pairwise discrepancies among the M pair means.
 
-    ``pairs`` is the (first, second) index of every domain pair i < j,
-    ``np.triu_indices(M, k=1)`` when not given. A single source domain has
-    no pairs, so the loss is exactly zero, with a zero gradient.
+    A single source domain has no pairs, so the loss is exactly zero, with
+    a zero gradient.
     """
     num_heads, n, num_classes = head_probs.shape
     x = head_probs.values
-    first, second = np.triu_indices(num_heads // 2, k=1) if pairs is None else pairs
+    first, second = np.triu_indices(num_heads // 2, k=1)  # every pair i < j
     means = (x[0::2] + x[1::2]) * 0.5
     gaps = means[first] - means[second]
     scale = 1.0 / (n * num_classes)

@@ -165,12 +165,10 @@ class CrmaModel:
             for h, group in enumerate(groups)
             for name, slot in zip(names, self.head_slots)
         ]
-        # the leaf lists and the inter-consistency pair index, fixed for the model's life
-        self._leaves = {
-            prefix: tuple({id(p.leaf): p.leaf for p in self.group_parameters(prefix)}.values())
-            for prefix in ("", EXTRACTOR_GROUP, "classifier")
-        }
-        self.domain_pairs = np.triu_indices(self.num_domains, k=1)  # every pair i < j
+        # the storage leaves training differentiates and steps, in parameters()
+        # order, fixed for the model's life
+        self.extractor_leaves = tuple(p.leaf for p in self.extractor.params)
+        self.head_leaves = tuple(self.head_slots)
 
     @property
     def input_dim(self) -> int:
@@ -224,14 +222,6 @@ class CrmaModel:
 
     def group_parameters(self, prefix: str) -> list[Parameter]:
         return [p for p in self.parameters() if p.group.startswith(prefix)]
-
-    def leaves(self, prefix: str = "") -> tuple[Tensor, ...]:
-        """The storage leaves of every group (``""``), of the extractor
-        (``"extractor"``) or of the heads (``"classifier"``), in parameters() order.
-
-        These are the tensors training differentiates and steps.
-        """
-        return self._leaves[prefix]
 
 
 def parameters_digest(params: Iterable[Parameter]) -> str:

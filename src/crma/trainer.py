@@ -249,8 +249,7 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
     if not state.config.ablation.intra_da:
         return None
     model = state.model
-    heads = model.leaves("classifier")
-    with _frozen(model.leaves(EXTRACTOR_GROUP)):
+    with _frozen(model.extractor_leaves):
         with Tape() as tape:
             source_probs = model.head_probs(model.forward_features(batch.source_features))
             src_loss = losses.source_ce_loss(source_probs, batch.source_labels)
@@ -258,7 +257,7 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
             intra = losses.intra_consistency_loss(model.head_probs(target_feats))
             objective = losses.classifier_objective(src_loss, intra)
         _loss_value(objective, state)  # guards both component losses
-        _apply(state, tape, objective, lr, leaves=heads)
+        _apply(state, tape, objective, lr, leaves=model.head_leaves)
     return src_loss.item(), intra.item()
 
 
@@ -276,23 +275,18 @@ def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
     if not use_intra and not use_inter:
         return None
     first_values = None
-    extractor = model.leaves(EXTRACTOR_GROUP)
-    with _frozen(model.leaves("classifier")):
+    with _frozen(model.head_leaves):
         for _ in range(cfg.num_extractor_steps):
             with Tape() as tape:
                 probs = model.head_probs(model.forward_features(batch.target_features))
                 # an ablated term enters as a constant 0.0
                 intra = losses.intra_consistency_loss(probs) if use_intra else Tensor(0.0)
-                inter = (
-                    losses.inter_consistency_loss(probs, model.domain_pairs)
-                    if use_inter
-                    else Tensor(0.0)
-                )
+                inter = losses.inter_consistency_loss(probs) if use_inter else Tensor(0.0)
                 objective = losses.extractor_objective(intra, inter, cfg.alpha)
             _loss_value(objective, state)
             if first_values is None:
                 first_values = (intra.item(), inter.item())
-            _apply(state, tape, objective, lr, leaves=extractor)
+            _apply(state, tape, objective, lr, leaves=model.extractor_leaves)
     return first_values
 
 

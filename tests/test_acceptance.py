@@ -85,7 +85,8 @@ def test_criterion_1_gradient_correctness():
         num_classes = int(rng.choice([2, 4]))
         n = 8
         model = tiny_model(rng, num_domains, num_classes)
-        params = model.leaves()  # every trainable value, heads in their stacked slots
+        # every trainable value, heads in their stacked slots
+        params = (*model.extractor_leaves, *model.head_leaves)
         source_x = [rng.standard_normal((n, 2)) for _ in range(num_domains)]
         source_y = [rng.integers(0, num_classes, n) for _ in range(num_domains)]
         target_x = rng.standard_normal((n, 2))
@@ -527,14 +528,14 @@ def hand_single_source_variant(task, cfg, iterations):
             loss = ce() - gap_loss
         optimizer.zero_grad()
         tape.backward(loss)
-        optimizer.step(cfg.base_lr, leaves=model.leaves("classifier"))
+        optimizer.step(cfg.base_lr, leaves=model.head_leaves)
 
         # phase 3: extractor minimizes the pair gap (inter term is empty)
         with Tape() as tape:
             loss, _, _ = pair_gap()
         optimizer.zero_grad()
         tape.backward(loss)
-        optimizer.step(cfg.base_lr, leaves=model.leaves(EXTRACTOR_GROUP))
+        optimizer.step(cfg.base_lr, leaves=model.extractor_leaves)
 
         # phase 4: self-training toward the fused (single-domain) pseudo-label
         with Tape() as tape:

@@ -227,9 +227,13 @@ def test_cli_diverged_run_exits_two(tmp_path, monkeypatch, capsys):
         _, history = train(replace(cfg, epochs=1), task)  # one epoch in, then it diverges
         raise DivergedRunError("loss 2e+06 at iteration 8", 8, history)
 
-    monkeypatch.setattr(cli_module, "train", second_run_explodes)
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "o"
+    # a finished sweep into the same directory leaves artifacts for both runs
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "runs" / "crma_seed1" / "run.json").exists()
+    capsys.readouterr()
+    monkeypatch.setattr(cli_module, "train", second_run_explodes)
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "diverged: loss 2e+06 at iteration 8" in captured.err
@@ -239,7 +243,8 @@ def test_cli_diverged_run_exits_two(tmp_path, monkeypatch, capsys):
     assert len((finished / "metrics.csv").read_text().splitlines()) == 1 + 2
     assert (finished / "model.ckpt").exists() and (finished / "run.json").exists()
     assert len((diverged / "metrics.csv").read_text().splitlines()) == 1 + 1
-    assert not (diverged / "run.json").exists()
+    assert not (diverged / "run.json").exists() and not (diverged / "model.ckpt").exists()
+    assert main(["curves", str(out)]) == 0  # skips the diverged run
     results = (out / "results.csv").read_text().splitlines()
     assert len(results) == 2 and results[1].startswith("crma,1,1,1,0,")
     summary = (out / "summary.csv").read_text().splitlines()

@@ -98,6 +98,9 @@ def test_source_ce_rejects_out_of_range_labels():
     probs = np.full((2, 3), 1 / 3)
     with pytest.raises(ContractError):
         source_ce_loss(head_probs([(probs, probs)]), [np.array([0, 3])])
+    # a fractional label lies in [0, K) but names no class
+    with pytest.raises(ContractError, match="integers"):
+        source_ce_loss(head_probs([(probs, probs)]), [np.array([0, 0.5])])
 
 
 def test_source_ce_rejects_unequal_domain_batches():

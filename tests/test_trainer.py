@@ -209,7 +209,7 @@ def test_phases_skip_their_frozen_side():
     assert all(p.grad is None for p in heads)
     assert all(p.grad is not None for p in extractor)
     # freezing is scoped to the phase's forward pass
-    assert all(t.requires_grad for t in model.leaves())
+    assert all(t.requires_grad for t in (*model.extractor_leaves, *model.head_leaves))
 
 
 def test_tape_entries_per_phase(monkeypatch):
