@@ -1,4 +1,4 @@
-"""Synthetic multi-source tasks: generators, domain shifts, batching, file I/O.
+"""Synthetic multi-source tasks: generators, domain shifts, batching.
 
 Two 2-d generators cover the interesting regimes: interleaved half-moons
 (binary, nonlinear boundary) and Gaussian blobs on a circle (any K).
@@ -10,21 +10,16 @@ surface; a stratified 20% target test split is reserved for evaluation.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .nn import _Reader  # shared little-endian binary reader
 from .seeds import stream_rng
 
 GENERATORS = ("two_moons", "gaussian_blobs")
 FEATURE_DIM = 2
 TEST_FRACTION = 0.2
-
-DATASET_MAGIC = b"CRMADSET"
-DATASET_VERSION = 1
 
 # Generator spread when TaskSpec.generator_noise is left unset.
 DEFAULT_NOISE = {"two_moons": 0.12, "gaussian_blobs": 0.55}
@@ -32,10 +27,6 @@ DEFAULT_NOISE = {"two_moons": 0.12, "gaussian_blobs": 0.55}
 
 class InsufficientDataError(ValueError):
     """Too few samples per domain for the requested class count."""
-
-
-class DatasetFormatError(ValueError):
-    """A dataset file is malformed, truncated, or of the wrong version."""
 
 
 @dataclass(frozen=True)
@@ -51,6 +42,9 @@ class ShiftSpec:
         object.__setattr__(self, "translation", tuple(float(t) for t in self.translation))
         if len(self.translation) != FEATURE_DIM:
             raise ValueError(f"translation must have {FEATURE_DIM} entries")
+        values = (self.rotation, *self.translation, self.scale, self.noise_std)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("shift values must be finite")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if self.noise_std < 0:
@@ -86,6 +80,9 @@ class TaskSpec:
             raise ValueError("need at least one source domain")
         if self.seed < 0:
             raise ValueError(f"task seed must be >= 0, got {self.seed}")
+        noise = self.generator_noise
+        if noise is not None and not (math.isfinite(noise) and noise >= 0):
+            raise ValueError(f"generator_noise must be finite and >= 0, got {noise}")
         if self.samples_per_domain < 4 * self.num_classes:
             raise InsufficientDataError(
                 f"samples_per_domain={self.samples_per_domain} is below the "
@@ -104,7 +101,6 @@ class Domain:
     name: str
     features: np.ndarray
     labels: np.ndarray | None
-    role: str  # "source" | "target"
 
 
 @dataclass
@@ -178,7 +174,7 @@ def _rotation_matrix(theta: float) -> np.ndarray:
 
 
 def apply_shift(shift: ShiftSpec, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Apply the affine shift; noise requires an rng and is skipped without one."""
+    """Apply the affine shift plus noise; raises ValueError if noise_std > 0 and rng is None."""
     out = (shift.scale * (x @ _rotation_matrix(shift.rotation).T)) + np.asarray(shift.translation)
     if shift.noise_std > 0:
         if rng is None:
@@ -207,7 +203,7 @@ def generate_task(spec: TaskSpec) -> GeneratedTask:
     for m, shift in enumerate(spec.source_shifts):
         rng = stream_rng(spec.seed, "data", m)
         x, y = _generate_domain(spec, shift, rng)
-        sources.append(Domain(name=f"source{m}", features=x, labels=y, role="source"))
+        sources.append(Domain(name=f"source{m}", features=x, labels=y))
 
     rng = stream_rng(spec.seed, "data", len(spec.source_shifts))
     tx, ty = _generate_domain(spec, spec.target_shift, rng)
@@ -221,7 +217,7 @@ def generate_task(spec: TaskSpec) -> GeneratedTask:
     test_mask = np.zeros(ty.size, dtype=bool)
     test_mask[np.array(test_idx, dtype=np.int64)] = True
 
-    target = Domain(name="target", features=tx[~test_mask], labels=None, role="target")
+    target = Domain(name="target", features=tx[~test_mask], labels=None)
     return GeneratedTask(
         spec=spec,
         sources=sources,
@@ -307,155 +303,3 @@ class BatchIterator:
                 target_indices=tgt_idx,
             )
 
-
-# file format ------------------------------------------------------------------
-#
-# Little-endian binary:
-#   magic (8 bytes) | version u32
-#   M u32 | K u32 | D u32 | samples_per_domain u32 | seed i64
-#   generator: u16 length + utf-8 bytes
-#   generator_noise f64 (NaN when unset)
-#   M+1 shift records (sources then target), each:
-#       rotation f64 | translation 2xf64 | scale f64 | noise_std f64
-#   block count u32, then blocks, each:
-#       role u8 (0 source, 1 target-train, 2 target-test)
-#       name u16 length + utf-8 | n u64
-#       features n*D f64 | has_labels u8 | labels n i32 (if present)
-#
-# Target-train labels are stored (round trips are lossless) but are routed
-# to the held-out field on load, never onto the Domain object.
-
-_ROLE_SOURCE, _ROLE_TARGET_TRAIN, _ROLE_TARGET_TEST = 0, 1, 2
-
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode()
-    return struct.pack("<H", len(raw)) + raw
-
-
-def _pack_shift(shift: ShiftSpec) -> bytes:
-    return struct.pack(
-        "<5d", shift.rotation, shift.translation[0], shift.translation[1],
-        shift.scale, shift.noise_std,
-    )
-
-
-def _pack_block(role: int, name: str, features: np.ndarray, labels: np.ndarray | None) -> bytes:
-    parts = [struct.pack("<B", role), _pack_str(name), struct.pack("<Q", features.shape[0])]
-    parts.append(np.ascontiguousarray(features, dtype="<f8").tobytes())
-    if labels is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        parts.append(struct.pack("<B", 1))
-        parts.append(np.ascontiguousarray(labels, dtype="<i4").tobytes())
-    return b"".join(parts)
-
-
-def save_dataset(task: GeneratedTask, path) -> None:
-    spec = task.spec
-    parts = [
-        DATASET_MAGIC,
-        struct.pack("<I", DATASET_VERSION),
-        struct.pack(
-            "<IIIIq",
-            task.num_sources,
-            spec.num_classes,
-            FEATURE_DIM,
-            spec.samples_per_domain,
-            spec.seed,
-        ),
-        _pack_str(spec.generator),
-        struct.pack("<d", math.nan if spec.generator_noise is None else spec.generator_noise),
-    ]
-    for shift in [*spec.source_shifts, spec.target_shift]:
-        parts.append(_pack_shift(shift))
-    blocks = [
-        _pack_block(_ROLE_SOURCE, d.name, d.features, d.labels) for d in task.sources
-    ]
-    blocks.append(
-        _pack_block(_ROLE_TARGET_TRAIN, task.target.name, task.target.features,
-                    task.target_train_labels)
-    )
-    blocks.append(
-        _pack_block(_ROLE_TARGET_TEST, "target_test", task.target_test_features,
-                    task.target_test_labels)
-    )
-    parts.append(struct.pack("<I", len(blocks)))
-    parts.extend(blocks)
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
-
-
-def _read_str(r: _Reader) -> str:
-    (length,) = r.unpack("<H")
-    return r.take(length).decode()
-
-
-def _read_shift(r: _Reader) -> ShiftSpec:
-    rotation, tx, ty, scale, noise = r.unpack("<5d")
-    return ShiftSpec(rotation=rotation, translation=(tx, ty), scale=scale, noise_std=noise)
-
-
-def load_dataset(path) -> GeneratedTask:
-    with open(path, "rb") as f:
-        data = f.read()
-    r = _Reader(data, "dataset")
-    try:
-        if r.take(8) != DATASET_MAGIC:
-            raise DatasetFormatError("bad dataset magic")
-        (version,) = r.unpack("<I")
-        if version != DATASET_VERSION:
-            raise DatasetFormatError(f"unsupported dataset version {version}")
-        num_sources, num_classes, dim, samples_per_domain, seed = r.unpack("<IIIIq")
-        if dim != FEATURE_DIM:
-            raise DatasetFormatError(f"unsupported feature dim {dim}")
-        generator = _read_str(r)
-        (noise,) = r.unpack("<d")
-        shifts = [_read_shift(r) for _ in range(num_sources + 1)]
-        spec = TaskSpec(
-            generator=generator,
-            num_classes=num_classes,
-            samples_per_domain=samples_per_domain,
-            source_shifts=shifts[:-1],
-            target_shift=shifts[-1],
-            seed=seed,
-            generator_noise=None if math.isnan(noise) else noise,
-        )
-        (n_blocks,) = r.unpack("<I")
-        sources, target, train_labels, test_x, test_y = [], None, None, None, None
-        for _ in range(n_blocks):
-            (role,) = r.unpack("<B")
-            name = _read_str(r)
-            (n,) = r.unpack("<Q")
-            features = r.array("<f8", n * dim).reshape(n, dim)
-            (has_labels,) = r.unpack("<B")
-            labels = r.array("<i4", n) if has_labels else None
-            if role == _ROLE_SOURCE:
-                sources.append(Domain(name=name, features=features, labels=labels, role="source"))
-            elif role == _ROLE_TARGET_TRAIN:
-                target = Domain(name=name, features=features, labels=None, role="target")
-                train_labels = labels
-            elif role == _ROLE_TARGET_TEST:
-                test_x, test_y = features, labels
-            else:
-                raise DatasetFormatError(f"unknown block role {role} at offset {r.pos}")
-            # target-train labels are optional (metrics only); the others are required
-            if labels is None and role != _ROLE_TARGET_TRAIN:
-                raise DatasetFormatError(f"block {name!r} has no labels")
-            if labels is not None and np.any((labels < 0) | (labels >= num_classes)):
-                raise DatasetFormatError(f"block {name!r} has labels outside [0, {num_classes})")
-        r.expect_end()
-    except DatasetFormatError:
-        raise
-    except ValueError as exc:  # _Reader truncation and struct errors
-        raise DatasetFormatError(str(exc)) from exc
-    if target is None or test_x is None or len(sources) != num_sources:
-        raise DatasetFormatError("dataset file is missing required blocks")
-    return GeneratedTask(
-        spec=spec,
-        sources=sources,
-        target=target,
-        target_train_labels=train_labels,
-        target_test_features=test_x,
-        target_test_labels=test_y,
-    )

@@ -90,6 +90,9 @@ class TrainConfig:
     head_hidden: tuple[int, ...] = (32,)
 
     def validate(self) -> None:
+        values = (self.alpha, self.lam, self.base_lr, self.extractor_lr_multiplier)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("alpha, lambda and learning rates must be finite")
         if self.alpha < 0 or self.lam < 0:
             raise ValueError("alpha and lambda must be >= 0")
         if self.base_lr <= 0 or self.extractor_lr_multiplier <= 0:

@@ -210,6 +210,19 @@ def test_cli_usage_error_exits_one(argv, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override",
+    ["--train.base_lr=nan", "--train.alpha=inf", "--task.generator_noise=nan",
+     "--task.generator_noise=-0.5", "--task.source_shifts.0.scale=nan"],
+)
+def test_non_finite_or_negative_value_is_a_config_error(tmp_path, capsys, override):
+    # nan passes every `< 0` check, so each bound also rejects non-finite values
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path)), "--out", str(out), override]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -10,15 +9,12 @@ import pytest
 
 from crma.data import (
     BatchIterator,
-    DatasetFormatError,
     Domain,
     InsufficientDataError,
     ShiftSpec,
     TaskSpec,
     apply_shift,
     generate_task,
-    load_dataset,
-    save_dataset,
 )
 
 from oracles import invert_shift
@@ -170,7 +166,7 @@ def test_batch_labels_align_with_features():
 
 def test_empty_domain_rejected():
     task = small_task()
-    empty = Domain("empty", np.zeros((0, 2)), np.zeros(0, dtype=np.int32), "source")
+    empty = Domain("empty", np.zeros((0, 2)), np.zeros(0, dtype=np.int32))
     with pytest.raises(ValueError, match="empty"):
         BatchIterator([empty], task.target, 4, seed=0)
 
@@ -179,79 +175,6 @@ def test_oversized_batch_rejected():
     task = small_task()
     with pytest.raises(ValueError, match="exceeds"):
         BatchIterator(task.sources, task.target, 10_000, seed=0)
-
-
-# dataset files -------------------------------------------------------------------
-
-
-def test_dataset_round_trip(tmp_path):
-    spec = blob_spec(samples_per_domain=120, generator_noise=0.3)
-    task = generate_task(spec)
-    path = tmp_path / "task.bin"
-    save_dataset(task, path)
-    loaded = load_dataset(path)
-
-    assert loaded.spec == spec
-    assert len(loaded.sources) == len(task.sources)
-    for da, db in zip(loaded.sources, task.sources):
-        assert da.name == db.name and da.role == "source"
-        np.testing.assert_array_equal(da.features, db.features)
-        np.testing.assert_array_equal(da.labels, db.labels)
-    np.testing.assert_array_equal(loaded.target.features, task.target.features)
-    assert loaded.target.labels is None
-    np.testing.assert_array_equal(loaded.target_train_labels, task.target_train_labels)
-    np.testing.assert_array_equal(loaded.target_test_features, task.target_test_features)
-    np.testing.assert_array_equal(loaded.target_test_labels, task.target_test_labels)
-
-
-def test_dataset_truncation_reports_offset(tmp_path):
-    task = generate_task(blob_spec(samples_per_domain=60))
-    path = tmp_path / "task.bin"
-    save_dataset(task, path)
-    data = path.read_bytes()
-    (tmp_path / "cut.bin").write_bytes(data[: len(data) - 100])
-    with pytest.raises(DatasetFormatError, match="offset"):
-        load_dataset(tmp_path / "cut.bin")
-
-
-def test_dataset_trailing_bytes_report_offset(tmp_path):
-    task = generate_task(blob_spec(samples_per_domain=60))
-    path = tmp_path / "task.bin"
-    save_dataset(task, path)
-    size = path.stat().st_size
-    (tmp_path / "long.bin").write_bytes(path.read_bytes() + b"\x00" * 8)
-    with pytest.raises(DatasetFormatError, match=f"offset {size}.*8 trailing"):
-        load_dataset(tmp_path / "long.bin")
-
-
-def test_dataset_version_mismatch(tmp_path):
-    task = generate_task(blob_spec(samples_per_domain=60))
-    path = tmp_path / "task.bin"
-    save_dataset(task, path)
-    data = bytearray(path.read_bytes())
-    data[8] = 99  # version field
-    (tmp_path / "bad.bin").write_bytes(bytes(data))
-    with pytest.raises(DatasetFormatError, match="version"):
-        load_dataset(tmp_path / "bad.bin")
-
-
-@pytest.mark.parametrize(
-    "defect, block",
-    [("label_out_of_range", "source0"), ("unlabeled_source", "source1"),
-     ("unlabeled_target_test", "target_test")],
-)
-def test_dataset_rejects_bad_labels_where_they_enter(tmp_path, defect, block):
-    task = generate_task(blob_spec(samples_per_domain=60))
-    if defect == "label_out_of_range":
-        task.sources[0].labels[5] = 7  # K = 4
-    elif defect == "unlabeled_source":
-        task.sources[1] = dataclasses.replace(task.sources[1], labels=None)
-    else:
-        task.target_test_labels = None
-    path = tmp_path / "task.bin"
-    save_dataset(task, path)
-    with pytest.raises(DatasetFormatError, match=f"block '{block}'"):
-        load_dataset(path)
 
 
 def test_a_training_process_never_imports_numpy_ma():

@@ -261,8 +261,15 @@ def test_checkpoint_out_of_range_header_is_a_format_error(
 
 
 def test_checkpoint_bad_magic():
-    with pytest.raises(FormatError, match="magic"):
-        model_from_bytes(b"NOTMAGIC" + b"\x00" * 64)
+    # one input per corrupted header field; a loop keeps the test's id
+    bad_version = bytearray(model_to_bytes(small_model()))
+    bad_version[8] = 99  # version field
+    for data, match in [
+        (b"NOTMAGIC" + b"\x00" * 64, "magic"),
+        (bytes(bad_version), "unsupported model checkpoint version 99"),
+    ]:
+        with pytest.raises(FormatError, match=match):
+            model_from_bytes(data)
 
 
 def test_all_pairs_pass_matches_each_pair():

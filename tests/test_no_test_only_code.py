@@ -9,12 +9,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# name -> why it may stay without a caller for now
-ALLOWED = {
-    "save_dataset": "the dataset format is wired into `crma run` or deleted by the ROADMAP's dataset item",
-    "load_dataset": "the dataset format is wired into `crma run` or deleted by the ROADMAP's dataset item",
-}
-
 
 def _referenced_names(node):
     """Names that ``node`` refers to: a Name, an attribute, an import, or a string.
@@ -47,7 +41,7 @@ def test_every_src_definition_has_a_caller_outside_the_tests():
     unreferenced = []
     for path in sorted((ROOT / "src" / "crma").glob("*.py")):
         for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in ALLOWED:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             outside = [
                 (where, line)

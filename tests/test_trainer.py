@@ -650,6 +650,12 @@ def test_trainer_checkpoint_rejects_trailing_bytes_and_foreign_tracker(tmp_path)
     with pytest.raises(FormatError, match=f"offset {size}.*8 trailing"):
         load_checkpoint(tmp_path / "long.ckpt", state.config)
 
+    data = bytearray(path.read_bytes())
+    data[8] = 99  # version field
+    (tmp_path / "v99.ckpt").write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="unsupported trainer checkpoint version 99"):
+        load_checkpoint(tmp_path / "v99.ckpt", state.config)
+
     # a tracker sized for 2 domains next to a 3-domain model
     state.tracker = ConfidenceTracker(2)
     save_checkpoint(state, tmp_path / "foreign.ckpt")
