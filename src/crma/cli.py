@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ShiftSpec, TaskSpec, generate_task
+from .data import ShiftSpec, TaskSpec, generate_task, target_test_counts
 from .trainer import (
     AblationFlags,
     DivergedRunError,
@@ -257,6 +257,13 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         cfg.train.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the target's training split is the smallest domain
+    smallest = cfg.task.samples_per_domain - sum(target_test_counts(cfg.task))
+    if cfg.train.batch_per_domain > smallest:
+        raise ConfigError(
+            f"train.batch_per_domain={cfg.train.batch_per_domain} exceeds the target's "
+            f"{smallest} training samples (task.samples_per_domain less the test split)"
+        )
     return cfg
 
 
@@ -332,10 +339,10 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
     runs_dir.mkdir(parents=True, exist_ok=True)
     (out_root / "effective.cfg").write_text(effective_config_text(cfg))
 
+    tasks = [generate_task(replace(cfg.task, seed=cfg.task.seed + i)) for i in range(cfg.num_seeds)]
     records = []
     for variant in variants:
-        for i in range(cfg.num_seeds):
-            task = generate_task(replace(cfg.task, seed=cfg.task.seed + i))
+        for i, task in enumerate(tasks):
             train_cfg = replace(
                 cfg.train,
                 seed=cfg.train.seed + i,

@@ -191,6 +191,12 @@ def _generate_domain(spec: TaskSpec, shift: ShiftSpec, rng: np.random.Generator)
     return apply_shift(shift, x, rng), y
 
 
+def target_test_counts(spec: TaskSpec) -> list[int]:
+    """Target samples held out for the test split, per class; the rest train."""
+    counts = _balanced_counts(spec.samples_per_domain, spec.num_classes)
+    return [int(round(TEST_FRACTION * n)) for n in counts]
+
+
 def generate_task(spec: TaskSpec) -> GeneratedTask:
     """Draw every domain from its seeded substream and split the target.
 
@@ -209,11 +215,9 @@ def generate_task(spec: TaskSpec) -> GeneratedTask:
     tx, ty = _generate_domain(spec, spec.target_shift, rng)
 
     test_idx = []
-    # the sorted labels; np.unique's first call would import numpy.ma
-    for c in np.flatnonzero(np.bincount(ty)):
-        members = np.flatnonzero(ty == c)
-        members = rng.permutation(members)
-        test_idx.extend(members[: int(round(TEST_FRACTION * members.size))])
+    for c, n_test in enumerate(target_test_counts(spec)):
+        members = rng.permutation(np.flatnonzero(ty == c))
+        test_idx.extend(members[:n_test])
     test_mask = np.zeros(ty.size, dtype=bool)
     test_mask[np.array(test_idx, dtype=np.int64)] = True
 

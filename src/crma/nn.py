@@ -9,17 +9,17 @@ The heads exist only in stacked form: ``CrmaModel`` allocates each
 head-layer slot (one layer's weight or bias) as a single (2M, ...) leaf
 tensor in (domain, branch a, branch b) order, draws each head's weights
 straight into its row, and gives each head a Parameter that is a writable
-view of that row. Names, groups, ``parameters()`` order, checkpoints and
-digests stay per head, while every forward pass runs all 2M heads at once
-off the leaves, which is also where their gradients land and what the
-optimizer steps. No other module knows how the heads are stored.
+view of that row. Names, groups, ``parameters()`` order and digests stay
+per head, while every forward pass runs all 2M heads at once off the
+leaves, which are also where their gradients land, what the optimizer
+steps and what ``crma.trainer``'s checkpoint stores. No other module knows
+which row is which head.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,13 +28,6 @@ import numpy as np
 from .autodiff import DimensionError, Tensor, index, linear, softmax
 
 EXTRACTOR_GROUP = "extractor"
-
-CHECKPOINT_MAGIC = b"CRMANET\x00"
-CHECKPOINT_VERSION = 1
-
-
-class FormatError(ValueError):
-    """A serialized file is malformed, truncated, or of the wrong version."""
 
 
 def classifier_group(domain_index: int, branch: str) -> str:
@@ -159,7 +152,7 @@ class CrmaModel:
         for h in range(len(groups)):
             for weight in self.head_slots[0::2]:
                 weight.values[h] = _glorot(rng, *weight.shape[1:])
-        # each head's parameters are views of its rows, in checkpoint order
+        # each head's parameters are views of its rows, in parameters() order
         self._head_params = [
             Parameter(f"{group}.{name}", group, Tensor(slot.values[h], copy=False), slot, h)
             for h, group in enumerate(groups)
@@ -231,100 +224,3 @@ def parameters_digest(params: Iterable[Parameter]) -> str:
         h.update(p.name.encode())
         h.update(np.ascontiguousarray(p.tensor.values, dtype="<f8").tobytes())
     return h.hexdigest()
-
-
-# checkpoint format ----------------------------------------------------------
-#
-# Little-endian binary:
-#   magic (8 bytes) | version u32
-#   input_dim u32 | num_classes u32 | num_domains u32
-#   n_extractor_hidden u32, each width u32
-#   n_head_hidden u32, each width u32
-#   parameter arrays as raw float64 blocks, in parameters() order
-#     (shapes are implied by the header, so no per-array framing is needed)
-
-
-def model_to_bytes(model: CrmaModel) -> bytes:
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    parts.append(struct.pack("<III", model.input_dim, model.num_classes, model.num_domains))
-    for dims in (model.extractor.hidden_dims, model.head_hidden):
-        parts.append(struct.pack(f"<I{len(dims)}I", len(dims), *dims))
-    for p in model.parameters():
-        parts.append(np.ascontiguousarray(p.tensor.values, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
-class _Reader:
-    """Byte reader that reports the offset of any truncation."""
-
-    def __init__(self, data: bytes, what: str):
-        self.data = data
-        self.pos = 0
-        self.what = what
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(
-                f"truncated {self.what}: needed {n} bytes at offset {self.pos}, "
-                f"file has {len(self.data)}"
-            )
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def array(self, dtype: str, count: int) -> np.ndarray:
-        item = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(item * count), dtype=dtype).copy()
-
-    def expect_end(self) -> None:
-        """Reject bytes left over after the last field."""
-        if self.pos != len(self.data):
-            raise FormatError(
-                f"malformed {self.what}: data ends at offset {self.pos}, "
-                f"file has {len(self.data)} bytes ({len(self.data) - self.pos} trailing)"
-            )
-
-
-def _mlp_size(widths: Sequence[int]) -> int:
-    """Weight and bias entries of an MLP with these layer widths."""
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
-
-
-def model_from_bytes(data: bytes) -> CrmaModel:
-    r = _Reader(data, "model checkpoint")
-    if r.take(8) != CHECKPOINT_MAGIC:
-        raise FormatError("bad model checkpoint magic")
-    (version,) = r.unpack("<I")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported model checkpoint version {version}")
-    input_dim, num_classes, num_domains = r.unpack("<III")
-    (n_ext,) = r.unpack("<I")
-    extractor_hidden = r.unpack(f"<{n_ext}I")
-    (n_head,) = r.unpack("<I")
-    head_hidden = r.unpack(f"<{n_head}I")
-    # check the header's ranges and size claim before allocating the model it describes
-    for ok, what in (
-        (input_dim >= 1, f"input_dim {input_dim}, need >= 1"),
-        (n_ext >= 1, "no extractor layer, need at least one"),
-        (min((*extractor_hidden, *head_hidden), default=1) >= 1, "a hidden width of 0, need >= 1"),
-        (num_classes >= 2, f"num_classes {num_classes}, need >= 2"),
-        (num_domains >= 1, f"num_domains {num_domains}, need >= 1"),
-    ):
-        if not ok:
-            raise FormatError(f"malformed model checkpoint header: {what}")
-    widths = (input_dim, *extractor_hidden)
-    count = _mlp_size(widths) + 2 * num_domains * _mlp_size((widths[-1], *head_hidden, num_classes))
-    if 8 * count > len(data) - r.pos:
-        raise FormatError(
-            f"truncated model checkpoint: the header implies {count} parameters, "
-            f"{len(data) - r.pos} bytes are left at offset {r.pos}"
-        )
-    model = CrmaModel(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
-    for p in model.parameters():
-        arr = r.array("<f8", p.tensor.values.size)
-        p.tensor.values[...] = arr.reshape(p.tensor.values.shape)
-    r.expect_end()
-    return model

@@ -12,6 +12,9 @@ update one side only switch ``requires_grad`` off on the other side's
 leaves for the whole phase, so its subgraph is never recorded and its
 gradients are never computed. The optimizer steps whole storage leaves:
 all of them, or the side the phase trains.
+
+Checkpoints have one format, owned here: the storage leaves, one velocity
+per leaf, the confidence tracker and the counters.
 """
 
 from __future__ import annotations
@@ -28,15 +31,7 @@ import numpy as np
 from . import losses
 from .autodiff import NumericError, Tape, Tensor
 from .data import BatchIterator, DomainBatch, GeneratedTask
-from .nn import (
-    EXTRACTOR_GROUP,
-    CrmaModel,
-    FormatError,
-    Parameter,
-    _Reader,
-    model_from_bytes,
-    model_to_bytes,
-)
+from .nn import EXTRACTOR_GROUP, CrmaModel, Parameter
 from .seeds import stream_rng, stream_seed
 
 LOSS_CEILING = 1e6
@@ -51,8 +46,12 @@ COSINE_FLOOR_FRACTION = 0.01
 HEAP_TOP_PAD_BYTES = 4 << 20
 _M_TOP_PAD = -2  # mallopt parameter number, from glibc's malloc.h
 
-TRAINER_CHECKPOINT_MAGIC = b"CRMATRN\x00"
-TRAINER_CHECKPOINT_VERSION = 1
+CHECKPOINT_MAGIC = b"CRMATRN\x00"
+CHECKPOINT_VERSION = 2
+
+
+class FormatError(ValueError):
+    """A checkpoint file is malformed, truncated, or of the wrong version."""
 
 
 class DivergedRunError(RuntimeError):
@@ -136,22 +135,22 @@ class ConfidenceTracker:
 class SgdOptimizer:
     """SGD with optional momentum over the parameters' storage leaves.
 
-    Each leaf has one velocity buffer; ``velocity`` maps every parameter
-    name to a view of its part of it. ``step`` updates the given leaves, or
+    Each leaf has one velocity buffer. ``step`` updates the given leaves, or
     all of them, as whole arrays; every other leaf keeps both its values
     and its velocity bit-identical.
     """
 
     def __init__(self, params: Sequence[Parameter], momentum: float = MOMENTUM):
-        self.params = list(params)
         self.momentum = momentum
         # id(leaf) -> (leaf, its velocity, whether it is an extractor leaf)
         self._leaves = {}
-        self.velocity = {}
-        for p in self.params:
+        for p in params:
             entry = (p.leaf, np.zeros_like(p.leaf.values), p.group == EXTRACTOR_GROUP)
-            velocity = self._leaves.setdefault(id(p.leaf), entry)[1]
-            self.velocity[p.name] = velocity[... if p.row is None else p.row]
+            self._leaves.setdefault(id(p.leaf), entry)
+
+    def velocity(self, leaf: Tensor) -> np.ndarray:
+        """The velocity buffer of a storage leaf; writes to it are kept."""
+        return self._leaves[id(leaf)][1]
 
     def zero_grad(self) -> None:
         for leaf, _, _ in self._leaves.values():
@@ -436,62 +435,121 @@ def write_history_csv(history: Sequence[dict], num_domains: int, fileobj: IO[str
 
 
 # checkpointing ---------------------------------------------------------------
+#
+# Little-endian binary:
+#   magic (8 bytes) | version u32
+#   input_dim u32 | num_classes u32 | num_domains u32
+#   n_extractor_hidden u32, each width u32
+#   n_head_hidden u32, each width u32
+#   the arrays of _stored_arrays as raw little-endian blocks: every storage
+#     leaf's values (f8), each leaf's velocity (f8), tracker sums (f8) and
+#     counts (i8); shapes are implied by the header, so there is no framing
+#   iteration u64 | epoch u64
+
+
+class _Reader:
+    """Byte reader that reports the offset of any truncation."""
+
+    def __init__(self, data: bytes, what: str):
+        self.data = data
+        self.pos = 0
+        self.what = what
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise FormatError(
+                f"truncated {self.what}: needed {n} bytes at offset {self.pos}, "
+                f"file has {len(self.data)}"
+            )
+        chunk = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return chunk
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def fill(self, out: np.ndarray) -> None:
+        """Read ``out``'s entries, stored little-endian in C order, into it."""
+        out.flat = np.frombuffer(self.take(out.nbytes), out.dtype.newbyteorder("<"))
+
+    def expect_end(self) -> None:
+        """Reject bytes left over after the last field."""
+        if self.pos != len(self.data):
+            raise FormatError(
+                f"malformed {self.what}: data ends at offset {self.pos}, "
+                f"file has {len(self.data)} bytes ({len(self.data) - self.pos} trailing)"
+            )
+
+
+def _mlp_size(widths: Sequence[int]) -> int:
+    """Weight and bias entries of an MLP with these layer widths."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+
+
+def _stored_arrays(state: TrainState) -> list[np.ndarray]:
+    """The arrays a checkpoint stores after its header, in file order."""
+    leaves = (*state.model.extractor_leaves, *state.model.head_leaves)
+    velocities = map(state.optimizer.velocity, leaves)
+    return [*(t.values for t in leaves), *velocities, state.tracker.sums, state.tracker.counts]
 
 
 def save_checkpoint(state: TrainState, path) -> None:
-    """Model bytes plus optimizer velocity, tracker state, and counters."""
-    model_blob = model_to_bytes(state.model)
+    """Storage leaves, their velocities, tracker state, and counters."""
+    model = state.model
     parts = [
-        TRAINER_CHECKPOINT_MAGIC,
-        struct.pack("<I", TRAINER_CHECKPOINT_VERSION),
-        struct.pack("<Q", len(model_blob)),
-        model_blob,
+        CHECKPOINT_MAGIC,
+        struct.pack("<I", CHECKPOINT_VERSION),
+        struct.pack("<III", model.input_dim, model.num_classes, model.num_domains),
     ]
-    for p in state.optimizer.params:
-        parts.append(
-            np.ascontiguousarray(state.optimizer.velocity[p.name], dtype="<f8").tobytes()
-        )
-    tracker = state.tracker
-    parts.append(struct.pack("<I", tracker.sums.size))
-    parts.append(np.ascontiguousarray(tracker.sums, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(tracker.counts, dtype="<i8").tobytes())
+    for dims in (model.extractor.hidden_dims, model.head_hidden):
+        parts.append(struct.pack(f"<I{len(dims)}I", len(dims), *dims))
+    for a in _stored_arrays(state):
+        parts.append(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
     parts.append(struct.pack("<QQ", state.iteration, state.epoch))
     with open(path, "wb") as f:
         f.write(b"".join(parts))
 
 
 def load_checkpoint(path, config: TrainConfig) -> TrainState:
+    """The state ``save_checkpoint`` wrote; the optimizer's momentum comes from ``config``."""
     with open(path, "rb") as f:
         data = f.read()
     r = _Reader(data, "trainer checkpoint")
-    if r.take(8) != TRAINER_CHECKPOINT_MAGIC:
+    if r.take(8) != CHECKPOINT_MAGIC:
         raise FormatError("bad trainer checkpoint magic")
     (version,) = r.unpack("<I")
-    if version != TRAINER_CHECKPOINT_VERSION:
+    if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported trainer checkpoint version {version}")
-    (model_len,) = r.unpack("<Q")
-    model = model_from_bytes(r.take(model_len))
+    input_dim, num_classes, num_domains = r.unpack("<III")
+    (n_ext,) = r.unpack("<I")
+    extractor_hidden = r.unpack(f"<{n_ext}I")
+    (n_head,) = r.unpack("<I")
+    head_hidden = r.unpack(f"<{n_head}I")
+    # check the header's ranges and size claim before allocating the model it describes
+    for ok, what in (
+        (input_dim >= 1, f"input_dim {input_dim}, need >= 1"),
+        (n_ext >= 1, "no extractor layer, need at least one"),
+        (min((*extractor_hidden, *head_hidden), default=1) >= 1, "a hidden width of 0, need >= 1"),
+        (num_classes >= 2, f"num_classes {num_classes}, need >= 2"),
+        (num_domains >= 1, f"num_domains {num_domains}, need >= 1"),
+    ):
+        if not ok:
+            raise FormatError(f"malformed trainer checkpoint header: {what}")
+    widths = (input_dim, *extractor_hidden)
+    count = _mlp_size(widths) + 2 * num_domains * _mlp_size((widths[-1], *head_hidden, num_classes))
+    # values and velocities, tracker sums and counts, two counters
+    size = 8 * (2 * count + 2 * num_domains + 2)
+    if size > len(data) - r.pos:
+        raise FormatError(
+            f"truncated trainer checkpoint: the header implies {count} parameters, "
+            f"{len(data) - r.pos} bytes are left at offset {r.pos}, {size} needed"
+        )
+    model = CrmaModel(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
     momentum = MOMENTUM if config.optimizer == "sgd_momentum" else 0.0
     optimizer = SgdOptimizer(model.parameters(), momentum=momentum)
-    for p in optimizer.params:
-        arr = r.array("<f8", p.tensor.values.size)
-        optimizer.velocity[p.name][...] = arr.reshape(p.tensor.values.shape)
-    (num_domains,) = r.unpack("<I")
-    if num_domains != model.num_domains:
-        raise FormatError(
-            f"trainer checkpoint tracker has {num_domains} domains at offset {r.pos - 4}, "
-            f"the model has {model.num_domains}"
-        )
-    tracker = ConfidenceTracker(num_domains)
-    tracker.sums = r.array("<f8", num_domains)
-    tracker.counts = r.array("<i8", num_domains)
-    iteration, epoch = r.unpack("<QQ")
+    state = TrainState(model, optimizer, ConfidenceTracker(num_domains), config)
+    for a in _stored_arrays(state):
+        r.fill(a)
+    state.iteration, state.epoch = r.unpack("<QQ")
     r.expect_end()
-    return TrainState(
-        model=model,
-        optimizer=optimizer,
-        tracker=tracker,
-        config=config,
-        iteration=iteration,
-        epoch=epoch,
-    )
+    return state

@@ -23,6 +23,7 @@ from crma.cli import (
     write_results,
     _variant_for,
 )
+from crma.data import generate_task
 
 TINY = """
 # small everything so the suite stays fast
@@ -221,6 +222,46 @@ def test_non_finite_or_negative_value_is_a_config_error(tmp_path, capsys, overri
     assert main(["run", str(write_cfg(tmp_path)), "--out", str(out), override]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_batch_larger_than_the_smallest_domain_is_a_config_error(tmp_path, capsys):
+    # the batch is checked with the other config keys, before any output is written
+    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "two_moons.cfg"
+    out = tmp_path / "out"
+    argv = ["run", str(cfg_path), "--out", str(out), "--train.epochs=1", "--run.num_seeds=1",
+            "--task.samples_per_domain=200", "--train.batch_per_domain=1000"]
+    assert main(argv) == 1
+    assert "config error: train.batch_per_domain=1000 exceeds the target's 160" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_batch_of_the_whole_target_training_split_trains(tmp_path, capsys):
+    # 200 samples per domain hold out 20 per class, so 160 target samples train
+    out = tmp_path / "out"
+    argv = ["run", str(write_cfg(tmp_path)), "--out", str(out), "--run.num_seeds=1",
+            "--run.methods=crma", "--train.epochs=1", "--task.samples_per_domain=200"]
+    assert main([*argv, "--train.batch_per_domain=160"]) == 0
+    assert len((out / "results.csv").read_text().splitlines()) == 2
+    assert main([*argv, "--train.batch_per_domain=161"]) == 1
+    assert "161 exceeds the target's 160 training samples" in capsys.readouterr().err
+
+
+def test_sweep_draws_each_seeds_task_once(tmp_path, monkeypatch):
+    import crma.cli as cli_module
+
+    drawn = []
+
+    def counted(spec):
+        drawn.append(spec.seed)
+        return generate_task(spec)
+
+    monkeypatch.setattr(cli_module, "generate_task", counted)
+    text = TINY.replace("task.samples_per_domain = 80", "task.samples_per_domain = 40")
+    cfg_path = write_cfg(tmp_path, text=text.replace("train.epochs = 2", "train.epochs = 1"))
+    assert main(["ablate", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert drawn == [0, 1]  # 8 variants x 2 seeds, two distinct tasks
 
 
 def test_cli_help_exits_zero(capsys):

@@ -1,21 +1,8 @@
-import struct
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from crma.autodiff import DimensionError, Tensor
-from crma.nn import (
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-    CrmaModel,
-    FeatureExtractor,
-    FormatError,
-    classifier_group,
-    model_from_bytes,
-    model_to_bytes,
-    parameters_digest,
-)
+from crma.nn import CrmaModel, FeatureExtractor, classifier_group, parameters_digest
 
 
 def small_model(seed=0, num_domains=2, num_classes=3):
@@ -184,92 +171,6 @@ def test_final_prediction_invariant_to_domain_order():
         p_new.tensor.values[...] = p_old.tensor.values
     probs_perm, _ = permuted.final_prediction(x)
     np.testing.assert_allclose(probs_perm, probs, atol=1e-12)
-
-
-def test_checkpoint_round_trip_is_bit_exact():
-    model = small_model(seed=77, num_domains=3, num_classes=4)
-    loaded = model_from_bytes(model_to_bytes(model))
-    assert parameters_digest(loaded.parameters()) == parameters_digest(model.parameters())
-    x = np.random.default_rng(11).standard_normal((7, 2))
-    np.testing.assert_array_equal(
-        loaded.final_prediction(x)[0], model.final_prediction(x)[0]
-    )
-    # byte-stable serialization
-    assert model_to_bytes(loaded) == model_to_bytes(model)
-
-
-def test_checkpoint_truncation_reports_offset():
-    blob = model_to_bytes(small_model())
-    with pytest.raises(FormatError, match="offset"):
-        model_from_bytes(blob[: len(blob) // 2])
-
-
-def test_checkpoint_trailing_bytes_report_offset():
-    blob = model_to_bytes(small_model())
-    with pytest.raises(FormatError, match=f"offset {len(blob)}.*3 trailing"):
-        model_from_bytes(blob + b"xyz")
-
-
-def test_checkpoint_header_size_is_checked_before_allocating():
-    # 36 bytes whose header declares one extractor layer of width 2**18: the
-    # reader must refuse it from the header alone, not build the model first
-    header = CHECKPOINT_MAGIC + struct.pack("<I3I", CHECKPOINT_VERSION, 2, 2, 1)
-    blob = header + struct.pack("<II", 1, 2**18) + struct.pack("<I", 0)
-    assert len(blob) == 36
-    count = 3 * 2**18 + 2 * (2**18 + 1) * 2
-    tracemalloc.start()
-    try:
-        with pytest.raises(FormatError) as err:
-            model_from_bytes(blob)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert f"{count} parameters, 0 bytes are left" in str(err.value)
-
-
-@pytest.mark.parametrize(
-    "input_dim, extractor_hidden, head_hidden, num_classes, num_domains, what",
-    [
-        (0, (4,), (3,), 2, 1, "input_dim 0"),
-        (2, (), (3,), 2, 1, "no extractor layer"),
-        (2, (4, 0), (3,), 2, 1, "hidden width of 0"),
-        (2, (4,), (0,), 2, 1, "hidden width of 0"),
-        (2, (4,), (3,), 1, 1, "num_classes 1"),
-        (2, (4,), (3,), 2, 0, "num_domains 0"),
-    ],
-    ids=["input-dim", "no-extractor", "extractor-width", "head-width", "classes", "domains"],
-)
-def test_checkpoint_out_of_range_header_is_a_format_error(
-    input_dim, extractor_hidden, head_hidden, num_classes, num_domains, what
-):
-    # a complete blob: the header's parameter count in float64 zeros follows it
-    def mlp(widths):
-        return sum((a + 1) * b for a, b in zip(widths, widths[1:]))
-
-    widths = (input_dim, *extractor_hidden)
-    count = mlp(widths) + 2 * num_domains * mlp((widths[-1], *head_hidden, num_classes))
-    blob = (
-        CHECKPOINT_MAGIC
-        + struct.pack("<I3I", CHECKPOINT_VERSION, input_dim, num_classes, num_domains)
-        + struct.pack(f"<I{len(extractor_hidden)}I", len(extractor_hidden), *extractor_hidden)
-        + struct.pack(f"<I{len(head_hidden)}I", len(head_hidden), *head_hidden)
-        + bytes(8 * count)
-    )
-    with pytest.raises(FormatError, match=what):
-        model_from_bytes(blob)
-
-
-def test_checkpoint_bad_magic():
-    # one input per corrupted header field; a loop keeps the test's id
-    bad_version = bytearray(model_to_bytes(small_model()))
-    bad_version[8] = 99  # version field
-    for data, match in [
-        (b"NOTMAGIC" + b"\x00" * 64, "magic"),
-        (bytes(bad_version), "unsupported model checkpoint version 99"),
-    ]:
-        with pytest.raises(FormatError, match=match):
-            model_from_bytes(data)
 
 
 def test_all_pairs_pass_matches_each_pair():

@@ -2,6 +2,8 @@ import ctypes
 import hashlib
 import io
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,18 +11,14 @@ import pytest
 from crma.autodiff import Tape, stack
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import intra_consistency_loss, source_ce_loss
-from crma.nn import (
-    EXTRACTOR_GROUP,
-    CrmaModel,
-    FormatError,
-    classifier_group,
-    model_to_bytes,
-    parameters_digest,
-)
+from crma.nn import EXTRACTOR_GROUP, CrmaModel, classifier_group, parameters_digest
 from crma.trainer import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     AblationFlags,
     ConfidenceTracker,
     DivergedRunError,
+    FormatError,
     SgdOptimizer,
     TrainConfig,
     TrainState,
@@ -378,10 +376,13 @@ GOLDEN = {
         "5fcd05939028f466e6dde34c6c9d47476988124e71d464e14c3942c581bd2135",
     ),
 }
-GOLDEN_FRESH_MODEL_SHA256 = "f34d730506072b5561b8b01ee9e21a89c8968c0edc9807dd43ea2f0f6f2b468c"
+# The fresh model's parameters_digest, recorded at commit f3a8be0 (the initial
+# draws), and the sha256 of a fresh state's checkpoint (the file layout).
+GOLDEN_FRESH_MODEL_DIGEST = "711ca24c1c4fd3762f7f358cb5d202b7e4f177dd64fc4afce5141902bcbf3751"
+GOLDEN_FRESH_CHECKPOINT_SHA256 = "bb7063c36396d5be11882e2020ee6941bae6de2d633437c9f2d8a39a1a093892"
 
 
-def test_golden_bits_of_the_stacked_head_storage():
+def test_golden_bits_of_the_stacked_head_storage(tmp_path):
     # parameters_digest and history sha256 of a 2-epoch run
     for name, (spec, overrides, params, history) in GOLDEN.items():
         settings = dict(
@@ -392,7 +393,10 @@ def test_golden_bits_of_the_stacked_head_storage():
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == history, name
 
     model = CrmaModel(2, 2, 3, rng=np.random.default_rng(2024))
-    assert hashlib.sha256(model_to_bytes(model)).hexdigest() == GOLDEN_FRESH_MODEL_SHA256
+    assert parameters_digest(model.parameters()) == GOLDEN_FRESH_MODEL_DIGEST
+    state = TrainState(model, SgdOptimizer(model.parameters()), ConfidenceTracker(3), TrainConfig())
+    checkpoint = hashlib.sha256(checkpoint_bytes(state, tmp_path)).hexdigest()
+    assert checkpoint == GOLDEN_FRESH_CHECKPOINT_SHA256
     # a head's tensor is a writable view of its row of the slot
     slot = model.head_slots[0]
     before = slot.values.copy()
@@ -612,6 +616,124 @@ def test_evaluate_matches_explicit_loop():
 # persistence ------------------------------------------------------------------------
 
 
+def small_state(seed=0, num_domains=2, num_classes=3):
+    """A fresh state of a small model, for the checkpoint format tests."""
+    model = CrmaModel(
+        input_dim=2,
+        num_classes=num_classes,
+        num_domains=num_domains,
+        extractor_hidden=(8, 6),
+        head_hidden=(5,),
+        rng=np.random.default_rng(seed),
+    )
+    return TrainState(
+        model, SgdOptimizer(model.parameters()), ConfidenceTracker(num_domains), TrainConfig()
+    )
+
+
+def checkpoint_bytes(state, tmp_path):
+    save_checkpoint(state, tmp_path / "saved.ckpt")
+    return (tmp_path / "saved.ckpt").read_bytes()
+
+
+def load_bytes(data, tmp_path):
+    (tmp_path / "loaded.ckpt").write_bytes(data)
+    return load_checkpoint(tmp_path / "loaded.ckpt", TrainConfig())
+
+
+def test_checkpoint_round_trip_is_bit_exact(tmp_path):
+    state = small_state(seed=77, num_domains=3, num_classes=4)
+    blob = checkpoint_bytes(state, tmp_path)
+    loaded = load_bytes(blob, tmp_path)
+    model = loaded.model
+    assert parameters_digest(model.parameters()) == parameters_digest(state.model.parameters())
+    x = np.random.default_rng(11).standard_normal((7, 2))
+    np.testing.assert_array_equal(model.final_prediction(x)[0], state.model.final_prediction(x)[0])
+    # byte-stable serialization
+    assert checkpoint_bytes(loaded, tmp_path) == blob
+
+
+def test_checkpoint_truncation_reports_offset(tmp_path):
+    blob = checkpoint_bytes(small_state(), tmp_path)
+    with pytest.raises(FormatError, match="offset"):
+        load_bytes(blob[: len(blob) // 2], tmp_path)
+    # every strict prefix is a FormatError, never another exception type
+    for end in range(len(blob)):
+        with pytest.raises(FormatError):
+            load_bytes(blob[:end], tmp_path)
+
+
+def test_checkpoint_trailing_bytes_report_offset(tmp_path):
+    blob = checkpoint_bytes(small_state(), tmp_path)
+    with pytest.raises(FormatError, match=f"offset {len(blob)}.*3 trailing"):
+        load_bytes(blob + b"xyz", tmp_path)
+
+
+def test_checkpoint_header_size_is_checked_before_allocating(tmp_path):
+    # 36 bytes whose header declares one extractor layer of width 2**18: the
+    # reader must refuse it from the header alone, not build the model first
+    header = CHECKPOINT_MAGIC + struct.pack("<I3I", CHECKPOINT_VERSION, 2, 2, 1)
+    blob = header + struct.pack("<II", 1, 2**18) + struct.pack("<I", 0)
+    assert len(blob) == 36
+    count = 3 * 2**18 + 2 * (2**18 + 1) * 2
+    (tmp_path / "claim.ckpt").write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(tmp_path / "claim.ckpt", TrainConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert f"{count} parameters, 0 bytes are left" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "input_dim, extractor_hidden, head_hidden, num_classes, num_domains, what",
+    [
+        (0, (4,), (3,), 2, 1, "input_dim 0"),
+        (2, (), (3,), 2, 1, "no extractor layer"),
+        (2, (4, 0), (3,), 2, 1, "hidden width of 0"),
+        (2, (4,), (0,), 2, 1, "hidden width of 0"),
+        (2, (4,), (3,), 1, 1, "num_classes 1"),
+        (2, (4,), (3,), 2, 0, "num_domains 0"),
+    ],
+    ids=["input-dim", "no-extractor", "extractor-width", "head-width", "classes", "domains"],
+)
+def test_checkpoint_out_of_range_header_is_a_format_error(
+    input_dim, extractor_hidden, head_hidden, num_classes, num_domains, what, tmp_path
+):
+    # a complete file: zeros for the values, velocities, tracker and counters
+    # the header implies follow it
+    def mlp(widths):
+        return sum((a + 1) * b for a, b in zip(widths, widths[1:]))
+
+    widths = (input_dim, *extractor_hidden)
+    count = mlp(widths) + 2 * num_domains * mlp((widths[-1], *head_hidden, num_classes))
+    blob = (
+        CHECKPOINT_MAGIC
+        + struct.pack("<I3I", CHECKPOINT_VERSION, input_dim, num_classes, num_domains)
+        + struct.pack(f"<I{len(extractor_hidden)}I", len(extractor_hidden), *extractor_hidden)
+        + struct.pack(f"<I{len(head_hidden)}I", len(head_hidden), *head_hidden)
+        + bytes(8 * (2 * count + 2 * num_domains + 2))
+    )
+    with pytest.raises(FormatError, match=what):
+        load_bytes(blob, tmp_path)
+
+
+def test_checkpoint_bad_magic(tmp_path):
+    # one input per corrupted header field; a loop keeps the test's id
+    blob = checkpoint_bytes(small_state(), tmp_path)
+    for data, match in [
+        (b"NOTMAGIC" + b"\x00" * 64, "magic"),
+        (blob[:8] + struct.pack("<I", 99) + blob[12:], "unsupported trainer checkpoint version 99"),
+        # version 1 nested a second model format; no reader for it is kept
+        (blob[:8] + struct.pack("<I", 1) + blob[12:], "unsupported trainer checkpoint version 1"),
+    ]:
+        with pytest.raises(FormatError, match=match):
+            load_bytes(data, tmp_path)
+
+
 def test_checkpoint_round_trip_and_resumed_evaluation(tmp_path):
     task = tiny_task(seed=23)
     cfg = TrainConfig(epochs=2, batch_per_domain=16, seed=23, extractor_hidden=(16, 8), head_hidden=(8,))
@@ -623,9 +745,11 @@ def test_checkpoint_round_trip_and_resumed_evaluation(tmp_path):
     assert parameters_digest(restored.model.parameters()) == parameters_digest(
         state.model.parameters()
     )
-    for p in state.optimizer.params:
+    leaves = (*state.model.extractor_leaves, *state.model.head_leaves)
+    restored_leaves = (*restored.model.extractor_leaves, *restored.model.head_leaves)
+    for leaf, restored_leaf in zip(leaves, restored_leaves, strict=True):
         np.testing.assert_array_equal(
-            restored.optimizer.velocity[p.name], state.optimizer.velocity[p.name]
+            restored.optimizer.velocity(restored_leaf), state.optimizer.velocity(leaf)
         )
     np.testing.assert_array_equal(restored.tracker.sums, state.tracker.sums)
     np.testing.assert_array_equal(restored.tracker.counts, state.tracker.counts)
@@ -656,10 +780,11 @@ def test_trainer_checkpoint_rejects_trailing_bytes_and_foreign_tracker(tmp_path)
     with pytest.raises(FormatError, match="unsupported trainer checkpoint version 99"):
         load_checkpoint(tmp_path / "v99.ckpt", state.config)
 
-    # a tracker sized for 2 domains next to a 3-domain model
+    # a tracker sized for 2 domains next to a 3-domain model is 16 bytes
+    # short of what the 44-byte header implies
     state.tracker = ConfidenceTracker(2)
     save_checkpoint(state, tmp_path / "foreign.ckpt")
-    with pytest.raises(FormatError, match="tracker has 2 domains.*the model has 3"):
+    with pytest.raises(FormatError, match=f"{size - 60} bytes are left at offset 44, {size - 44}"):
         load_checkpoint(tmp_path / "foreign.ckpt", state.config)
 
 
