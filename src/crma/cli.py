@@ -454,18 +454,23 @@ def emit_curves(output_dir) -> Path:
         csv_path = run_dir / "metrics.csv"
         if not meta_path.is_file() or not csv_path.is_file():
             continue
-        meta = json.loads(meta_path.read_text())
+        try:
+            meta = json.loads(meta_path.read_text())
+            entry = (
+                f"{run_dir.name},{meta['method']},{int(meta['intra_da'])},"
+                f"{int(meta['inter_da'])},{int(meta['ast'])},{meta['seed']},"
+                f"{meta['epochs']},{meta['final_acc']!r}"
+            )
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            # a killed sweep can leave a truncated or partial run.json
+            raise ConfigError(f"{meta_path}: malformed run record ({exc!r})") from exc
         csv_lines = csv_path.read_text().strip().splitlines()
         n_rows = len(csv_lines) - 1
         if n_rows != meta["epochs"]:
             raise ConfigError(
                 f"{csv_path}: expected {meta['epochs']} epoch rows, found {n_rows}"
             )
-        entries.append(
-            f"{run_dir.name},{meta['method']},{int(meta['intra_da'])},"
-            f"{int(meta['inter_da'])},{int(meta['ast'])},{meta['seed']},"
-            f"{meta['epochs']},{meta['final_acc']!r}"
-        )
+        entries.append(entry)
     manifest = out_root / "manifest.csv"
     manifest.write_text(
         "run_dir,method,intra_da,inter_da,ast,seed,epochs,final_acc\n"

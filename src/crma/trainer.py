@@ -31,7 +31,7 @@ import numpy as np
 from . import losses
 from .autodiff import NumericError, Tape, Tensor
 from .data import BatchIterator, DomainBatch, GeneratedTask
-from .nn import EXTRACTOR_GROUP, CrmaModel, Parameter
+from .nn import CrmaModel
 from .seeds import stream_rng, stream_seed
 
 LOSS_CEILING = 1e6
@@ -98,6 +98,8 @@ class TrainConfig:
             raise ValueError("learning rates must be > 0")
         if self.epochs < 1 or self.batch_per_domain < 1 or self.num_extractor_steps < 1:
             raise ValueError("epochs, batch size, and extractor steps must be >= 1")
+        if self.ast_start_epoch < 0:
+            raise ValueError(f"ast_start_epoch must be >= 0, got {self.ast_start_epoch}")
         if not self.extractor_hidden:
             raise ValueError("extractor_hidden needs at least one layer")
         if min((*self.extractor_hidden, *self.head_hidden)) < 1:
@@ -133,20 +135,21 @@ class ConfidenceTracker:
 
 
 class SgdOptimizer:
-    """SGD with optional momentum over the parameters' storage leaves.
+    """SGD with optional momentum over a model's two tuples of storage leaves.
 
     Each leaf has one velocity buffer. ``step`` updates the given leaves, or
     all of them, as whole arrays; every other leaf keeps both its values
     and its velocity bit-identical.
     """
 
-    def __init__(self, params: Sequence[Parameter], momentum: float = MOMENTUM):
+    def __init__(self, model: CrmaModel, momentum: float = MOMENTUM):
         self.momentum = momentum
         # id(leaf) -> (leaf, its velocity, whether it is an extractor leaf)
-        self._leaves = {}
-        for p in params:
-            entry = (p.leaf, np.zeros_like(p.leaf.values), p.group == EXTRACTOR_GROUP)
-            self._leaves.setdefault(id(p.leaf), entry)
+        self._leaves = {
+            id(leaf): (leaf, np.zeros_like(leaf.values), extractor)
+            for leaves, extractor in ((model.extractor_leaves, True), (model.head_leaves, False))
+            for leaf in leaves
+        }
 
     def velocity(self, leaf: Tensor) -> np.ndarray:
         """The velocity buffer of a storage leaf; writes to it are kept."""
@@ -358,7 +361,7 @@ def train(config: TrainConfig, task: GeneratedTask):
     momentum = MOMENTUM if config.optimizer == "sgd_momentum" else 0.0
     state = TrainState(
         model=model,
-        optimizer=SgdOptimizer(model.parameters(), momentum=momentum),
+        optimizer=SgdOptimizer(model, momentum=momentum),
         tracker=ConfidenceTracker(num_domains),
         config=config,
     )
@@ -496,12 +499,16 @@ def _stored_arrays(state: TrainState) -> list[np.ndarray]:
 def save_checkpoint(state: TrainState, path) -> None:
     """Storage leaves, their velocities, tracker state, and counters."""
     model = state.model
+    if state.tracker.sums.shape != (model.num_domains,):
+        raise ValueError(
+            f"tracker has {state.tracker.sums.size} domains, the model has {model.num_domains}"
+        )
     parts = [
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
         struct.pack("<III", model.input_dim, model.num_classes, model.num_domains),
     ]
-    for dims in (model.extractor.hidden_dims, model.head_hidden):
+    for dims in (model.extractor_hidden, model.head_hidden):
         parts.append(struct.pack(f"<I{len(dims)}I", len(dims), *dims))
     for a in _stored_arrays(state):
         parts.append(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
@@ -546,7 +553,7 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
         )
     model = CrmaModel(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
     momentum = MOMENTUM if config.optimizer == "sgd_momentum" else 0.0
-    optimizer = SgdOptimizer(model.parameters(), momentum=momentum)
+    optimizer = SgdOptimizer(model, momentum=momentum)
     state = TrainState(model, optimizer, ConfidenceTracker(num_domains), config)
     for a in _stored_arrays(state):
         r.fill(a)

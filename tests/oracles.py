@@ -7,6 +7,8 @@ over its entries, so they share no code and no vectorization with
 The ``*_chain`` functions are the four losses as chains of autodiff ops,
 the form they had before each became one tape node. Their values and
 gradients are the bits the single-node losses must reproduce.
+
+``group_parameters`` picks a model's named parameters by group prefix.
 """
 
 import math
@@ -17,6 +19,11 @@ from crma.autodiff import Tensor, index
 
 LOG_FLOOR = 1e-12
 WEIGHT_DENOM_FLOOR = 1e-8
+
+
+def group_parameters(model, prefix):
+    """The model's named parameters whose group starts with ``prefix``."""
+    return [p for p in model.parameters() if p.group.startswith(prefix)]
 
 
 def discrepancy(p, q) -> float:

@@ -42,7 +42,14 @@ from crma.trainer import (
     train,
 )
 
-from oracles import ast_beta, discrepancy, domain_weights, kl_divergence, pseudo_label
+from oracles import (
+    ast_beta,
+    discrepancy,
+    domain_weights,
+    group_parameters,
+    kl_divergence,
+    pseudo_label,
+)
 
 
 def report(num, description, ok):
@@ -300,8 +307,8 @@ def test_criterion_3_invariants():
     for new_m, old_m in enumerate(order):
         for branch in ("a", "b"):
             for p_new, p_old in zip(
-                permuted.group_parameters(classifier_group(new_m, branch)),
-                base.group_parameters(classifier_group(old_m, branch)),
+                group_parameters(permuted, classifier_group(new_m, branch)),
+                group_parameters(base, classifier_group(old_m, branch)),
             ):
                 p_new.tensor.values[...] = p_old.tensor.values
     x = rng.standard_normal((50, 2))
@@ -337,7 +344,7 @@ def test_criterion_4_minmax_dynamics():
         )
         state = TrainState(
             model=model,
-            optimizer=SgdOptimizer(model.parameters(), momentum=0.0),
+            optimizer=SgdOptimizer(model, momentum=0.0),
             tracker=ConfidenceTracker(task.num_sources),
             config=cfg,
         )
@@ -351,7 +358,7 @@ def test_criterion_4_minmax_dynamics():
             inter = inter_consistency_loss(probs)
             return intra.item(), inter.item()
 
-        def grad_norm(groups):
+        def grad_norm(leaves):
             with Tape() as tape:
                 probs = model.head_probs(model.forward_features(batch.target_features))
                 intra = intra_consistency_loss(probs)
@@ -360,31 +367,30 @@ def test_criterion_4_minmax_dynamics():
             state.optimizer.zero_grad()
             tape.backward(loss)
             total = 0.0
-            for p in model.parameters():
-                if p.group in groups and p.grad is not None:
-                    total += float((p.grad**2).sum())
+            for leaf in leaves:
+                if leaf.grad is not None:
+                    total += float((leaf.grad**2).sum())
             state.optimizer.zero_grad()
             return math.sqrt(total)
 
-        classifier_groups = {p.group for p in model.parameters() if p.group != EXTRACTOR_GROUP}
         ok = True
 
         intra_before, _ = measure()
-        ext_before = parameters_digest(model.group_parameters(EXTRACTOR_GROUP))
-        relevant = grad_norm(classifier_groups)
+        ext_before = parameters_digest(group_parameters(model, EXTRACTOR_GROUP))
+        relevant = grad_norm(model.head_leaves)
         step_classifiers(state, batch, lr=1e-4)
         intra_after, _ = measure()
-        ok &= parameters_digest(model.group_parameters(EXTRACTOR_GROUP)) == ext_before
+        ok &= parameters_digest(group_parameters(model, EXTRACTOR_GROUP)) == ext_before
         if relevant > 1e-8:
             ok &= intra_after > intra_before
 
         i0, e0 = measure()
         obj_before = i0 + cfg.alpha * e0
-        clf_before = parameters_digest(model.group_parameters("classifier"))
-        relevant = grad_norm({EXTRACTOR_GROUP})
+        clf_before = parameters_digest(group_parameters(model, "classifier"))
+        relevant = grad_norm(model.extractor_leaves)
         step_extractor(state, batch, lr=1e-4)
         i1, e1 = measure()
-        ok &= parameters_digest(model.group_parameters("classifier")) == clf_before
+        ok &= parameters_digest(group_parameters(model, "classifier")) == clf_before
         if relevant > 1e-8:
             ok &= i1 + cfg.alpha * e1 < obj_before
 
@@ -487,7 +493,7 @@ def hand_single_source_variant(task, cfg, iterations):
     model = CrmaModel(
         2, 2, 1, cfg.extractor_hidden, cfg.head_hidden, rng=stream_rng(cfg.seed, "init")
     )
-    optimizer = SgdOptimizer(model.parameters(), momentum=0.9)
+    optimizer = SgdOptimizer(model, momentum=0.9)
     stream = iter(
         BatchIterator(task.sources, task.target, cfg.batch_per_domain,
                       stream_seed(cfg.seed, "shuffle"))
@@ -574,7 +580,7 @@ def test_criterion_6_degenerate_equivalences():
     model = CrmaModel(2, 2, 1, cfg.extractor_hidden, cfg.head_hidden, rng=stream_rng(60, "init"))
     state = TrainState(
         model=model,
-        optimizer=SgdOptimizer(model.parameters(), momentum=0.9),
+        optimizer=SgdOptimizer(model, momentum=0.9),
         tracker=ConfidenceTracker(1),
         config=cfg,
     )
@@ -607,7 +613,7 @@ def test_criterion_6_degenerate_equivalences():
 
     model = CrmaModel(2, 2, task.num_sources, cfg.extractor_hidden, cfg.head_hidden,
                       rng=stream_rng(61, "init"))
-    optimizer = SgdOptimizer(model.parameters(), momentum=0.9)
+    optimizer = SgdOptimizer(model, momentum=0.9)
     iterator = BatchIterator(task.sources, task.target, 16, stream_seed(61, "shuffle"))
     stream = iter(iterator)
     for _ in range(2 * iterator.batches_per_epoch):

@@ -214,7 +214,8 @@ def test_cli_usage_error_exits_one(argv, capsys):
 @pytest.mark.parametrize(
     "override",
     ["--train.base_lr=nan", "--train.alpha=inf", "--task.generator_noise=nan",
-     "--task.generator_noise=-0.5", "--task.source_shifts.0.scale=nan"],
+     "--task.generator_noise=-0.5", "--task.source_shifts.0.scale=nan",
+     "--train.ast_start_epoch=-1"],
 )
 def test_non_finite_or_negative_value_is_a_config_error(tmp_path, capsys, override):
     # nan passes every `< 0` check, so each bound also rejects non-finite values
@@ -401,6 +402,22 @@ def test_emit_curves_manifest(tmp_path):
     assert manifest[0] == "run_dir,method,intra_da,inter_da,ast,seed,epochs,final_acc"
     assert len(manifest) == 3  # two runs
     assert main(["curves", str(tmp_path / "missing")]) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"method": "crma", "epo', '{"method": "crma", "seed": 0, "final_acc": 0.5}'],
+    ids=["truncated", "no-epochs"],
+)
+def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, text):
+    # what a killed sweep can leave behind
+    run_dir = tmp_path / "out" / "runs" / "crma_seed0"
+    run_dir.mkdir(parents=True)
+    (run_dir / "run.json").write_text(text)
+    (run_dir / "metrics.csv").write_text("epoch\n0\n")
+    assert main(["curves", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(run_dir / "run.json") in err
 
 
 def test_uniform_ensemble_equals_ast_pseudo_labels_single_source():

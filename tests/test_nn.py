@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from crma.autodiff import DimensionError, Tensor
-from crma.nn import CrmaModel, FeatureExtractor, classifier_group, parameters_digest
+from crma.nn import CrmaModel, classifier_group, parameters_digest
+
+from oracles import group_parameters
 
 
 def small_model(seed=0, num_domains=2, num_classes=3):
@@ -17,24 +19,24 @@ def small_model(seed=0, num_domains=2, num_classes=3):
 
 
 def test_zero_extractor_gives_zero_features():
-    ext = FeatureExtractor(2, (4,), np.random.default_rng(0))
-    ext.params[0].tensor.values[...] = 0.0
-    out = ext.forward(Tensor(np.ones((3, 2))))
+    model = CrmaModel(2, 2, 1, (4,), rng=np.random.default_rng(0))
+    model.extractor_leaves[0].values[...] = 0.0
+    out = model.forward_features(Tensor(np.ones((3, 2))))
     np.testing.assert_array_equal(out.values, np.zeros((3, 4)))
 
 
 def test_identity_extractor_passes_nonnegative_inputs_through():
-    ext = FeatureExtractor(2, (2,), np.random.default_rng(0))
-    ext.params[0].tensor.values[...] = np.eye(2)
+    model = CrmaModel(2, 2, 1, (2,), rng=np.random.default_rng(0))
+    model.extractor_leaves[0].values[...] = np.eye(2)
     x = np.array([[0.5, 1.0], [2.0, 0.0]])
-    out = ext.forward(Tensor(x))
+    out = model.forward_features(Tensor(x))
     np.testing.assert_array_equal(out.values, x)
 
 
 def test_extractor_rejects_wrong_width():
-    ext = FeatureExtractor(2, (4,), np.random.default_rng(0))
+    model = CrmaModel(2, 2, 1, (4,), rng=np.random.default_rng(0))
     with pytest.raises(DimensionError):
-        ext.forward(Tensor(np.zeros((3, 5))))
+        model.forward_features(Tensor(np.zeros((3, 5))))
 
 
 def test_seeded_init_is_bit_exact():
@@ -50,8 +52,8 @@ def test_seeded_init_is_bit_exact():
 def test_identical_heads_predict_identically():
     model = small_model()
     for pa, pb in zip(
-        model.group_parameters(classifier_group(0, "a")),
-        model.group_parameters(classifier_group(0, "b")),
+        group_parameters(model, classifier_group(0, "a")),
+        group_parameters(model, classifier_group(0, "b")),
     ):
         pb.tensor.values[...] = pa.tensor.values
     feats = model.forward_features(np.random.default_rng(2).standard_normal((5, 2)))
@@ -61,7 +63,7 @@ def test_identical_heads_predict_identically():
 
 def test_zero_logit_head_is_uniform():
     model = small_model(num_classes=2)
-    for p in model.group_parameters(classifier_group(0, "a")):
+    for p in group_parameters(model, classifier_group(0, "a")):
         p.tensor.values[...] = 0.0
     feats = model.forward_features(np.ones((3, 2)))
     pred_a, _ = model.predict_pair(0, feats)
@@ -86,8 +88,8 @@ def test_domain_index_out_of_range():
 def test_final_prediction_single_pair_equal_heads():
     model = small_model(num_domains=1)
     for pa, pb in zip(
-        model.group_parameters(classifier_group(0, "a")),
-        model.group_parameters(classifier_group(0, "b")),
+        group_parameters(model, classifier_group(0, "a")),
+        group_parameters(model, classifier_group(0, "b")),
     ):
         pb.tensor.values[...] = pa.tensor.values
     x = np.random.default_rng(5).standard_normal((4, 2))
@@ -99,7 +101,7 @@ def test_final_prediction_single_pair_equal_heads():
 
 def test_final_prediction_uniform_ties_break_low():
     model = small_model()
-    for p in model.group_parameters("classifier"):
+    for p in group_parameters(model, "classifier"):
         p.tensor.values[...] = 0.0
     probs, labels = model.final_prediction(np.random.default_rng(6).standard_normal((5, 2)))
     np.testing.assert_allclose(probs, 1.0 / 3.0)
@@ -133,7 +135,7 @@ def test_shared_extractor_perturbation_reaches_every_head():
         for m in range(2)
         for br in ("a", "b")
     }
-    model.extractor.params[0].tensor.values += 0.1
+    model.extractor_leaves[0].values += 0.1
     for m in range(2):
         feats = model.forward_features(x)
         pred_a, pred_b = model.predict_pair(m, feats)
@@ -146,7 +148,7 @@ def test_head_perturbation_is_local():
     x = np.random.default_rng(9).standard_normal((6, 2))
     feats = model.forward_features(x)
     before = model.head_probs(feats).values.copy()
-    model.group_parameters(classifier_group(0, "a"))[0].tensor.values += 0.1
+    group_parameters(model, classifier_group(0, "a"))[0].tensor.values += 0.1
     after = model.head_probs(feats).values
     # rows in (domain, branch) order: (0, a), (0, b), (1, a), (1, b)
     assert not np.allclose(after[0], before[0])
@@ -163,12 +165,12 @@ def test_final_prediction_invariant_to_domain_order():
     for new_m, old_m in enumerate(perm):
         for branch in ("a", "b"):
             for p_new, p_old in zip(
-                permuted.group_parameters(classifier_group(new_m, branch)),
-                model.group_parameters(classifier_group(old_m, branch)),
+                group_parameters(permuted, classifier_group(new_m, branch)),
+                group_parameters(model, classifier_group(old_m, branch)),
             ):
                 p_new.tensor.values[...] = p_old.tensor.values
-    for p_new, p_old in zip(permuted.extractor.params, model.extractor.params):
-        p_new.tensor.values[...] = p_old.tensor.values
+    for p_new, p_old in zip(permuted.extractor_leaves, model.extractor_leaves):
+        p_new.values[...] = p_old.values
     probs_perm, _ = permuted.final_prediction(x)
     np.testing.assert_allclose(probs_perm, probs, atol=1e-12)
 

@@ -1,4 +1,5 @@
-"""Every module-level function and class in ``src/crma`` has a caller outside the tests.
+"""Every module-level function and class in ``src/crma``, and every public method
+and property of those classes, has a caller outside the tests.
 
 A definition that only tests reach lets an oracle check code that training
 never runs. Reference loops for tests belong in ``tests/oracles.py``.
@@ -26,6 +27,19 @@ def _referenced_names(node):
     return []
 
 
+def _definitions(tree):
+    """(label, node) of each module-level function and class, and of each
+    public method and property of those classes (dunders and ``_`` names skipped)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_every_src_definition_has_a_caller_outside_the_tests():
     trees = {
         path: ast.parse(path.read_text())
@@ -40,14 +54,12 @@ def test_every_src_definition_has_a_caller_outside_the_tests():
 
     unreferenced = []
     for path in sorted((ROOT / "src" / "crma").glob("*.py")):
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for label, node in _definitions(trees[path]):
             outside = [
                 (where, line)
                 for where, line in references.get(node.name, [])
                 if where != path or not node.lineno <= line <= node.end_lineno
             ]
             if not outside:
-                unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+                unreferenced.append(f"{path.name}:{node.lineno} {label}")
     assert not unreferenced, f"defined in src/ but only tests use them: {unreferenced}"

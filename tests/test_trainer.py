@@ -34,7 +34,7 @@ from crma.trainer import (
     write_history_csv,
 )
 
-from oracles import ast_beta, domain_weights, pseudo_label
+from oracles import ast_beta, domain_weights, group_parameters, pseudo_label
 
 
 def tiny_task(seed=0, n=80):
@@ -59,7 +59,7 @@ def fresh_state(task, seed=0, momentum=True, **cfg_kwargs):
         head_hidden=cfg.head_hidden,
         rng=np.random.default_rng(seed),
     )
-    optimizer = SgdOptimizer(model.parameters(), momentum=0.9 if momentum else 0.0)
+    optimizer = SgdOptimizer(model, momentum=0.9 if momentum else 0.0)
     return TrainState(
         model=model,
         optimizer=optimizer,
@@ -73,8 +73,8 @@ def first_batch(task, b=16, seed=0):
 
 
 def digests(model):
-    ext = parameters_digest(model.group_parameters(EXTRACTOR_GROUP))
-    clf = parameters_digest(model.group_parameters("classifier"))
+    ext = parameters_digest(group_parameters(model, EXTRACTOR_GROUP))
+    clf = parameters_digest(group_parameters(model, "classifier"))
     return ext, clf
 
 
@@ -112,11 +112,9 @@ def test_source_gradients_stay_in_own_heads():
         loss = source_ce_loss(stack([pred_a.probs, pred_b.probs]), [batch.source_labels[0]])
     state.optimizer.zero_grad()
     tape.backward(loss)
-    for p in model.parameters():
-        if p.group.startswith("classifier.0"):
-            assert p.grad is not None
-        elif p.group != EXTRACTOR_GROUP:
-            assert not np.any(p.grad)  # the other heads' rows of the slots stay zero
+    for leaf in model.head_leaves:
+        assert leaf.grad is not None
+        assert not np.any(leaf.grad[2:])  # the other heads' rows of the leaves stay zero
 
 
 def test_step_classifiers_freezes_extractor():
@@ -196,16 +194,15 @@ def test_phases_skip_their_frozen_side():
     state = fresh_state(task, seed=9)
     model = state.model
     batch = first_batch(task)
-    extractor = model.group_parameters(EXTRACTOR_GROUP)
-    heads = model.group_parameters("classifier")
+    extractor, heads = model.extractor_leaves, model.head_leaves
 
     step_classifiers(state, batch, lr=1e-3)
-    assert all(p.grad is None for p in extractor)
-    assert all(p.grad is not None for p in heads)
+    assert all(t.grad is None for t in extractor)
+    assert all(t.grad is not None for t in heads)
 
     step_extractor(state, batch, lr=1e-3)
-    assert all(p.grad is None for p in heads)
-    assert all(p.grad is not None for p in extractor)
+    assert all(t.grad is None for t in heads)
+    assert all(t.grad is not None for t in extractor)
     # freezing is scoped to the phase's forward pass
     assert all(t.requires_grad for t in (*model.extractor_leaves, *model.head_leaves))
 
@@ -312,10 +309,10 @@ def test_step_ast_zero_gradient_when_heads_match_pseudo():
     task = tiny_task(seed=13)
     state = fresh_state(task, seed=13, momentum=False)
     model = state.model
-    reference = model.group_parameters(classifier_group(0, "a"))
+    reference = group_parameters(model, classifier_group(0, "a"))
     for m in range(model.num_domains):
         for branch in ("a", "b"):
-            for p_dst, p_src in zip(model.group_parameters(classifier_group(m, branch)), reference):
+            for p_dst, p_src in zip(group_parameters(model, classifier_group(m, branch)), reference):
                 p_dst.tensor.values[...] = p_src.tensor.values
     batch = first_batch(task)
     before = parameters_digest(model.parameters())
@@ -394,13 +391,13 @@ def test_golden_bits_of_the_stacked_head_storage(tmp_path):
 
     model = CrmaModel(2, 2, 3, rng=np.random.default_rng(2024))
     assert parameters_digest(model.parameters()) == GOLDEN_FRESH_MODEL_DIGEST
-    state = TrainState(model, SgdOptimizer(model.parameters()), ConfidenceTracker(3), TrainConfig())
+    state = TrainState(model, SgdOptimizer(model), ConfidenceTracker(3), TrainConfig())
     checkpoint = hashlib.sha256(checkpoint_bytes(state, tmp_path)).hexdigest()
     assert checkpoint == GOLDEN_FRESH_CHECKPOINT_SHA256
-    # a head's tensor is a writable view of its row of the slot
-    slot = model.head_slots[0]
+    # a head's tensor is a writable view of its row of the leaf
+    slot = model.head_leaves[0]
     before = slot.values.copy()
-    model.group_parameters(classifier_group(1, "b"))[0].tensor.values[...] += 1.0
+    group_parameters(model, classifier_group(1, "b"))[0].tensor.values[...] += 1.0
     changed = np.any(slot.values != before, axis=(1, 2))
     assert changed.tolist() == [False, False, False, True, False, False]
     np.testing.assert_array_equal(slot.values[3], before[3] + 1.0)
@@ -450,7 +447,7 @@ def test_all_ablations_off_equals_pure_source_loop():
     from crma.seeds import stream_rng, stream_seed
 
     model = CrmaModel(2, 2, task.num_sources, (16, 8), (8,), rng=stream_rng(15, "init"))
-    optimizer = SgdOptimizer(model.parameters(), momentum=0.9)
+    optimizer = SgdOptimizer(model, momentum=0.9)
     iterator = BatchIterator(task.sources, task.target, 16, stream_seed(15, "shuffle"))
     stream = iter(iterator)
     for _ in range(2 * iterator.batches_per_epoch):
@@ -558,11 +555,11 @@ def test_extractor_lr_multiplier_slows_extractor():
     deltas = {}
     for mult in (1.0, 0.1):
         state = fresh_state(task, seed=19, extractor_lr_multiplier=mult, momentum=False)
-        before = [p.tensor.values.copy() for p in state.model.extractor.params]
+        before = [t.values.copy() for t in state.model.extractor_leaves]
         step_source(state, batch, lr=1e-2)
-        after = state.model.extractor.params
+        after = state.model.extractor_leaves
         deltas[mult] = sum(
-            float(np.abs(a.tensor.values - b).sum()) for a, b in zip(after, before)
+            float(np.abs(a.values - b).sum()) for a, b in zip(after, before)
         )
     assert deltas[0.1] < deltas[1.0]
     assert deltas[0.1] == pytest.approx(0.1 * deltas[1.0], rel=1e-9)
@@ -627,7 +624,7 @@ def small_state(seed=0, num_domains=2, num_classes=3):
         rng=np.random.default_rng(seed),
     )
     return TrainState(
-        model, SgdOptimizer(model.parameters()), ConfidenceTracker(num_domains), TrainConfig()
+        model, SgdOptimizer(model), ConfidenceTracker(num_domains), TrainConfig()
     )
 
 
@@ -780,12 +777,20 @@ def test_trainer_checkpoint_rejects_trailing_bytes_and_foreign_tracker(tmp_path)
     with pytest.raises(FormatError, match="unsupported trainer checkpoint version 99"):
         load_checkpoint(tmp_path / "v99.ckpt", state.config)
 
-    # a tracker sized for 2 domains next to a 3-domain model is 16 bytes
-    # short of what the 44-byte header implies
-    state.tracker = ConfidenceTracker(2)
-    save_checkpoint(state, tmp_path / "foreign.ckpt")
+    # the file a 2-domain tracker would give a 3-domain model: the third
+    # domain's sum and count cut, 16 bytes short of what the 44-byte header implies
+    tracker = size - 16 - 48  # sums (3 f8) and counts (3 i8), then two u64 counters
+    data = path.read_bytes()
+    cut = data[: tracker + 16] + data[tracker + 24 : tracker + 40] + data[size - 16 :]
+    (tmp_path / "short.ckpt").write_bytes(cut)
     with pytest.raises(FormatError, match=f"{size - 60} bytes are left at offset 44, {size - 44}"):
-        load_checkpoint(tmp_path / "foreign.ckpt", state.config)
+        load_checkpoint(tmp_path / "short.ckpt", state.config)
+
+    # saving such a state fails before any file is written
+    state.tracker = ConfidenceTracker(2)
+    with pytest.raises(ValueError, match="tracker has 2 domains, the model has 3"):
+        save_checkpoint(state, tmp_path / "foreign.ckpt")
+    assert not (tmp_path / "foreign.ckpt").exists()
 
 
 def test_history_csv_schema():
