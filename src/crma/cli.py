@@ -15,14 +15,18 @@ run i are derived as base seed + i for both the task and the trainer, so
 methods see paired tasks. Each finished run prints a progress line to stderr.
 Exit codes: 0 ok, 1 config or usage error, 2 diverged run (its partial
 metrics and the finished runs' results and summary are written first).
+Every file is written beside its final name and then moved over it, so a
+killed or failed write leaves the previous file whole.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -129,6 +133,9 @@ def _methods(value: str) -> tuple[str, ...]:
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
     if not methods:
         raise ValueError(f"name at least one of {METHODS}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"methods listed more than once: {repeated}")
     return methods
 
 
@@ -318,9 +325,26 @@ def ablation_variants(cfg: ExperimentConfig) -> list[Variant]:
     return variants
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Yields a temporary path beside ``path`` and moves it over ``path`` when
+    the block succeeds; the temporary file is removed either way."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _replacing(path) as tmp:
+        tmp.write_text(text)
+
+
 def _write_metrics(run_dir: Path, history: Sequence[dict], num_domains: int) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "metrics.csv", "w") as f:
+    with _replacing(run_dir / "metrics.csv") as tmp, open(tmp, "w") as f:
         write_history_csv(history, num_domains, f)
 
 
@@ -336,8 +360,11 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
     """
     out_root = Path(cfg.output_dir)
     runs_dir = out_root / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-    (out_root / "effective.cfg").write_text(effective_config_text(cfg))
+    try:
+        runs_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"run.output_dir {cfg.output_dir!r}: {exc.strerror}") from exc
+    _write_text(out_root / "effective.cfg", effective_config_text(cfg))
 
     tasks = [generate_task(replace(cfg.task, seed=cfg.task.seed + i)) for i in range(cfg.num_seeds)]
     records = []
@@ -363,7 +390,8 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
                 raise
             accuracy = history[-1]["target_acc"]
             _write_metrics(run_dir, history, task.num_sources)
-            save_checkpoint(state, run_dir / "model.ckpt")
+            with _replacing(run_dir / "model.ckpt") as tmp:
+                save_checkpoint(state, tmp)
             meta = {
                 "method": variant.method,
                 "intra_da": variant.flags.intra_da,
@@ -373,7 +401,7 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
                 "epochs": train_cfg.epochs,
                 "final_acc": accuracy,
             }
-            (run_dir / "run.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
+            _write_text(run_dir / "run.json", json.dumps(meta, sort_keys=True, indent=1))
             records.append(RunRecord(variant, train_cfg.seed, accuracy, str(run_dir)))
             print(
                 f"{variant.label} seed {train_cfg.seed}: target_acc {accuracy:.4f} "
@@ -409,7 +437,7 @@ def aggregate(records: Sequence[RunRecord]) -> list[dict]:
 
 def write_results(cfg: ExperimentConfig, records: Sequence[RunRecord]) -> list[dict]:
     out_root = Path(cfg.output_dir)
-    with open(out_root / "results.csv", "w") as f:
+    with _replacing(out_root / "results.csv") as tmp, open(tmp, "w") as f:
         f.write("method,intra_da,inter_da,ast,seed,target_acc\n")
         for r in records:
             v = r.variant
@@ -418,15 +446,14 @@ def write_results(cfg: ExperimentConfig, records: Sequence[RunRecord]) -> list[d
                 f"{int(v.flags.ast)},{r.seed},{r.accuracy!r}\n"
             )
     summary = aggregate(records)
-    with open(out_root / "summary.csv", "w") as f:
+    with _replacing(out_root / "summary.csv") as tmp, open(tmp, "w") as f:
         f.write("method,intra_da,inter_da,ast,num_seeds,acc_mean,acc_std\n")
         for row in summary:
             f.write(
                 f"{row['method']},{int(row['intra_da'])},{int(row['inter_da'])},"
                 f"{int(row['ast'])},{row['num_seeds']},{row['acc_mean']!r},{row['acc_std']!r}\n"
             )
-    text = render_table(summary)
-    (out_root / "summary.txt").write_text(text)
+    _write_text(out_root / "summary.txt", render_table(summary))
     return summary
 
 
@@ -461,21 +488,24 @@ def emit_curves(output_dir) -> Path:
                 f"{int(meta['inter_da'])},{int(meta['ast'])},{meta['seed']},"
                 f"{meta['epochs']},{meta['final_acc']!r}"
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            # a killed sweep can leave a truncated or partial run.json
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            # a truncated, partial or non-UTF-8 run.json
             raise ConfigError(f"{meta_path}: malformed run record ({exc!r})") from exc
-        csv_lines = csv_path.read_text().strip().splitlines()
-        n_rows = len(csv_lines) - 1
+        try:
+            n_rows = len(csv_path.read_text().strip().splitlines()) - 1
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{csv_path}: not UTF-8 text ({exc})") from exc
         if n_rows != meta["epochs"]:
             raise ConfigError(
                 f"{csv_path}: expected {meta['epochs']} epoch rows, found {n_rows}"
             )
         entries.append(entry)
     manifest = out_root / "manifest.csv"
-    manifest.write_text(
+    _write_text(
+        manifest,
         "run_dir,method,intra_da,inter_da,ast,seed,epochs,final_acc\n"
         + "\n".join(entries)
-        + ("\n" if entries else "")
+        + ("\n" if entries else ""),
     )
     return manifest
 
@@ -494,10 +524,11 @@ def _parse_overrides(extra: Sequence[str]) -> dict[str, str]:
 
 
 def _load_experiment(args, extra: Sequence[str]) -> ExperimentConfig:
-    path = Path(args.config)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {args.config}")
-    kv = parse_config_text(path.read_text())
+    try:
+        text = Path(args.config).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+    kv = parse_config_text(text)
     kv.update(_parse_overrides(extra))
     if args.seed is not None:
         kv["task.seed"] = kv["train.seed"] = args.seed

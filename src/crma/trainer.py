@@ -10,8 +10,8 @@ target features feed every head, and the M source batches, which share
 one grouped extractor pass, feed their own pairs. The two phases that
 update one side only switch ``requires_grad`` off on the other side's
 leaves for the whole phase, so its subgraph is never recorded and its
-gradients are never computed. The optimizer steps whole storage leaves:
-all of them, or the side the phase trains.
+gradients are never computed, and the optimizer steps only the leaves
+left trainable, as whole arrays.
 
 Checkpoints have one format, owned here: the storage leaves, one velocity
 per leaf, the confidence tracker and the counters.
@@ -135,35 +135,30 @@ class ConfidenceTracker:
 
 
 class SgdOptimizer:
-    """SGD with optional momentum over a model's two tuples of storage leaves.
+    """SGD with optional momentum over a model's storage leaves.
 
-    Each leaf has one velocity buffer. ``step`` updates the given leaves, or
-    all of them, as whole arrays; every other leaf keeps both its values
-    and its velocity bit-identical.
+    ``leaves`` is ``(*extractor_leaves, *head_leaves)`` and ``velocities``
+    holds one buffer per leaf in the same order. ``step`` updates exactly
+    the leaves whose ``requires_grad`` is set, as whole arrays; every other
+    leaf keeps both its values and its velocity bit-identical.
     """
 
     def __init__(self, model: CrmaModel, momentum: float = MOMENTUM):
         self.momentum = momentum
-        # id(leaf) -> (leaf, its velocity, whether it is an extractor leaf)
-        self._leaves = {
-            id(leaf): (leaf, np.zeros_like(leaf.values), extractor)
-            for leaves, extractor in ((model.extractor_leaves, True), (model.head_leaves, False))
-            for leaf in leaves
-        }
-
-    def velocity(self, leaf: Tensor) -> np.ndarray:
-        """The velocity buffer of a storage leaf; writes to it are kept."""
-        return self._leaves[id(leaf)][1]
+        self.leaves = (*model.extractor_leaves, *model.head_leaves)
+        self.velocities = tuple(np.zeros_like(leaf.values) for leaf in self.leaves)
+        self._num_extractor = len(model.extractor_leaves)
 
     def zero_grad(self) -> None:
-        for leaf, _, _ in self._leaves.values():
+        for leaf in self.leaves:
             leaf.zero_grad()
 
-    def step(self, lr: float, extractor_lr_multiplier: float = 1.0, leaves=None) -> None:
-        entries = self._leaves.values() if leaves is None else [self._leaves[id(t)] for t in leaves]
-        for leaf, velocity, extractor in entries:
+    def step(self, lr: float, extractor_lr_multiplier: float = 1.0) -> None:
+        for i, (leaf, velocity) in enumerate(zip(self.leaves, self.velocities)):
+            if not leaf.requires_grad:
+                continue
             grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.values)
-            rate = lr * (extractor_lr_multiplier if extractor else 1.0)
+            rate = lr * (extractor_lr_multiplier if i < self._num_extractor else 1.0)
             if self.momentum > 0:
                 velocity *= self.momentum
                 velocity += grad
@@ -215,7 +210,8 @@ def _loss_value(loss: Tensor, state: TrainState) -> float:
 @contextlib.contextmanager
 def _frozen(leaves: Sequence[Tensor]):
     """Treat ``leaves`` as constants: ops on them alone record no tape node,
-    and a backward run inside the block computes no gradient for them."""
+    a backward run inside the block computes no gradient for them, and an
+    optimizer step inside it leaves their values and velocities as they are."""
     flags = [t.requires_grad for t in leaves]
     for t in leaves:
         t.requires_grad = False
@@ -226,12 +222,10 @@ def _frozen(leaves: Sequence[Tensor]):
             t.requires_grad = flag
 
 
-def _apply(state: TrainState, tape: Tape, loss: Tensor, lr: float, leaves=None) -> None:
+def _apply(state: TrainState, tape: Tape, loss: Tensor, lr: float) -> None:
     state.optimizer.zero_grad()
     tape.backward(loss)
-    state.optimizer.step(
-        lr, extractor_lr_multiplier=state.config.extractor_lr_multiplier, leaves=leaves
-    )
+    state.optimizer.step(lr, extractor_lr_multiplier=state.config.extractor_lr_multiplier)
 
 
 def step_source(state: TrainState, batch: DomainBatch, lr: float) -> float:
@@ -262,7 +256,7 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
             intra = losses.intra_consistency_loss(model.head_probs(target_feats))
             objective = losses.classifier_objective(src_loss, intra)
         _loss_value(objective, state)  # guards both component losses
-        _apply(state, tape, objective, lr, leaves=model.head_leaves)
+        _apply(state, tape, objective, lr)
     return src_loss.item(), intra.item()
 
 
@@ -291,7 +285,7 @@ def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
             _loss_value(objective, state)
             if first_values is None:
                 first_values = (intra.item(), inter.item())
-            _apply(state, tape, objective, lr, leaves=model.extractor_leaves)
+            _apply(state, tape, objective, lr)
     return first_values
 
 
@@ -451,17 +445,16 @@ def write_history_csv(history: Sequence[dict], num_domains: int, fileobj: IO[str
 
 
 class _Reader:
-    """Byte reader that reports the offset of any truncation."""
+    """Checkpoint byte reader that reports the offset of any truncation."""
 
-    def __init__(self, data: bytes, what: str):
+    def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
-        self.what = what
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
             raise FormatError(
-                f"truncated {self.what}: needed {n} bytes at offset {self.pos}, "
+                f"truncated trainer checkpoint: needed {n} bytes at offset {self.pos}, "
                 f"file has {len(self.data)}"
             )
         chunk = self.data[self.pos : self.pos + n]
@@ -470,18 +463,6 @@ class _Reader:
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def fill(self, out: np.ndarray) -> None:
-        """Read ``out``'s entries, stored little-endian in C order, into it."""
-        out.flat = np.frombuffer(self.take(out.nbytes), out.dtype.newbyteorder("<"))
-
-    def expect_end(self) -> None:
-        """Reject bytes left over after the last field."""
-        if self.pos != len(self.data):
-            raise FormatError(
-                f"malformed {self.what}: data ends at offset {self.pos}, "
-                f"file has {len(self.data)} bytes ({len(self.data) - self.pos} trailing)"
-            )
 
 
 def _mlp_size(widths: Sequence[int]) -> int:
@@ -492,8 +473,8 @@ def _mlp_size(widths: Sequence[int]) -> int:
 def _stored_arrays(state: TrainState) -> list[np.ndarray]:
     """The arrays a checkpoint stores after its header, in file order."""
     leaves = (*state.model.extractor_leaves, *state.model.head_leaves)
-    velocities = map(state.optimizer.velocity, leaves)
-    return [*(t.values for t in leaves), *velocities, state.tracker.sums, state.tracker.counts]
+    return [*(t.values for t in leaves), *state.optimizer.velocities, state.tracker.sums,
+            state.tracker.counts]
 
 
 def save_checkpoint(state: TrainState, path) -> None:
@@ -521,7 +502,7 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
     """The state ``save_checkpoint`` wrote; the optimizer's momentum comes from ``config``."""
     with open(path, "rb") as f:
         data = f.read()
-    r = _Reader(data, "trainer checkpoint")
+    r = _Reader(data)
     if r.take(8) != CHECKPOINT_MAGIC:
         raise FormatError("bad trainer checkpoint magic")
     (version,) = r.unpack("<I")
@@ -546,17 +527,22 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
     count = _mlp_size(widths) + 2 * num_domains * _mlp_size((widths[-1], *head_hidden, num_classes))
     # values and velocities, tracker sums and counts, two counters
     size = 8 * (2 * count + 2 * num_domains + 2)
-    if size > len(data) - r.pos:
+    left = len(data) - r.pos
+    if size > left:
         raise FormatError(
             f"truncated trainer checkpoint: the header implies {count} parameters, "
-            f"{len(data) - r.pos} bytes are left at offset {r.pos}, {size} needed"
+            f"{left} bytes are left at offset {r.pos}, {size} needed"
+        )
+    if size < left:
+        raise FormatError(
+            f"malformed trainer checkpoint: data ends at offset {r.pos + size}, "
+            f"file has {len(data)} bytes ({left - size} trailing)"
         )
     model = CrmaModel(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
     momentum = MOMENTUM if config.optimizer == "sgd_momentum" else 0.0
     optimizer = SgdOptimizer(model, momentum=momentum)
     state = TrainState(model, optimizer, ConfidenceTracker(num_domains), config)
     for a in _stored_arrays(state):
-        r.fill(a)
+        a.flat = np.frombuffer(r.take(a.nbytes), a.dtype.newbyteorder("<"))
     state.iteration, state.epoch = r.unpack("<QQ")
-    r.expect_end()
     return state

@@ -488,6 +488,15 @@ def single_source_task(seed):
     )
 
 
+def step_one_side(optimizer, lr, frozen):
+    """An optimizer step with ``frozen``'s requires_grad switched off around it."""
+    for t in frozen:
+        t.requires_grad = False
+    optimizer.step(lr)
+    for t in frozen:
+        t.requires_grad = True
+
+
 def hand_single_source_variant(task, cfg, iterations):
     """Directly coded single-source discrepancy min/max plus self-training."""
     model = CrmaModel(
@@ -534,14 +543,14 @@ def hand_single_source_variant(task, cfg, iterations):
             loss = ce() - gap_loss
         optimizer.zero_grad()
         tape.backward(loss)
-        optimizer.step(cfg.base_lr, leaves=model.head_leaves)
+        step_one_side(optimizer, cfg.base_lr, frozen=model.extractor_leaves)
 
         # phase 3: extractor minimizes the pair gap (inter term is empty)
         with Tape() as tape:
             loss, _, _ = pair_gap()
         optimizer.zero_grad()
         tape.backward(loss)
-        optimizer.step(cfg.base_lr, leaves=model.extractor_leaves)
+        step_one_side(optimizer, cfg.base_lr, frozen=model.head_leaves)
 
         # phase 4: self-training toward the fused (single-domain) pseudo-label
         with Tape() as tape:

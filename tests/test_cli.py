@@ -24,6 +24,7 @@ from crma.cli import (
     _variant_for,
 )
 from crma.data import generate_task
+from crma.trainer import save_checkpoint
 
 TINY = """
 # small everything so the suite stays fast
@@ -111,6 +112,7 @@ def test_bad_values_are_config_errors():
         {"task.seed": "-1"},
         {"train.seed": "-1"},
         {"run.methods": ""},
+        {"run.methods": "crma,crma"},
     ):
         with pytest.raises(ConfigError):
             build_experiment_config(kv)
@@ -200,8 +202,46 @@ def test_cli_unknown_key_exits_one(tmp_path, capsys):
     assert "train.alpha" in capsys.readouterr().err
 
 
-def test_cli_missing_config_exits_one(tmp_path):
-    assert main(["run", str(tmp_path / "nope.cfg")]) == 1
+def test_cli_missing_config_exits_one(tmp_path, capsys):
+    # a loop keeps the test's id; the second config file is not UTF-8 text
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
+    for name in ("nope.cfg", "binary.cfg"):
+        assert main(["run", str(tmp_path / name)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and name in err
+
+
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"not a directory")
+    for out in (blocker, blocker / "under"):
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.output_dir") and str(out) in err
+    assert blocker.read_bytes() == b"not a directory"
+
+
+def test_rerun_whose_checkpoint_write_fails_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
+    import crma.cli as cli_module
+
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    argv = ["run", str(cfg_path), "--out", str(out), "--run.num_seeds=1", "--run.methods=crma"]
+    assert main(argv) == 0
+    run_dir = out / "runs" / "crma_seed0"
+    earlier = (run_dir / "model.ckpt").read_bytes()
+
+    def fails_half_way(state, path):
+        save_checkpoint(state, path)
+        Path(path).write_bytes(Path(path).read_bytes()[: len(earlier) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli_module, "save_checkpoint", fails_half_way)
+    with pytest.raises(OSError, match="No space left"):
+        main(argv)
+    assert (run_dir / "model.ckpt").read_bytes() == earlier
+    assert sorted(p.name for p in run_dir.iterdir()) == ["metrics.csv", "model.ckpt", "run.json"]
 
 
 @pytest.mark.parametrize("argv", [["run"], ["frobnicate"]], ids=["no-config", "unknown-command"])
@@ -404,20 +444,31 @@ def test_emit_curves_manifest(tmp_path):
     assert main(["curves", str(tmp_path / "missing")]) == 1
 
 
-@pytest.mark.parametrize(
-    "text",
-    ['{"method": "crma", "epo', '{"method": "crma", "seed": 0, "final_acc": 0.5}'],
-    ids=["truncated", "no-epochs"],
+GOOD_RUN_JSON = (
+    b'{"method": "crma", "intra_da": true, "inter_da": true, "ast": true, '
+    b'"seed": 0, "epochs": 1, "final_acc": 0.5}'
 )
-def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, text):
-    # what a killed sweep can leave behind
+
+
+@pytest.mark.parametrize(
+    "run_json, metrics, bad",
+    [
+        (b'{"method": "crma", "epo', b"epoch\n0\n", "run.json"),
+        (b'{"method": "crma", "seed": 0, "final_acc": 0.5}', b"epoch\n0\n", "run.json"),
+        (b"\xff\xfe\x00", b"epoch\n0\n", "run.json"),
+        (GOOD_RUN_JSON, b"epoch\n\xff\n", "metrics.csv"),
+    ],
+    ids=["truncated", "no-epochs", "non-utf8", "non-utf8-metrics"],
+)
+def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_json, metrics, bad):
+    # what a killed sweep or another program can leave behind
     run_dir = tmp_path / "out" / "runs" / "crma_seed0"
     run_dir.mkdir(parents=True)
-    (run_dir / "run.json").write_text(text)
-    (run_dir / "metrics.csv").write_text("epoch\n0\n")
+    (run_dir / "run.json").write_bytes(run_json)
+    (run_dir / "metrics.csv").write_bytes(metrics)
     assert main(["curves", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and str(run_dir / "run.json") in err
+    assert err.startswith("config error: ") and str(run_dir / bad) in err
 
 
 def test_uniform_ensemble_equals_ast_pseudo_labels_single_source():

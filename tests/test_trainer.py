@@ -207,6 +207,22 @@ def test_phases_skip_their_frozen_side():
     assert all(t.requires_grad for t in (*model.extractor_leaves, *model.head_leaves))
 
 
+def test_step_keeps_a_frozen_leaf_and_its_velocity():
+    task = tiny_task(seed=9)
+    state = fresh_state(task, seed=9)
+    optimizer = state.optimizer
+    step_source(state, first_batch(task), lr=1e-3)  # leaves every velocity nonzero
+    frozen, trained = optimizer.leaves[0], optimizer.leaves[1]
+    for leaf in (frozen, trained):
+        leaf.grad = np.ones_like(leaf.values)
+    before = [a.copy() for a in (frozen.values, optimizer.velocities[0], trained.values)]
+    frozen.requires_grad = False
+    optimizer.step(1e-3)
+    assert frozen.values.tobytes() == before[0].tobytes()
+    assert optimizer.velocities[0].tobytes() == before[1].tobytes()
+    assert not np.array_equal(trained.values, before[2])
+
+
 def test_tape_entries_per_phase(monkeypatch):
     # M=3 sources, two extractor layers, two head layers: the benchmark's shape
     task = tiny_task(seed=9)
@@ -742,12 +758,10 @@ def test_checkpoint_round_trip_and_resumed_evaluation(tmp_path):
     assert parameters_digest(restored.model.parameters()) == parameters_digest(
         state.model.parameters()
     )
-    leaves = (*state.model.extractor_leaves, *state.model.head_leaves)
-    restored_leaves = (*restored.model.extractor_leaves, *restored.model.head_leaves)
-    for leaf, restored_leaf in zip(leaves, restored_leaves, strict=True):
-        np.testing.assert_array_equal(
-            restored.optimizer.velocity(restored_leaf), state.optimizer.velocity(leaf)
-        )
+    for restored_velocity, velocity in zip(
+        restored.optimizer.velocities, state.optimizer.velocities, strict=True
+    ):
+        np.testing.assert_array_equal(restored_velocity, velocity)
     np.testing.assert_array_equal(restored.tracker.sums, state.tracker.sums)
     np.testing.assert_array_equal(restored.tracker.counts, state.tracker.counts)
     assert (restored.iteration, restored.epoch) == (state.iteration, state.epoch)
