@@ -89,7 +89,6 @@ class RunRecord:
     variant: Variant
     seed: int
     accuracy: float
-    run_dir: str
 
 
 # config keys ------------------------------------------------------------------
@@ -139,6 +138,12 @@ def _methods(value: str) -> tuple[str, ...]:
     return methods
 
 
+def _directory(value: str) -> str:
+    if not value:
+        raise ValueError("expected a directory path, got an empty one")
+    return value
+
+
 def _degrees(value: str) -> float:
     return math.radians(float(value))
 
@@ -169,7 +174,7 @@ CONFIG_KEYS = (
     ("train.inter_da", _bool, "train.ablation", "inter_da"),
     ("train.ast", _bool, "train.ablation", "ast"),
     ("run.num_seeds", _count, "run", "num_seeds"),
-    ("run.output_dir", str, "run", "output_dir"),
+    ("run.output_dir", _directory, "run", "output_dir"),
     ("run.methods", _methods, "run", "methods"),
 )
 # The ShiftSpec keys under task.source_shifts.<i>. and task.target_shift.:
@@ -402,7 +407,7 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
                 "final_acc": accuracy,
             }
             _write_text(run_dir / "run.json", json.dumps(meta, sort_keys=True, indent=1))
-            records.append(RunRecord(variant, train_cfg.seed, accuracy, str(run_dir)))
+            records.append(RunRecord(variant, train_cfg.seed, accuracy))
             print(
                 f"{variant.label} seed {train_cfg.seed}: target_acc {accuracy:.4f} "
                 f"in {time.perf_counter() - started:.2f} s",

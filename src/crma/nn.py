@@ -46,15 +46,6 @@ def _named(group: str, tensors: Sequence[Tensor]) -> list[Parameter]:
     return [Parameter(f"{group}.layer{i // 2}.{kinds[i % 2]}", group, t) for i, t in enumerate(tensors)]
 
 
-@dataclass
-class Prediction:
-    """Class probabilities of one head."""
-
-    probs: Tensor
-    domain_index: int
-    branch: str
-
-
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -84,12 +75,16 @@ class CrmaModel:
         head_hidden: Sequence[int] = (32,),
         rng: np.random.Generator | None = None,
     ):
-        if input_dim < 1 or not extractor_hidden:
-            raise ValueError("extractor needs input_dim >= 1 and at least one layer")
-        if num_domains < 1:
-            raise ValueError(f"need at least one source domain, got {num_domains}")
-        if num_classes < 2:
-            raise ValueError(f"need at least two classes, got {num_classes}")
+        """Raises ValueError naming the first shape rule broken, before any allocation."""
+        for ok, what in (
+            (input_dim >= 1, f"input_dim {input_dim}, need >= 1"),
+            (bool(extractor_hidden), "no extractor layer, need at least one"),
+            (min((*extractor_hidden, *head_hidden), default=1) >= 1, "a hidden width of 0, need >= 1"),
+            (num_classes >= 2, f"num_classes {num_classes}, need >= 2"),
+            (num_domains >= 1, f"num_domains {num_domains}, need >= 1"),
+        ):
+            if not ok:
+                raise ValueError(what)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.input_dim = int(input_dim)
         self.num_classes = int(num_classes)
@@ -130,8 +125,8 @@ class CrmaModel:
         """
         return softmax(_mlp(features, self.head_leaves, relu_last=False))
 
-    def predict_pair(self, domain_index: int, features: Tensor) -> tuple[Prediction, Prediction]:
-        """One domain's pair on ``features``, read from its rows of the head leaves."""
+    def predict_pair(self, domain_index: int, features: Tensor) -> tuple[Tensor, Tensor]:
+        """Class probabilities of one domain's heads a and b, from its head-leaf rows."""
         if not 0 <= domain_index < self.num_domains:
             raise IndexError(
                 f"domain index {domain_index} out of range for {self.num_domains} domains"
@@ -139,10 +134,7 @@ class CrmaModel:
         rows = slice(2 * domain_index, 2 * domain_index + 2)
         leaves = [index(leaf, rows) for leaf in self.head_leaves]
         probs = softmax(_mlp(features, leaves, relu_last=False))
-        return (
-            Prediction(index(probs, 0), domain_index, "a"),
-            Prediction(index(probs, 1), domain_index, "b"),
-        )
+        return index(probs, 0), index(probs, 1)
 
     def final_prediction(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Average the probability vectors of all 2M heads.

@@ -13,8 +13,8 @@ leaves for the whole phase, so its subgraph is never recorded and its
 gradients are never computed, and the optimizer steps only the leaves
 left trainable, as whole arrays.
 
-Checkpoints have one format, owned here: the storage leaves, one velocity
-per leaf, the confidence tracker and the counters.
+``train`` and ``load_checkpoint`` build the state one way. Checkpoints have
+one format, owned here: leaves, velocities, tracker and counters.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ class FormatError(ValueError):
 class DivergedRunError(RuntimeError):
     """A loss went NaN/Inf or past the ceiling; carries partial history."""
 
-    def __init__(self, message: str, iteration: int, history: list | None = None):
+    def __init__(self, message: str, iteration: int, history: list):
         super().__init__(message)
         self.iteration = iteration
-        self.history = history or []
+        self.history = history
 
 
 @dataclass
@@ -143,7 +143,7 @@ class SgdOptimizer:
     leaf keeps both its values and its velocity bit-identical.
     """
 
-    def __init__(self, model: CrmaModel, momentum: float = MOMENTUM):
+    def __init__(self, model: CrmaModel, momentum: float):
         self.momentum = momentum
         self.leaves = (*model.extractor_leaves, *model.head_leaves)
         self.velocities = tuple(np.zeros_like(leaf.values) for leaf in self.leaves)
@@ -169,13 +169,20 @@ class SgdOptimizer:
 
 @dataclass
 class TrainState:
+    """A model, its config, and the optimizer and tracker they imply."""
+
     model: CrmaModel
-    optimizer: SgdOptimizer
-    tracker: ConfidenceTracker
     config: TrainConfig
     iteration: int = 0
     epoch: int = 0
     history: list = field(default_factory=list)
+    optimizer: SgdOptimizer = field(init=False)
+    tracker: ConfidenceTracker = field(init=False)
+
+    def __post_init__(self) -> None:
+        model, config = self.model, self.config
+        self.optimizer = SgdOptimizer(model, MOMENTUM if config.optimizer == "sgd_momentum" else 0.0)
+        self.tracker = ConfidenceTracker(model.num_domains)
 
 
 def _keep_freed_heap() -> None:
@@ -202,7 +209,7 @@ def _loss_value(loss: Tensor, state: TrainState) -> float:
     value = loss.item()
     if not math.isfinite(value) or abs(value) > LOSS_CEILING:
         raise DivergedRunError(
-            f"loss {value} at iteration {state.iteration}", state.iteration
+            f"loss {value} at iteration {state.iteration}", state.iteration, state.history
         )
     return value
 
@@ -344,21 +351,9 @@ def train(config: TrainConfig, task: GeneratedTask):
     config.validate()
     _keep_freed_heap()
     num_domains = task.num_sources
-    model = CrmaModel(
-        input_dim=task.input_dim,
-        num_classes=task.spec.num_classes,
-        num_domains=num_domains,
-        extractor_hidden=config.extractor_hidden,
-        head_hidden=config.head_hidden,
-        rng=stream_rng(config.seed, "init"),
-    )
-    momentum = MOMENTUM if config.optimizer == "sgd_momentum" else 0.0
-    state = TrainState(
-        model=model,
-        optimizer=SgdOptimizer(model, momentum=momentum),
-        tracker=ConfidenceTracker(num_domains),
-        config=config,
-    )
+    model = CrmaModel(task.input_dim, task.spec.num_classes, num_domains, config.extractor_hidden,
+                      config.head_hidden, stream_rng(config.seed, "init"))
+    state = TrainState(model, config)
     iterator = BatchIterator(
         task.sources, task.target, config.batch_per_domain,
         stream_seed(config.seed, "shuffle"),
@@ -404,9 +399,6 @@ def train(config: TrainConfig, task: GeneratedTask):
             for m in range(num_domains):
                 row[f"bar_L_{m}"] = float(state.tracker.means[m])
             state.history.append(row)
-    except DivergedRunError as err:
-        err.history = state.history
-        raise
     except NumericError as err:
         # a forward overflowed mid-run; surface it as a diverged run
         raise DivergedRunError(
@@ -472,9 +464,8 @@ def _mlp_size(widths: Sequence[int]) -> int:
 
 def _stored_arrays(state: TrainState) -> list[np.ndarray]:
     """The arrays a checkpoint stores after its header, in file order."""
-    leaves = (*state.model.extractor_leaves, *state.model.head_leaves)
-    return [*(t.values for t in leaves), *state.optimizer.velocities, state.tracker.sums,
-            state.tracker.counts]
+    opt, tracker = state.optimizer, state.tracker
+    return [*(t.values for t in opt.leaves), *opt.velocities, tracker.sums, tracker.counts]
 
 
 def save_checkpoint(state: TrainState, path) -> None:
@@ -513,16 +504,7 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
     extractor_hidden = r.unpack(f"<{n_ext}I")
     (n_head,) = r.unpack("<I")
     head_hidden = r.unpack(f"<{n_head}I")
-    # check the header's ranges and size claim before allocating the model it describes
-    for ok, what in (
-        (input_dim >= 1, f"input_dim {input_dim}, need >= 1"),
-        (n_ext >= 1, "no extractor layer, need at least one"),
-        (min((*extractor_hidden, *head_hidden), default=1) >= 1, "a hidden width of 0, need >= 1"),
-        (num_classes >= 2, f"num_classes {num_classes}, need >= 2"),
-        (num_domains >= 1, f"num_domains {num_domains}, need >= 1"),
-    ):
-        if not ok:
-            raise FormatError(f"malformed trainer checkpoint header: {what}")
+    # check the header's size claim before allocating the model it describes
     widths = (input_dim, *extractor_hidden)
     count = _mlp_size(widths) + 2 * num_domains * _mlp_size((widths[-1], *head_hidden, num_classes))
     # values and velocities, tracker sums and counts, two counters
@@ -538,10 +520,11 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
             f"malformed trainer checkpoint: data ends at offset {r.pos + size}, "
             f"file has {len(data)} bytes ({left - size} trailing)"
         )
-    model = CrmaModel(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
-    momentum = MOMENTUM if config.optimizer == "sgd_momentum" else 0.0
-    optimizer = SgdOptimizer(model, momentum=momentum)
-    state = TrainState(model, optimizer, ConfidenceTracker(num_domains), config)
+    try:
+        model = CrmaModel(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
+    except ValueError as exc:
+        raise FormatError(f"malformed trainer checkpoint header: {exc}") from exc
+    state = TrainState(model, config)
     for a in _stored_arrays(state):
         a.flat = np.frombuffer(r.take(a.nbytes), a.dtype.newbyteorder("<"))
     state.iteration, state.epoch = r.unpack("<QQ")

@@ -28,7 +28,6 @@ from crma.nn import EXTRACTOR_GROUP, CrmaModel, classifier_group, parameters_dig
 from crma.seeds import stream_rng, stream_seed
 from crma.trainer import (
     AblationFlags,
-    ConfidenceTracker,
     SgdOptimizer,
     TrainConfig,
     TrainState,
@@ -342,12 +341,7 @@ def test_criterion_4_minmax_dynamics():
             2, 2, task.num_sources, cfg.extractor_hidden, cfg.head_hidden,
             rng=stream_rng(seed, "init"),
         )
-        state = TrainState(
-            model=model,
-            optimizer=SgdOptimizer(model, momentum=0.0),
-            tracker=ConfidenceTracker(task.num_sources),
-            config=cfg,
-        )
+        state = TrainState(model, cfg)
         batch = next(iter(BatchIterator(task.sources, task.target, 128, seed=seed)))
         for _ in range(150):  # source pretraining so the CE gradient is small
             step_source(state, batch, lr=0.05)
@@ -520,14 +514,14 @@ def hand_single_source_variant(task, cfg, iterations):
             n = x_src.shape[0]
             onehot = Tensor(np.eye(2)[y_src])
             return (
-                (pa.probs.log() * onehot).sum() * (-1.0 / n)
-                + (pb.probs.log() * onehot).sum() * (-1.0 / n)
+                (pa.log() * onehot).sum() * (-1.0 / n)
+                + (pb.log() * onehot).sum() * (-1.0 / n)
             )
 
         def pair_gap():
             feats = model.forward_features(x_tgt)
             pa, pb = model.predict_pair(0, feats)
-            gap = (pa.probs - pb.probs).abs()
+            gap = (pa - pb).abs()
             return gap.sum() * (1.0 / (x_tgt.shape[0] * 2)), pa, pb
 
         # phase 1: source supervision on everything
@@ -555,18 +549,18 @@ def hand_single_source_variant(task, cfg, iterations):
         # phase 4: self-training toward the fused (single-domain) pseudo-label
         with Tape() as tape:
             gap_loss, pa, pb = pair_gap()
-            d = np.abs(pa.probs.values - pb.probs.values).sum(axis=1) / 2
+            d = np.abs(pa.values - pb.values).sum(axis=1) / 2
             mean_sum += d.sum()
             count += d.size
             bar = mean_sum / count
-            pseudo = (pa.probs.values + pb.probs.values) / 2
+            pseudo = (pa.values + pb.values) / 2
             raw = 1.0 / np.maximum(d + cfg.lam * bar, 1e-8)
             betas = bar * raw
             n = x_tgt.shape[0]
             log_pseudo = Tensor(np.log(np.maximum(pseudo, 1e-12)))
             weight = Tensor(np.broadcast_to((betas / n)[:, None], pseudo.shape).copy())
-            loss = ((pa.probs.log() - log_pseudo) * pa.probs * weight).sum() + (
-                (pb.probs.log() - log_pseudo) * pb.probs * weight
+            loss = ((pa.log() - log_pseudo) * pa * weight).sum() + (
+                (pb.log() - log_pseudo) * pb * weight
             ).sum()
         optimizer.zero_grad()
         tape.backward(loss)
@@ -587,12 +581,7 @@ def test_criterion_6_degenerate_equivalences():
     hand = hand_single_source_variant(task, cfg, iterations=5)
 
     model = CrmaModel(2, 2, 1, cfg.extractor_hidden, cfg.head_hidden, rng=stream_rng(60, "init"))
-    state = TrainState(
-        model=model,
-        optimizer=SgdOptimizer(model, momentum=0.9),
-        tracker=ConfidenceTracker(1),
-        config=cfg,
-    )
+    state = TrainState(model, cfg)
     stream = iter(
         BatchIterator(task.sources, task.target, 16, stream_seed(60, "shuffle"))
     )
@@ -632,7 +621,7 @@ def test_criterion_6_degenerate_equivalences():
                 model.predict_pair(m, model.forward_features(x))
                 for m, x in enumerate(batch.source_features)
             ]
-            heads = stack([p.probs for pair in pairs for p in pair])
+            heads = stack([p for pair in pairs for p in pair])
             loss = source_ce_loss(heads, batch.source_labels)
         optimizer.zero_grad()
         tape.backward(loss)

@@ -113,6 +113,7 @@ def test_bad_values_are_config_errors():
         {"train.seed": "-1"},
         {"run.methods": ""},
         {"run.methods": "crma,crma"},
+        {"run.output_dir": ""},
     ):
         with pytest.raises(ConfigError):
             build_experiment_config(kv)
@@ -220,6 +221,16 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: run.output_dir") and str(out) in err
     assert blocker.read_bytes() == b"not a directory"
+
+
+def test_empty_out_is_a_config_error_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    cfg_path = write_cfg(tmp_path)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", str(cfg_path), "--out", ""]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert list(cwd.iterdir()) == []
 
 
 def test_rerun_whose_checkpoint_write_fails_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):

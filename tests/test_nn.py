@@ -18,6 +18,25 @@ def small_model(seed=0, num_domains=2, num_classes=3):
     )
 
 
+@pytest.mark.parametrize(
+    "input_dim, extractor_hidden, head_hidden, num_classes, num_domains, what",
+    [
+        (0, (4,), (3,), 2, 1, "input_dim 0"),
+        (2, (), (3,), 2, 1, "no extractor layer"),
+        (2, (4, 0), (3,), 2, 1, "hidden width of 0"),
+        (2, (4,), (0,), 2, 1, "hidden width of 0"),
+        (2, (4,), (3,), 1, 1, "num_classes 1"),
+        (2, (4,), (3,), 2, 0, "num_domains 0"),
+    ],
+    ids=["input-dim", "no-extractor", "extractor-width", "head-width", "classes", "domains"],
+)
+def test_model_rejects_out_of_range_shapes(
+    input_dim, extractor_hidden, head_hidden, num_classes, num_domains, what
+):
+    with pytest.raises(ValueError, match=what):
+        CrmaModel(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
+
+
 def test_zero_extractor_gives_zero_features():
     model = CrmaModel(2, 2, 1, (4,), rng=np.random.default_rng(0))
     model.extractor_leaves[0].values[...] = 0.0
@@ -58,7 +77,7 @@ def test_identical_heads_predict_identically():
         pb.tensor.values[...] = pa.tensor.values
     feats = model.forward_features(np.random.default_rng(2).standard_normal((5, 2)))
     pred_a, pred_b = model.predict_pair(0, feats)
-    np.testing.assert_array_equal(pred_a.probs.values, pred_b.probs.values)
+    np.testing.assert_array_equal(pred_a.values, pred_b.values)
 
 
 def test_zero_logit_head_is_uniform():
@@ -67,14 +86,14 @@ def test_zero_logit_head_is_uniform():
         p.tensor.values[...] = 0.0
     feats = model.forward_features(np.ones((3, 2)))
     pred_a, _ = model.predict_pair(0, feats)
-    np.testing.assert_allclose(pred_a.probs.values, 0.5)
+    np.testing.assert_allclose(pred_a.values, 0.5)
 
 
 def test_random_heads_disagree():
     model = small_model(seed=9)
     feats = model.forward_features(np.random.default_rng(3).standard_normal((8, 2)))
     pred_a, pred_b = model.predict_pair(0, feats)
-    gap = np.abs(pred_a.probs.values - pred_b.probs.values).sum()
+    gap = np.abs(pred_a.values - pred_b.values).sum()
     assert gap > 0
 
 
@@ -96,7 +115,7 @@ def test_final_prediction_single_pair_equal_heads():
     probs, _ = model.final_prediction(x)
     feats = model.forward_features(x)
     pred_a, _ = model.predict_pair(0, feats)
-    np.testing.assert_allclose(probs, pred_a.probs.values, rtol=1e-15)
+    np.testing.assert_allclose(probs, pred_a.values, rtol=1e-15)
 
 
 def test_final_prediction_uniform_ties_break_low():
@@ -119,8 +138,8 @@ def test_final_prediction_matches_brute_force_average():
     count = 0
     for m in range(3):
         pred_a, pred_b = model.predict_pair(m, feats)
-        acc += pred_a.probs.values
-        acc += pred_b.probs.values
+        acc += pred_a.values
+        acc += pred_b.values
         count += 2
     np.testing.assert_allclose(probs, acc / count, rtol=1e-14)
     np.testing.assert_array_equal(labels, np.argmax(acc, axis=1))
@@ -131,7 +150,7 @@ def test_shared_extractor_perturbation_reaches_every_head():
     model = small_model(seed=21)
     x = np.random.default_rng(8).standard_normal((6, 2))
     before = {
-        (m, br): model.predict_pair(m, model.forward_features(x))[0 if br == "a" else 1].probs.values
+        (m, br): model.predict_pair(m, model.forward_features(x))[0 if br == "a" else 1].values
         for m in range(2)
         for br in ("a", "b")
     }
@@ -139,8 +158,8 @@ def test_shared_extractor_perturbation_reaches_every_head():
     for m in range(2):
         feats = model.forward_features(x)
         pred_a, pred_b = model.predict_pair(m, feats)
-        assert not np.allclose(pred_a.probs.values, before[(m, "a")])
-        assert not np.allclose(pred_b.probs.values, before[(m, "b")])
+        assert not np.allclose(pred_a.values, before[(m, "a")])
+        assert not np.allclose(pred_b.values, before[(m, "b")])
 
 
 def test_head_perturbation_is_local():
@@ -183,5 +202,4 @@ def test_all_pairs_pass_matches_each_pair():
     batched = model.head_probs(feats).values
     for m in range(3):
         for h, want in enumerate(model.predict_pair(m, feats)):
-            assert (want.domain_index, want.branch) == (m, "ab"[h])
-            np.testing.assert_allclose(batched[2 * m + h], want.probs.values, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(batched[2 * m + h], want.values, rtol=1e-14, atol=0)

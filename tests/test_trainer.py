@@ -59,13 +59,7 @@ def fresh_state(task, seed=0, momentum=True, **cfg_kwargs):
         head_hidden=cfg.head_hidden,
         rng=np.random.default_rng(seed),
     )
-    optimizer = SgdOptimizer(model, momentum=0.9 if momentum else 0.0)
-    return TrainState(
-        model=model,
-        optimizer=optimizer,
-        tracker=ConfidenceTracker(task.num_sources),
-        config=cfg,
-    )
+    return TrainState(model, cfg)
 
 
 def first_batch(task, b=16, seed=0):
@@ -109,7 +103,7 @@ def test_source_gradients_stay_in_own_heads():
     with Tape() as tape:
         feats = model.forward_features(batch.source_features[0])
         pred_a, pred_b = model.predict_pair(0, feats)
-        loss = source_ce_loss(stack([pred_a.probs, pred_b.probs]), [batch.source_labels[0]])
+        loss = source_ce_loss(stack([pred_a, pred_b]), [batch.source_labels[0]])
     state.optimizer.zero_grad()
     tape.backward(loss)
     for leaf in model.head_leaves:
@@ -278,11 +272,11 @@ def test_step_ast_first_iteration_matches_hand_oracle():
     pairs = [model.predict_pair(m, feats) for m in range(model.num_domains)]
     k = task.spec.num_classes
     d_expected = np.stack(
-        [np.abs(pa.probs.values - pb.probs.values).sum(axis=1) / k for pa, pb in pairs],
+        [np.abs(pa.values - pb.values).sum(axis=1) / k for pa, pb in pairs],
         axis=1,
     )
     means_expected = d_expected.mean(axis=0)  # first batch bootstraps the means
-    mean_preds = np.stack([(pa.probs.values + pb.probs.values) / 2 for pa, pb in pairs])
+    mean_preds = np.stack([(pa.values + pb.values) / 2 for pa, pb in pairs])
 
     result = step_ast(state, batch, lr=1e-3)
     assert result is not None
@@ -407,7 +401,7 @@ def test_golden_bits_of_the_stacked_head_storage(tmp_path):
 
     model = CrmaModel(2, 2, 3, rng=np.random.default_rng(2024))
     assert parameters_digest(model.parameters()) == GOLDEN_FRESH_MODEL_DIGEST
-    state = TrainState(model, SgdOptimizer(model), ConfidenceTracker(3), TrainConfig())
+    state = TrainState(model, TrainConfig())
     checkpoint = hashlib.sha256(checkpoint_bytes(state, tmp_path)).hexdigest()
     assert checkpoint == GOLDEN_FRESH_CHECKPOINT_SHA256
     # a head's tensor is a writable view of its row of the leaf
@@ -473,7 +467,7 @@ def test_all_ablations_off_equals_pure_source_loop():
             for m, x in enumerate(batch.source_features):
                 feats = model.forward_features(x)
                 pairs.append(model.predict_pair(m, feats))
-            heads = stack([p.probs for pair in pairs for p in pair])
+            heads = stack([p for pair in pairs for p in pair])
             loss = source_ce_loss(heads, batch.source_labels)
         optimizer.zero_grad()
         tape.backward(loss)
@@ -639,9 +633,7 @@ def small_state(seed=0, num_domains=2, num_classes=3):
         head_hidden=(5,),
         rng=np.random.default_rng(seed),
     )
-    return TrainState(
-        model, SgdOptimizer(model), ConfidenceTracker(num_domains), TrainConfig()
-    )
+    return TrainState(model, TrainConfig())
 
 
 def checkpoint_bytes(state, tmp_path):
