@@ -7,7 +7,7 @@ confidence-weighted pseudo-label self-training, all differentiated by the
 built-in reverse-mode autodiff engine.
 """
 
-from .autodiff import Tape, Tensor, grad_check
+from .autodiff import Tape, Tensor
 from .data import GeneratedTask, ShiftSpec, TaskSpec, generate_task
 from .nn import CrmaModel
 from .trainer import AblationFlags, TrainConfig, evaluate, train
@@ -25,6 +25,5 @@ __all__ = [
     "TrainConfig",
     "evaluate",
     "generate_task",
-    "grad_check",
     "train",
 ]

@@ -445,21 +445,6 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
     return out
 
 
-def stack(tensors) -> Tensor:
-    """Equally shaped tensors stacked along a new leading axis."""
-    ts = [_as_tensor(t) for t in tensors]
-    if not ts or any(t.shape != ts[0].shape for t in ts):
-        raise DimensionError(f"stack: shapes {[t.shape for t in ts]} differ or are empty")
-    out = _result(np.stack([t.values for t in ts]), ts)
-
-    def backward_fn(g):
-        for t, g_t in zip(ts, g):
-            _accum(t, g_t)
-
-    _maybe_record(out, backward_fn)
-    return out
-
-
 def index(t, key) -> Tensor:
     """``t[key]`` as a copy, for a numpy index of ints, slices and int arrays.
 
@@ -501,50 +486,3 @@ def softmax(logits) -> Tensor:
 
     _maybe_record(out, backward_fn)
     return out
-
-
-# gradient checking ----------------------------------------------------------
-
-
-def grad_check(f, point, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``point`` is a Tensor (or sequence of Tensors) with requires_grad set;
-    ``f`` is called with the same structure, must rebuild its graph on every
-    call, and must return a scalar Tensor. Point values are perturbed in
-    place for the numeric evaluations and restored afterwards. The relative
-    error denominator is max(1, |analytic|) per coordinate.
-
-    The caller is responsible for keeping the point away from abs/relu
-    kinks (nudge any coordinate with |x| < 10h).
-    """
-    points = [point] if isinstance(point, Tensor) else list(point)
-    for t in points:
-        if not t.requires_grad:
-            raise GraphError("grad_check points must have requires_grad=True")
-        t.zero_grad()
-
-    with Tape() as tape:
-        loss = f(*points)
-    if loss.values.size != 1:
-        raise GraphError("grad_check needs a scalar-valued function")
-    tape.backward(loss)
-    analytic = [
-        np.zeros_like(t.values) if t.grad is None else t.grad.copy() for t in points
-    ]
-
-    worst = 0.0
-    for t, ana in zip(points, analytic):
-        flat_v = t.values.reshape(-1)
-        flat_a = ana.reshape(-1)
-        for i in range(flat_v.size):
-            orig = flat_v[i]
-            flat_v[i] = orig + h
-            f_plus = f(*points).item()
-            flat_v[i] = orig - h
-            f_minus = f(*points).item()
-            flat_v[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            err = abs(flat_a[i] - numeric) / max(1.0, abs(flat_a[i]))
-            worst = max(worst, err)
-    return worst

@@ -30,7 +30,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -76,12 +76,16 @@ class ExperimentConfig:
 
 @dataclass
 class Variant:
-    """One table row: a method plus its ablation flags and weighting mode."""
+    """One table row: a method plus its ablation flags."""
 
     method: str
     flags: AblationFlags
-    uniform: bool
     label: str
+
+    def columns(self) -> str:
+        """The ``method,intra_da,inter_da,ast`` prefix of a CSV row."""
+        flags = self.flags
+        return f"{self.method},{int(flags.intra_da)},{int(flags.inter_da)},{int(flags.ast)}"
 
 
 @dataclass
@@ -315,19 +319,15 @@ def effective_config_text(cfg: ExperimentConfig) -> str:
 
 def _variant_for(method: str, cfg: ExperimentConfig) -> Variant:
     if method == "source_only":
-        return Variant(method, AblationFlags(False, False, False), False, "source_only")
-    flags = replace(cfg.train.ablation)
-    uniform = method == "uniform_ensemble"
-    return Variant(method, flags, uniform, method)
+        return Variant(method, AblationFlags(False, False, False), method)
+    return Variant(method, replace(cfg.train.ablation), method)
 
 
 def ablation_variants(cfg: ExperimentConfig) -> list[Variant]:
-    variants = []
-    for intra, inter, ast in ABLATION_GRID:
-        flags = AblationFlags(intra, inter, ast)
-        label = f"crma_i{int(intra)}e{int(inter)}a{int(ast)}"
-        variants.append(Variant("crma", flags, False, label))
-    return variants
+    return [
+        Variant("crma", AblationFlags(intra, inter, ast), f"crma_i{int(intra)}e{int(inter)}a{int(ast)}")
+        for intra, inter, ast in ABLATION_GRID
+    ]
 
 
 @contextlib.contextmanager
@@ -379,7 +379,7 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
                 cfg.train,
                 seed=cfg.train.seed + i,
                 ablation=replace(variant.flags),
-                uniform_pseudo_weights=variant.uniform,
+                uniform_pseudo_weights=variant.method == "uniform_ensemble",
             )
             started = time.perf_counter()
             run_dir = runs_dir / f"{variant.label}_seed{train_cfg.seed}"
@@ -397,15 +397,8 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
             _write_metrics(run_dir, history, task.num_sources)
             with _replacing(run_dir / "model.ckpt") as tmp:
                 save_checkpoint(state, tmp)
-            meta = {
-                "method": variant.method,
-                "intra_da": variant.flags.intra_da,
-                "inter_da": variant.flags.inter_da,
-                "ast": variant.flags.ast,
-                "seed": train_cfg.seed,
-                "epochs": train_cfg.epochs,
-                "final_acc": accuracy,
-            }
+            meta = {"method": variant.method, **asdict(variant.flags), "seed": train_cfg.seed,
+                    "epochs": train_cfg.epochs, "final_acc": accuracy}
             _write_text(run_dir / "run.json", json.dumps(meta, sort_keys=True, indent=1))
             records.append(RunRecord(variant, train_cfg.seed, accuracy))
             print(
@@ -416,61 +409,40 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
     return records
 
 
-def aggregate(records: Sequence[RunRecord]) -> list[dict]:
-    """Mean and population std of the accuracy per (method, flags) row."""
+def aggregate(records: Sequence[RunRecord]) -> list[tuple[Variant, int, float, float]]:
+    """(variant, num_seeds, acc_mean, acc_std) per table row; the std is population (ddof=0)."""
     groups: dict[str, list[RunRecord]] = {}
     for r in records:
         groups.setdefault(r.variant.label, []).append(r)
     rows = []
-    for label, group in groups.items():
+    for group in groups.values():
         accs = np.array([r.accuracy for r in group])
-        v = group[0].variant
-        rows.append(
-            {
-                "method": v.method,
-                "intra_da": v.flags.intra_da,
-                "inter_da": v.flags.inter_da,
-                "ast": v.flags.ast,
-                "label": label,
-                "num_seeds": len(group),
-                "acc_mean": float(accs.mean()),
-                "acc_std": float(accs.std()),  # population (ddof=0)
-            }
-        )
+        rows.append((group[0].variant, len(group), float(accs.mean()), float(accs.std())))
     return rows
 
 
-def write_results(cfg: ExperimentConfig, records: Sequence[RunRecord]) -> list[dict]:
+def write_results(cfg: ExperimentConfig, records: Sequence[RunRecord]) -> list[tuple]:
     out_root = Path(cfg.output_dir)
     with _replacing(out_root / "results.csv") as tmp, open(tmp, "w") as f:
         f.write("method,intra_da,inter_da,ast,seed,target_acc\n")
         for r in records:
-            v = r.variant
-            f.write(
-                f"{v.method},{int(v.flags.intra_da)},{int(v.flags.inter_da)},"
-                f"{int(v.flags.ast)},{r.seed},{r.accuracy!r}\n"
-            )
+            f.write(f"{r.variant.columns()},{r.seed},{r.accuracy!r}\n")
     summary = aggregate(records)
     with _replacing(out_root / "summary.csv") as tmp, open(tmp, "w") as f:
         f.write("method,intra_da,inter_da,ast,num_seeds,acc_mean,acc_std\n")
-        for row in summary:
-            f.write(
-                f"{row['method']},{int(row['intra_da'])},{int(row['inter_da'])},"
-                f"{int(row['ast'])},{row['num_seeds']},{row['acc_mean']!r},{row['acc_std']!r}\n"
-            )
+        for variant, num_seeds, mean, std in summary:
+            f.write(f"{variant.columns()},{num_seeds},{mean!r},{std!r}\n")
     _write_text(out_root / "summary.txt", render_table(summary))
     return summary
 
 
-def render_table(summary: Sequence[dict]) -> str:
+def render_table(summary: Sequence[tuple]) -> str:
     header = f"{'method':<18} {'intra':>5} {'inter':>5} {'ast':>3} {'accuracy':>18} {'seeds':>5}"
     lines = [header, "-" * len(header)]
-    for row in summary:
-        acc = f"{100 * row['acc_mean']:.2f} +/- {100 * row['acc_std']:.2f}"
-        lines.append(
-            f"{row['label']:<18} {int(row['intra_da']):>5} {int(row['inter_da']):>5} "
-            f"{int(row['ast']):>3} {acc:>18} {row['num_seeds']:>5}"
-        )
+    for variant, num_seeds, mean, std in summary:
+        acc = f"{100 * mean:.2f} +/- {100 * std:.2f}"
+        _, intra, inter, ast = variant.columns().split(",")
+        lines.append(f"{variant.label:<18} {intra:>5} {inter:>5} {ast:>3} {acc:>18} {num_seeds:>5}")
     return "\n".join(lines) + "\n"
 
 
@@ -488,13 +460,14 @@ def emit_curves(output_dir) -> Path:
             continue
         try:
             meta = json.loads(meta_path.read_text())
+            flags = AblationFlags(**{f.name: meta[f.name] for f in fields(AblationFlags)})
+            variant = Variant(meta["method"], flags, run_dir.name)
             entry = (
-                f"{run_dir.name},{meta['method']},{int(meta['intra_da'])},"
-                f"{int(meta['inter_da'])},{int(meta['ast'])},{meta['seed']},"
+                f"{run_dir.name},{variant.columns()},{meta['seed']},"
                 f"{meta['epochs']},{meta['final_acc']!r}"
             )
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            # a truncated, partial or non-UTF-8 run.json
+        except (ValueError, KeyError, TypeError) as exc:
+            # a truncated, partial or non-UTF-8 run.json, or a flag that is not a number
             raise ConfigError(f"{meta_path}: malformed run record ({exc!r})") from exc
         try:
             n_rows = len(csv_path.read_text().strip().splitlines()) - 1

@@ -342,9 +342,9 @@ def evaluate(model: CrmaModel, features: np.ndarray, labels: np.ndarray):
 def train(config: TrainConfig, task: GeneratedTask):
     """Run the full alternating loop; returns (state, per-epoch history).
 
-    History rows carry the epoch-mean phase losses, the epoch's learning
-    rate, target test accuracy, and the per-domain mean normalized weight
-    and running-mean columns. Skipped phases log 0.0. Sets the process's heap
+    History rows are keyed by ``history_columns``: epoch-mean phase losses,
+    learning rate, target test accuracy, and per-domain mean normalized
+    weights and running means. Skipped phases log 0.0. Sets the process's heap
     top pad first (``HEAP_TOP_PAD_BYTES``), so heap freed by one phase stays
     mapped for the next.
     """
@@ -364,41 +364,31 @@ def train(config: TrainConfig, task: GeneratedTask):
         for epoch in range(config.epochs):
             state.epoch = epoch
             lr = learning_rate(config, epoch)
-            sums = {"L_src": 0.0, "L_intra": 0.0, "L_inter": 0.0, "L_AST": 0.0}
+            src_sum = intra_sum = inter_sum = ast_sum = 0.0
             weight_sum = np.zeros(num_domains)
             weight_batches = 0
             for _ in range(iterator.batches_per_epoch):
                 batch = next(batches)
-                sums["L_src"] += step_source(state, batch, lr)
+                src_sum += step_source(state, batch, lr)
                 clf = step_classifiers(state, batch, lr)
                 ext = step_extractor(state, batch, lr)
                 if ext is not None:
-                    sums["L_intra"] += ext[0]
-                    sums["L_inter"] += ext[1]
+                    intra_sum += ext[0]
+                    inter_sum += ext[1]
                 elif clf is not None:
-                    sums["L_intra"] += clf[1]
+                    intra_sum += clf[1]
                 ast = step_ast(state, batch, lr)
                 if ast is not None:
-                    sums["L_AST"] += ast[0]
+                    ast_sum += ast[0]
                     weight_sum += ast[1].normalized_weights.mean(axis=0)
                     weight_batches += 1
                 state.iteration += 1
             accuracy, _ = evaluate(model, task.target_test_features, task.target_test_labels)
-            row = {
-                "epoch": epoch,
-                "L_src": sums["L_src"] / iterator.batches_per_epoch,
-                "L_intra": sums["L_intra"] / iterator.batches_per_epoch,
-                "L_inter": sums["L_inter"] / iterator.batches_per_epoch,
-                "L_AST": sums["L_AST"] / iterator.batches_per_epoch,
-                "lr": lr,
-                "target_acc": accuracy,
-            }
+            n = iterator.batches_per_epoch
             mean_w = weight_sum / weight_batches if weight_batches else np.zeros(num_domains)
-            for m in range(num_domains):
-                row[f"mean_w_{m}"] = float(mean_w[m])
-            for m in range(num_domains):
-                row[f"bar_L_{m}"] = float(state.tracker.means[m])
-            state.history.append(row)
+            values = (epoch, src_sum / n, intra_sum / n, inter_sum / n, ast_sum / n, lr, accuracy,
+                      *mean_w.tolist(), *state.tracker.means.tolist())
+            state.history.append(dict(zip(history_columns(num_domains), values, strict=True)))
     except NumericError as err:
         # a forward overflowed mid-run; surface it as a diverged run
         raise DivergedRunError(
@@ -420,7 +410,7 @@ def write_history_csv(history: Sequence[dict], num_domains: int, fileobj: IO[str
     cols = history_columns(num_domains)
     fileobj.write(",".join(cols) + "\n")
     for row in history:
-        fileobj.write(",".join(repr(row[c]) if c != "epoch" else str(row[c]) for c in cols) + "\n")
+        fileobj.write(",".join(repr(row[c]) for c in cols) + "\n")
 
 
 # checkpointing ---------------------------------------------------------------

@@ -9,13 +9,27 @@ the form they had before each became one tape node. Their values and
 gradients are the bits the single-node losses must reproduce.
 
 ``group_parameters`` picks a model's named parameters by group prefix.
+
+``stack`` and ``grad_check`` are autodiff helpers that no training path
+calls: a stacking op for building head tensors by hand, and the
+central-difference gradient check.
 """
 
 import math
 
 import numpy as np
 
-from crma.autodiff import Tensor, index
+from crma.autodiff import (
+    DimensionError,
+    GraphError,
+    Tape,
+    Tensor,
+    _accum,
+    _as_tensor,
+    _maybe_record,
+    _result,
+    index,
+)
 
 LOG_FLOOR = 1e-12
 WEIGHT_DENOM_FLOOR = 1e-8
@@ -150,3 +164,65 @@ def ast_chain(head_probs, pseudo_probs, betas):
     log_pseudo = Tensor(np.broadcast_to(np.log(np.maximum(pseudo_probs, LOG_FLOOR)), shape))
     row_weight = Tensor(np.broadcast_to((betas / n)[:, None], shape))
     return ((head_probs.log() - log_pseudo) * head_probs * row_weight).sum()
+
+
+# autodiff helpers for tests ---------------------------------------------------
+
+
+def stack(tensors) -> Tensor:
+    """Equally shaped tensors stacked along a new leading axis."""
+    ts = [_as_tensor(t) for t in tensors]
+    if not ts or any(t.shape != ts[0].shape for t in ts):
+        raise DimensionError(f"stack: shapes {[t.shape for t in ts]} differ or are empty")
+    out = _result(np.stack([t.values for t in ts]), ts)
+
+    def backward_fn(g):
+        for t, g_t in zip(ts, g):
+            _accum(t, g_t)
+
+    _maybe_record(out, backward_fn)
+    return out
+
+
+def grad_check(f, point, h: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``point`` is a Tensor (or sequence of Tensors) with requires_grad set;
+    ``f`` is called with the same structure, must rebuild its graph on every
+    call, and must return a scalar Tensor. Point values are perturbed in
+    place for the numeric evaluations and restored afterwards. The relative
+    error denominator is max(1, |analytic|) per coordinate.
+
+    The caller is responsible for keeping the point away from abs/relu
+    kinks (nudge any coordinate with |x| < 10h).
+    """
+    points = [point] if isinstance(point, Tensor) else list(point)
+    for t in points:
+        if not t.requires_grad:
+            raise GraphError("grad_check points must have requires_grad=True")
+        t.zero_grad()
+
+    with Tape() as tape:
+        loss = f(*points)
+    if loss.values.size != 1:
+        raise GraphError("grad_check needs a scalar-valued function")
+    tape.backward(loss)
+    analytic = [
+        np.zeros_like(t.values) if t.grad is None else t.grad.copy() for t in points
+    ]
+
+    worst = 0.0
+    for t, ana in zip(points, analytic):
+        flat_v = t.values.reshape(-1)
+        flat_a = ana.reshape(-1)
+        for i in range(flat_v.size):
+            orig = flat_v[i]
+            flat_v[i] = orig + h
+            f_plus = f(*points).item()
+            flat_v[i] = orig - h
+            f_minus = f(*points).item()
+            flat_v[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            err = abs(flat_a[i] - numeric) / max(1.0, abs(flat_a[i]))
+            worst = max(worst, err)
+    return worst

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 import crma.losses
-from crma.autodiff import Tape, Tensor, grad_check, softmax, stack
+from crma.autodiff import Tape, Tensor, softmax
 from crma.cli import main
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import (
@@ -45,9 +45,11 @@ from oracles import (
     ast_beta,
     discrepancy,
     domain_weights,
+    grad_check,
     group_parameters,
     kl_divergence,
     pseudo_label,
+    stack,
 )
 
 

@@ -8,13 +8,13 @@ from crma.autodiff import (
     Tape,
     Tensor,
     add_bias,
-    grad_check,
     index,
     linear,
     matmul,
     softmax,
-    stack,
 )
+
+from oracles import grad_check, stack
 
 
 def central_diff(f, values, h=1e-5):

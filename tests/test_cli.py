@@ -24,7 +24,9 @@ from crma.cli import (
     _variant_for,
 )
 from crma.data import generate_task
-from crma.trainer import save_checkpoint
+from crma.trainer import history_columns, save_checkpoint
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = """
 # small everything so the suite stays fast
@@ -438,10 +440,10 @@ def test_aggregate_matches_recomputation_from_per_seed_rows(tmp_path):
 
     lines = Path(cfg.output_dir, "results.csv").read_text().strip().splitlines()[1:]
     accs = [float(line.split(",")[5]) for line in lines]
-    summary = aggregate(records)[0]
-    assert summary["acc_mean"] == pytest.approx(np.mean(accs), rel=1e-15)
-    assert summary["acc_std"] == pytest.approx(np.std(accs), rel=1e-12)  # population
-    assert summary["num_seeds"] == len(accs)
+    _, num_seeds, acc_mean, acc_std = aggregate(records)[0]
+    assert acc_mean == pytest.approx(np.mean(accs), rel=1e-15)
+    assert acc_std == pytest.approx(np.std(accs), rel=1e-12)  # population
+    assert num_seeds == len(accs)
 
 
 def test_emit_curves_manifest(tmp_path):
@@ -453,6 +455,22 @@ def test_emit_curves_manifest(tmp_path):
     assert manifest[0] == "run_dir,method,intra_da,inter_da,ast,seed,epochs,final_acc"
     assert len(manifest) == 3  # two runs
     assert main(["curves", str(tmp_path / "missing")]) == 1
+
+
+def test_readme_output_layout_matches_written_files(tmp_path):
+    cfg_path = write_cfg(tmp_path, text=TINY + "run.num_seeds = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out), "--run.methods=crma"]) == 0
+    layout = (ROOT / "README.md").read_text().split("### Output layout", 1)[1].split("```")[1]
+    documented = dict(re.findall(r"^\s+(results\.csv|metrics\.csv)\s+# (\S+)$", layout, re.M))
+    assert documented["results.csv"] == (out / "results.csv").read_text().splitlines()[0]
+    (metrics,) = (out / "runs").glob("*/metrics.csv")
+    header = metrics.read_text().splitlines()[0].split(",")
+    num_domains = len(build_experiment_config(parse_config_text(TINY)).task.source_shifts)
+    assert header == history_columns(num_domains)
+    # README writes the per-domain columns once, as <name>_*
+    firsts = [re.sub(r"_0$", "_*", c) for c in header if not re.search(r"_[1-9]\d*$", c)]
+    assert documented["metrics.csv"] == ",".join(firsts)
 
 
 GOOD_RUN_JSON = (
@@ -468,8 +486,9 @@ GOOD_RUN_JSON = (
         (b'{"method": "crma", "seed": 0, "final_acc": 0.5}', b"epoch\n0\n", "run.json"),
         (b"\xff\xfe\x00", b"epoch\n0\n", "run.json"),
         (GOOD_RUN_JSON, b"epoch\n\xff\n", "metrics.csv"),
+        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": "yes"'), b"epoch\n0\n", "run.json"),
     ],
-    ids=["truncated", "no-epochs", "non-utf8", "non-utf8-metrics"],
+    ids=["truncated", "no-epochs", "non-utf8", "non-utf8-metrics", "bad-flag"],
 )
 def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_json, metrics, bad):
     # what a killed sweep or another program can leave behind

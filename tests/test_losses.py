@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crma.autodiff import Tape, Tensor, grad_check, softmax, stack
+from crma.autodiff import Tape, Tensor, softmax
 from crma.losses import (
     ContractError,
     ast_loss,
@@ -23,11 +23,13 @@ from oracles import (
     ast_chain,
     discrepancy,
     domain_weights,
+    grad_check,
     inter_consistency_chain,
     intra_consistency_chain,
     kl_divergence,
     pseudo_label,
     source_ce_chain,
+    stack,
     uniform_domain_weights,
 )
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crma.autodiff import Tape, stack
+from crma.autodiff import Tape
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import intra_consistency_loss, source_ce_loss
 from crma.nn import EXTRACTOR_GROUP, CrmaModel, classifier_group, parameters_digest
@@ -34,7 +34,7 @@ from crma.trainer import (
     write_history_csv,
 )
 
-from oracles import ast_beta, domain_weights, group_parameters, pseudo_label
+from oracles import ast_beta, domain_weights, group_parameters, pseudo_label, stack
 
 
 def tiny_task(seed=0, n=80):
@@ -142,6 +142,28 @@ def test_step_extractor_freezes_classifiers():
     ext_after, clf_after = digests(state.model)
     assert clf_after == clf_before
     assert ext_after != ext_before
+
+
+def test_two_extractor_steps_equal_two_single_steps():
+    task = tiny_task(seed=10)
+    batch = first_batch(task)
+    twice = fresh_state(task, seed=10, num_extractor_steps=2)
+    once = fresh_state(task, seed=10)
+    heads_before = [leaf.values.copy() for leaf in twice.model.head_leaves]
+    first = step_extractor(twice, batch, lr=1e-2)
+    assert first == step_extractor(once, batch, lr=1e-2)  # the first step's pre-step values
+    after_one = [leaf.values.copy() for leaf in once.model.extractor_leaves]
+    assert step_extractor(once, batch, lr=1e-2) != first
+    for a, b in zip(twice.optimizer.leaves, once.optimizer.leaves):
+        np.testing.assert_array_equal(a.values, b.values)
+    for a, b in zip(twice.optimizer.velocities, once.optimizer.velocities):
+        np.testing.assert_array_equal(a, b)
+    second_step = zip(twice.model.extractor_leaves, after_one)
+    assert any(not np.array_equal(leaf.values, v) for leaf, v in second_step)
+    num_extractor = len(twice.model.extractor_leaves)
+    for leaf, before in zip(twice.model.head_leaves, heads_before):
+        np.testing.assert_array_equal(leaf.values, before)
+    assert not any(v.any() for v in twice.optimizer.velocities[num_extractor:])
 
 
 def test_step_extractor_noop_when_single_source_and_intra_off():
