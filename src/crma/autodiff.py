@@ -13,11 +13,13 @@ one node, and a head axis on the weight runs H stacked layers, on one
 shared input or on G inputs that each feed H/G consecutive heads.
 Backwards only compute the gradients of operands that require one, so a
 subgraph built from frozen tensors is neither recorded nor differentiated.
+
+Every op, and every loss node of ``crma.losses``, builds its output through
+:func:`node`, the one path that records a tape entry; :func:`accum` adds a
+backward's gradient into an operand.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -37,14 +39,13 @@ class GraphError(RuntimeError):
     """Backward was requested on a tensor the tape cannot differentiate."""
 
 
-_ids = itertools.count()
 _tapes: list = []  # open tapes, innermost last
 
 
 class Tensor:
     """Dense float64 array paired with a lazily allocated gradient buffer."""
 
-    __slots__ = ("values", "grad", "requires_grad", "node_id")
+    __slots__ = ("values", "grad", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False, *, copy: bool = True):
         self.values = (
@@ -52,7 +53,6 @@ class Tensor:
         )
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.node_id = next(_ids)
 
     @property
     def shape(self):
@@ -108,42 +108,31 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         a = self
-        out = _result(np.abs(a.values), (a,))
-        _maybe_record(out, lambda g: _accum(a, g * np.sign(a.values)))
-        return out
+        return node(np.abs(a.values), (a,), lambda g: accum(a, g * np.sign(a.values)))
 
     def relu(self) -> "Tensor":
         a = self
-        out = _result(np.maximum(a.values, 0.0), (a,))
-        _maybe_record(out, lambda g: _accum(a, g * (a.values > 0.0)))
-        return out
+        return node(np.maximum(a.values, 0.0), (a,), lambda g: accum(a, g * (a.values > 0.0)))
 
     def log(self) -> "Tensor":
         """Natural log of ``max(x, LOG_FLOOR)``; zero gradient below the floor."""
         a = self
-        clipped, values = _floored_log(a.values)
-        out = _result(values, (a,))
-        _maybe_record(out, lambda g: _accum(a, _floored_log_grad(a.values, clipped, g)))
-        return out
+        clipped, values = floored_log(a.values)
+        return node(values, (a,), lambda g: accum(a, floored_log_grad(a.values, clipped, g)))
 
     def exp(self) -> "Tensor":
         a = self
-        out = _result(np.exp(a.values), (a,))
-        _maybe_record(out, lambda g: _accum(a, g * out.values))
-        return out
+        values = np.exp(a.values)
+        return node(values, (a,), lambda g: accum(a, g * values))
 
     def sum(self) -> "Tensor":
         a = self
-        out = _result(np.sum(a.values), (a,))
-        _maybe_record(out, lambda g: _accum(a, g * np.ones_like(a.values)))
-        return out
+        return node(np.sum(a.values), (a,), lambda g: accum(a, g * np.ones_like(a.values)))
 
     def mean(self) -> "Tensor":
         a = self
         inv = 1.0 / a.values.size
-        out = _result(np.mean(a.values), (a,))
-        _maybe_record(out, lambda g: _accum(a, (g * inv) * np.ones_like(a.values)))
-        return out
+        return node(np.mean(a.values), (a,), lambda g: accum(a, (g * inv) * np.ones_like(a.values)))
 
 
 class Tape:
@@ -156,7 +145,6 @@ class Tape:
 
     def __init__(self):
         self._entries = []  # (out, backward_fn)
-        self._pos = {}      # node_id -> index into _entries
 
     def __enter__(self) -> "Tape":
         _tapes.append(self)
@@ -171,20 +159,20 @@ class Tape:
         return len(self._entries)
 
     def _record(self, out: Tensor, backward_fn) -> None:
-        self._pos[out.node_id] = len(self._entries)
         self._entries.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
 
-        ``loss`` must be a scalar recorded on this tape. Leaf gradients
-        accumulate across calls (zero them between passes if that is not
-        wanted); an intermediate node's gradient lives only until it has
-        been passed on to its operands, so repeated calls are deterministic.
+        ``loss`` must be a scalar recorded on this tape, found by identity
+        from the tape's end (in training it is the last entry). Leaf
+        gradients accumulate across calls (zero them between passes if that
+        is not wanted); an intermediate node's gradient lives only until it
+        has been passed on to its operands, so repeated calls are deterministic.
         """
         if loss.values.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-        pos = self._pos.get(loss.node_id)
+        pos = next((i for i in reversed(range(len(self))) if self._entries[i][0] is loss), None)
         if pos is None:
             raise GraphError("loss tensor was not recorded on this tape")
         scope = self._entries[: pos + 1]
@@ -205,17 +193,20 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _result(values, parents) -> Tensor:
-    """Wrap an op's freshly computed array as its output, without a copy."""
-    return Tensor(values, requires_grad=any(p.requires_grad for p in parents), copy=False)
+def node(values, parents, backward_fn) -> Tensor:
+    """An op's freshly computed array as its output tensor, without a copy.
 
-
-def _maybe_record(out: Tensor, backward_fn) -> None:
+    The output requires a gradient when some parent does; then, inside a
+    tape, ``backward_fn(g)`` is recorded to pass the output's gradient ``g``
+    on to the parents. Every op and loss node is built here.
+    """
+    out = Tensor(values, requires_grad=any(p.requires_grad for p in parents), copy=False)
     if _tapes and out.requires_grad:
         _tapes[-1]._record(out, backward_fn)
+    return out
 
 
-def _accum(t: Tensor, g, owned: bool = False) -> None:
+def accum(t: Tensor, g, owned: bool = False) -> None:
     """Add ``g`` into ``t.grad``; ``owned`` marks a fresh array nothing else holds."""
     if not t.requires_grad:
         return
@@ -226,7 +217,7 @@ def _accum(t: Tensor, g, owned: bool = False) -> None:
         t.grad += g
 
 
-def _floored_log(values):
+def floored_log(values):
     """``max(values, LOG_FLOOR)`` and its natural log; negative values are an error."""
     if np.any(values < 0.0):
         raise NumericError("log of negative value")
@@ -234,7 +225,7 @@ def _floored_log(values):
     return clipped, np.log(clipped)
 
 
-def _floored_log_grad(values, clipped, g):
+def floored_log_grad(values, clipped, g):
     """The floored log's backward: ``g / clipped``, zero below the floor."""
     return np.where(values >= LOG_FLOOR, g / clipped, 0.0)
 
@@ -273,43 +264,37 @@ def _fit(g, shape):
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_elementwise(a, b, "add")
-    out = _result(a.values + b.values, (a, b))
 
     def backward_fn(g):
-        _accum(a, _fit(g, a.shape))
-        _accum(b, _fit(g, b.shape))
+        accum(a, _fit(g, a.shape))
+        accum(b, _fit(g, b.shape))
 
-    _maybe_record(out, backward_fn)
-    return out
+    return node(a.values + b.values, (a, b), backward_fn)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_elementwise(a, b, "sub")
-    out = _result(a.values - b.values, (a, b))
 
     def backward_fn(g):
-        _accum(a, _fit(g, a.shape))
+        accum(a, _fit(g, a.shape))
         if b.requires_grad:
-            _accum(b, _fit(-g, b.shape))
+            accum(b, _fit(-g, b.shape))
 
-    _maybe_record(out, backward_fn)
-    return out
+    return node(a.values - b.values, (a, b), backward_fn)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_elementwise(a, b, "mul")
-    out = _result(a.values * b.values, (a, b))
 
     def backward_fn(g):
         if a.requires_grad:
-            _accum(a, _fit(g * b.values, a.shape))
+            accum(a, _fit(g * b.values, a.shape))
         if b.requires_grad:
-            _accum(b, _fit(g * a.values, b.shape))
+            accum(b, _fit(g * a.values, b.shape))
 
-    _maybe_record(out, backward_fn)
-    return out
+    return node(a.values * b.values, (a, b), backward_fn)
 
 
 def div(a, b) -> Tensor:
@@ -317,40 +302,34 @@ def div(a, b) -> Tensor:
     _check_elementwise(a, b, "div")
     if np.any(b.values == 0.0):
         raise NumericError("division by zero")
-    out = _result(a.values / b.values, (a, b))
 
     def backward_fn(g):
         if a.requires_grad:
-            _accum(a, _fit(g / b.values, a.shape))
+            accum(a, _fit(g / b.values, a.shape))
         if b.requires_grad:
-            _accum(b, _fit(-g * a.values / (b.values * b.values), b.shape))
+            accum(b, _fit(-g * a.values / (b.values * b.values), b.shape))
 
-    _maybe_record(out, backward_fn)
-    return out
+    return node(a.values / b.values, (a, b), backward_fn)
 
 
 def scalar_mul(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
-    out = _result(a.values * c, (a,))
-    _maybe_record(out, lambda g: _accum(a, g * c))
-    return out
+    return node(a.values * c, (a,), lambda g: accum(a, g * c))
 
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not align")
-    out = _result(a.values @ b.values, (a, b))
 
     def backward_fn(g):
         if a.requires_grad:
-            _accum(a, g @ b.values.T, owned=True)
+            accum(a, g @ b.values.T, owned=True)
         if b.requires_grad:
-            _accum(b, a.values.T @ g, owned=True)
+            accum(b, a.values.T @ g, owned=True)
 
-    _maybe_record(out, backward_fn)
-    return out
+    return node(a.values @ b.values, (a, b), backward_fn)
 
 
 def add_bias(x, bias) -> Tensor:
@@ -358,15 +337,13 @@ def add_bias(x, bias) -> Tensor:
     x, bias = _as_tensor(x), _as_tensor(bias)
     if x.values.ndim != 2 or bias.values.ndim != 1 or x.shape[1] != bias.shape[0]:
         raise DimensionError(f"add_bias: shapes {x.shape} and {bias.shape} do not align")
-    out = _result(x.values + bias.values[None, :], (x, bias))
 
     def backward_fn(g):
-        _accum(x, g)
+        accum(x, g)
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=0), owned=True)
+            accum(bias, g.sum(axis=0), owned=True)
 
-    _maybe_record(out, backward_fn)
-    return out
+    return node(x.values + bias.values[None, :], (x, bias), backward_fn)
 
 
 def linear(x, weight, bias, relu: bool = False) -> Tensor:
@@ -410,25 +387,24 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
         values += b.values
     if relu:
         np.maximum(values, 0.0, out=values)
-    out = _result(values, (x, w, b))
 
     def backward_fn(g):
         if relu:  # g is this node's own gradient buffer, done with after this call
-            np.multiply(g, out.values > 0.0, out=g)
+            np.multiply(g, values > 0.0, out=g)
         if heads:
             if b.requires_grad:
                 # einsum adds the rows in the order sum(axis=-2) does, much faster
-                _accum(b, np.einsum("hnk->hk", g), owned=True)
+                accum(b, np.einsum("hnk->hk", g), owned=True)
             gs = g.reshape(ws.shape[:-2] + g.shape[-2:])
             if w.requires_grad:
-                _accum(w, (np.swapaxes(xs, -1, -2) @ gs).reshape(w.shape), owned=True)
+                accum(w, (np.swapaxes(xs, -1, -2) @ gs).reshape(w.shape), owned=True)
         else:
             gs = g.reshape(xs.shape[:-1] + g.shape[-1:])
             for i in reversed(range(len(gs))):  # last group first
                 if b.requires_grad:
-                    _accum(b, gs[i].sum(axis=0), owned=True)
+                    accum(b, gs[i].sum(axis=0), owned=True)
                 if w.requires_grad:
-                    _accum(w, xs[i].T @ gs[i], owned=True)
+                    accum(w, xs[i].T @ gs[i], owned=True)
         if x.requires_grad:
             # a contiguous transpose, not the strided view: OpenBLAS 0.3.31 ran
             # these products 1.3-1.8x faster on it (2-core Xeon), same bits
@@ -439,10 +415,9 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
                     gx += gs[:, j] @ wt[:, j]
             else:
                 gx = g @ wt
-            _accum(x, gx.reshape(x.shape), owned=True)
+            accum(x, gx.reshape(x.shape), owned=True)
 
-    _maybe_record(out, backward_fn)
-    return out
+    return node(values, (x, w, b), backward_fn)
 
 
 def index(t, key) -> Tensor:
@@ -451,7 +426,6 @@ def index(t, key) -> Tensor:
     Repeated positions in an integer-array index add up their gradients.
     """
     t = _as_tensor(t)
-    out = _result(np.array(t.values[key]), (t,))
     parts = key if isinstance(key, tuple) else (key,)
     fancy = any(isinstance(k, (list, np.ndarray)) for k in parts)
 
@@ -465,8 +439,7 @@ def index(t, key) -> Tensor:
         else:
             t.grad[key] += g
 
-    _maybe_record(out, backward_fn)
-    return out
+    return node(np.array(t.values[key]), (t,), backward_fn)
 
 
 def softmax(logits) -> Tensor:
@@ -477,12 +450,10 @@ def softmax(logits) -> Tensor:
     if not np.all(np.isfinite(t.values)):
         raise NumericError("softmax input contains NaN or Inf")
     e = np.exp(t.values - _reduce_last(np.maximum, t.values))
-    out = _result(e / _reduce_last(np.add, e), (t,))
+    values = e / _reduce_last(np.add, e)
 
     def backward_fn(g):
-        s = out.values
-        gs = g * s
-        _accum(t, gs - s * _reduce_last(np.add, gs), owned=True)
+        gs = g * values
+        accum(t, gs - values * _reduce_last(np.add, gs), owned=True)
 
-    _maybe_record(out, backward_fn)
-    return out
+    return node(values, (t,), backward_fn)

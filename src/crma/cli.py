@@ -323,7 +323,7 @@ def _variant_for(method: str, cfg: ExperimentConfig) -> Variant:
     return Variant(method, replace(cfg.train.ablation), method)
 
 
-def ablation_variants(cfg: ExperimentConfig) -> list[Variant]:
+def ablation_variants() -> list[Variant]:
     return [
         Variant("crma", AblationFlags(intra, inter, ast), f"crma_i{int(intra)}e{int(inter)}a{int(ast)}")
         for intra, inter, ast in ABLATION_GRID
@@ -460,6 +460,11 @@ def emit_curves(output_dir) -> Path:
             continue
         try:
             meta = json.loads(meta_path.read_text())
+            types = {"method": str, "seed": int, "epochs": int, "final_acc": (int, float)}
+            wrong = [key for key, kind in types.items()
+                     if isinstance(meta[key], bool) or not isinstance(meta[key], kind)]
+            if wrong:
+                raise TypeError(f"{', '.join(wrong)} of the wrong type")
             flags = AblationFlags(**{f.name: meta[f.name] for f in fields(AblationFlags)})
             variant = Variant(meta["method"], flags, run_dir.name)
             entry = (
@@ -467,7 +472,7 @@ def emit_curves(output_dir) -> Path:
                 f"{meta['epochs']},{meta['final_acc']!r}"
             )
         except (ValueError, KeyError, TypeError) as exc:
-            # a truncated, partial or non-UTF-8 run.json, or a flag that is not a number
+            # a truncated, partial or non-UTF-8 run.json, or a field of the wrong type
             raise ConfigError(f"{meta_path}: malformed run record ({exc!r})") from exc
         try:
             n_rows = len(csv_path.read_text().strip().splitlines()) - 1
@@ -547,7 +552,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             variants = [_variant_for(m, cfg) for m in cfg.methods]
         elif args.command == "ablate":
-            variants = ablation_variants(cfg)
+            variants = ablation_variants()
         else:  # baseline
             variants = [_variant_for("uniform_ensemble", cfg), _variant_for("crma", cfg)]
         records = run_variants(cfg, variants)

@@ -4,10 +4,10 @@ The four losses (source cross entropy, the two consistency losses, the
 self-training loss) are autodiff nodes so they can drive training. They
 take the (2M, n, K) probabilities of every head, in (domain, branch a,
 branch b) order, as one tensor and compute over that head axis. Each loss
-records one tape node whatever M is; its backward runs the numpy
-arithmetic of the equivalent chain of autodiff ops (``log``, ``index``,
-``sub``, ``abs``, ``sum``, ...; kept in ``tests/oracles.py``) in that
-chain's order, so values and gradients have the chain's bits.
+is one ``autodiff.node`` on that tensor whatever M is; its backward runs
+the numpy arithmetic of the equivalent chain of autodiff ops (``log``,
+``index``, ``sub``, ``abs``, ``sum``, ...; kept in ``tests/oracles.py``)
+in that chain's order, so values and gradients have the chain's bits.
 
 ``pair_statistics`` gives a target batch's per-sample pair discrepancies
 and pair means, and ``fuse_pseudo_labels`` turns them into the batch's
@@ -25,15 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (
-    LOG_FLOOR,
-    Tensor,
-    _accum,
-    _floored_log,
-    _floored_log_grad,
-    _maybe_record,
-    _result,
-)
+from .autodiff import LOG_FLOOR, Tensor, accum, floored_log, floored_log_grad, node
 
 logger = logging.getLogger(__name__)
 
@@ -55,13 +47,6 @@ def pair_statistics(head_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b = head_probs[0::2], head_probs[1::2]
     d_matrix = (np.abs(a - b).sum(axis=2) / head_probs.shape[2]).T
     return d_matrix, (a + b) * 0.5
-
-
-def _loss_node(value, head_probs: Tensor, backward_fn) -> Tensor:
-    """``value`` as one tape node on ``head_probs``; ``backward_fn(g)`` adds its gradient."""
-    out = _result(value, (head_probs,))
-    _maybe_record(out, backward_fn)
-    return out
 
 
 def _add_to_pairs(head_probs: Tensor, grad_a: np.ndarray, grad_b: np.ndarray) -> None:
@@ -105,12 +90,12 @@ def source_ce_loss(head_probs: Tensor, labels_per_domain: Sequence[np.ndarray]) 
     # the bits of np.eye(K)[labels] * (-1 / n), signed zeros included
     weights = (np.repeat(labels, 2, axis=0)[..., None] == np.arange(num_classes)) * (-1.0 / n)
     x = head_probs.values
-    clipped, logs = _floored_log(x)
+    clipped, logs = floored_log(x)
 
     def backward_fn(g):
-        _accum(head_probs, _floored_log_grad(x, clipped, g * weights), owned=True)
+        accum(head_probs, floored_log_grad(x, clipped, g * weights), owned=True)
 
-    return _loss_node(np.sum(logs * weights), head_probs, backward_fn)
+    return node(np.sum(logs * weights), (head_probs,), backward_fn)
 
 
 def intra_consistency_loss(head_probs: Tensor) -> Tensor:
@@ -123,7 +108,7 @@ def intra_consistency_loss(head_probs: Tensor) -> Tensor:
         grad = (g * scale) * np.sign(gaps)
         _add_to_pairs(head_probs, grad, -grad)
 
-    return _loss_node(np.sum(np.abs(gaps)) * scale, head_probs, backward_fn)
+    return node(np.sum(np.abs(gaps)) * scale, (head_probs,), backward_fn)
 
 
 def inter_consistency_loss(head_probs: Tensor) -> Tensor:
@@ -147,7 +132,7 @@ def inter_consistency_loss(head_probs: Tensor) -> Tensor:
         grad_heads = grad_means * 0.5
         _add_to_pairs(head_probs, grad_heads, grad_heads)
 
-    return _loss_node(np.sum(np.abs(gaps)) * scale, head_probs, backward_fn)
+    return node(np.sum(np.abs(gaps)) * scale, (head_probs,), backward_fn)
 
 
 def classifier_objective(l_src: Tensor, l_intra: Tensor) -> Tensor:
@@ -227,13 +212,13 @@ def ast_loss(head_probs: Tensor, pseudo_probs: np.ndarray, betas: np.ndarray) ->
             f"a ({n}, {num_classes}) batch"
         )
     x = head_probs.values
-    clipped, logs = _floored_log(x)
+    clipped, logs = floored_log(x)
     log_gap = logs - np.log(np.maximum(pseudo_probs, LOG_FLOOR))
     row_weight = (betas / n)[:, None]
 
     def backward_fn(g):
         grad = g * row_weight
-        _accum(head_probs, grad * log_gap, owned=True)
-        _accum(head_probs, _floored_log_grad(x, clipped, grad * x), owned=True)
+        accum(head_probs, grad * log_gap, owned=True)
+        accum(head_probs, floored_log_grad(x, clipped, grad * x), owned=True)
 
-    return _loss_node(np.sum(log_gap * x * row_weight), head_probs, backward_fn)
+    return node(np.sum(log_gap * x * row_weight), (head_probs,), backward_fn)

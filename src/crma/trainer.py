@@ -205,15 +205,6 @@ def learning_rate(config: TrainConfig, epoch: int) -> float:
     return floor + 0.5 * (config.base_lr - floor) * (1.0 + math.cos(math.pi * progress))
 
 
-def _loss_value(loss: Tensor, state: TrainState) -> float:
-    value = loss.item()
-    if not math.isfinite(value) or abs(value) > LOSS_CEILING:
-        raise DivergedRunError(
-            f"loss {value} at iteration {state.iteration}", state.iteration, state.history
-        )
-    return value
-
-
 @contextlib.contextmanager
 def _frozen(leaves: Sequence[Tensor]):
     """Treat ``leaves`` as constants: ops on them alone record no tape node,
@@ -229,10 +220,19 @@ def _frozen(leaves: Sequence[Tensor]):
             t.requires_grad = flag
 
 
-def _apply(state: TrainState, tape: Tape, loss: Tensor, lr: float) -> None:
+def _descend(state: TrainState, tape: Tape, loss: Tensor, lr: float) -> float:
+    """One optimizer step down ``loss``, recorded on ``tape``; returns the
+    pre-step loss, or raises ``DivergedRunError`` when it is not finite or
+    past ``LOSS_CEILING``."""
+    value = loss.item()
+    if not math.isfinite(value) or abs(value) > LOSS_CEILING:
+        raise DivergedRunError(
+            f"loss {value} at iteration {state.iteration}", state.iteration, state.history
+        )
     state.optimizer.zero_grad()
     tape.backward(loss)
     state.optimizer.step(lr, extractor_lr_multiplier=state.config.extractor_lr_multiplier)
+    return value
 
 
 def step_source(state: TrainState, batch: DomainBatch, lr: float) -> float:
@@ -241,9 +241,7 @@ def step_source(state: TrainState, batch: DomainBatch, lr: float) -> float:
     with Tape() as tape:
         probs = model.head_probs(model.forward_features(batch.source_features))
         loss = losses.source_ce_loss(probs, batch.source_labels)
-    value = _loss_value(loss, state)
-    _apply(state, tape, loss, lr)
-    return value
+    return _descend(state, tape, loss, lr)
 
 
 def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
@@ -262,8 +260,7 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
             target_feats = model.forward_features(batch.target_features)
             intra = losses.intra_consistency_loss(model.head_probs(target_feats))
             objective = losses.classifier_objective(src_loss, intra)
-        _loss_value(objective, state)  # guards both component losses
-        _apply(state, tape, objective, lr)
+        _descend(state, tape, objective, lr)  # guards both component losses
     return src_loss.item(), intra.item()
 
 
@@ -289,10 +286,9 @@ def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
                 intra = losses.intra_consistency_loss(probs) if use_intra else Tensor(0.0)
                 inter = losses.inter_consistency_loss(probs) if use_inter else Tensor(0.0)
                 objective = losses.extractor_objective(intra, inter, cfg.alpha)
-            _loss_value(objective, state)
             if first_values is None:
                 first_values = (intra.item(), inter.item())
-            _apply(state, tape, objective, lr)
+            _descend(state, tape, objective, lr)
     return first_values
 
 
@@ -320,9 +316,7 @@ def step_ast(state: TrainState, batch: DomainBatch, lr: float):
             uniform=cfg.uniform_pseudo_weights,
         )
         loss = losses.ast_loss(probs, fused.probs, fused.betas)
-    value = _loss_value(loss, state)
-    _apply(state, tape, loss, lr)
-    return value, fused
+    return _descend(state, tape, loss, lr), fused
 
 
 def evaluate(model: CrmaModel, features: np.ndarray, labels: np.ndarray):

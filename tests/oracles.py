@@ -24,11 +24,10 @@ from crma.autodiff import (
     GraphError,
     Tape,
     Tensor,
-    _accum,
     _as_tensor,
-    _maybe_record,
-    _result,
+    accum,
     index,
+    node,
 )
 
 LOG_FLOOR = 1e-12
@@ -174,14 +173,12 @@ def stack(tensors) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     if not ts or any(t.shape != ts[0].shape for t in ts):
         raise DimensionError(f"stack: shapes {[t.shape for t in ts]} differ or are empty")
-    out = _result(np.stack([t.values for t in ts]), ts)
 
     def backward_fn(g):
         for t, g_t in zip(ts, g):
-            _accum(t, g_t)
+            accum(t, g_t)
 
-    _maybe_record(out, backward_fn)
-    return out
+    return node(np.stack([t.values for t in ts]), ts, backward_fn)
 
 
 def grad_check(f, point, h: float = 1e-5) -> float:

@@ -11,6 +11,7 @@ from crma.autodiff import (
     index,
     linear,
     matmul,
+    node,
     softmax,
 )
 
@@ -174,6 +175,42 @@ def test_backward_requires_scalar_recorded_loss():
         loss = (t * 2.0).sum()
     with pytest.raises(GraphError):
         tape.backward(loss)  # recorded on `other`, not `tape`
+
+
+def test_backward_on_a_loss_before_the_tape_end():
+    # the loss is found by identity, not by position: what follows it stays out
+    rng = np.random.default_rng(5)
+    x_val, y_val = rng.standard_normal((2, 3, 4))
+
+    def loss_of(x, y):
+        return (softmax(x * y).log() * y).sum()
+
+    x, y = Tensor(x_val, requires_grad=True), Tensor(y_val, requires_grad=True)
+    with Tape() as tape:
+        loss = loss_of(x, y)
+        later = [loss * 2.0, softmax(y), (x * y).sum()]
+    tape.backward(loss)
+    assert all(t.requires_grad and t.grad is None for t in later)  # recorded after the loss
+
+    x_alone, y_alone = Tensor(x_val, requires_grad=True), Tensor(y_val, requires_grad=True)
+    with Tape() as alone:
+        loss_alone = loss_of(x_alone, y_alone)
+    alone.backward(loss_alone)
+    np.testing.assert_array_equal(x.grad, x_alone.grad)
+    np.testing.assert_array_equal(y.grad, y_alone.grad)
+
+
+def test_node_wraps_its_array_and_records_only_what_needs_a_gradient():
+    leaf, const = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0])
+    values = np.array([5.0, 6.0])
+    with Tape() as tape:
+        frozen = node(values, (const,), lambda g: None)
+        assert len(tape) == 0 and not frozen.requires_grad
+        out = node(values, (const, leaf), lambda g: None)
+        assert len(tape) == 1 and out.requires_grad
+    assert out.values is values and frozen.values is values
+    outside = node(values, (leaf,), lambda g: None)
+    assert len(tape) == 1 and outside.requires_grad and outside.values is values
 
 
 def test_reused_tensor_sums_both_contributions():

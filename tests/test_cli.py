@@ -12,7 +12,6 @@ from crma.cli import (
     CONFIG_KEYS,
     SHIFT_KEYS,
     ConfigError,
-    ExperimentConfig,
     ablation_variants,
     aggregate,
     build_experiment_config,
@@ -131,8 +130,7 @@ def test_effective_config_round_trips_exactly():
 
 
 def test_ablation_variants_follow_grid_order():
-    cfg = ExperimentConfig()
-    variants = ablation_variants(cfg)
+    variants = ablation_variants()
     assert [(v.flags.intra_da, v.flags.inter_da, v.flags.ast) for v in variants] == list(
         ABLATION_GRID
     )
@@ -487,8 +485,10 @@ GOOD_RUN_JSON = (
         (b"\xff\xfe\x00", b"epoch\n0\n", "run.json"),
         (GOOD_RUN_JSON, b"epoch\n\xff\n", "metrics.csv"),
         (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": "yes"'), b"epoch\n0\n", "run.json"),
+        (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": "1"'), b"epoch\n0\n", "run.json"),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": "x"'), b"epoch\n0\n", "run.json"),
     ],
-    ids=["truncated", "no-epochs", "non-utf8", "non-utf8-metrics", "bad-flag"],
+    ids=["truncated", "no-epochs", "non-utf8", "non-utf8-metrics", "bad-flag", "str-epochs", "str-final-acc"],
 )
 def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_json, metrics, bad):
     # what a killed sweep or another program can leave behind

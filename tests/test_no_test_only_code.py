@@ -74,3 +74,17 @@ def test_every_src_definition_has_a_caller_outside_the_tests():
             if not outside:
                 unreferenced.append(f"{path.name}:{node.lineno} {label}")
     assert not unreferenced, f"defined in src/ but only tests use them: {unreferenced}"
+
+
+def test_no_src_module_imports_a_private_name_of_another():
+    """A ``_`` name is its module's own; what another module needs is public."""
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted((ROOT / "src" / "crma").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("crma"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"imports of private names of another crma module: {private}"
