@@ -77,32 +77,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+    def __mul__(self, c: float):
+        return scalar_mul(self, c)
 
     # unary ops -----------------------------------------------------------
 

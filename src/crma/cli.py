@@ -30,7 +30,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -88,11 +88,50 @@ class Variant:
         return f"{self.method},{int(flags.intra_da)},{int(flags.inter_da)},{int(flags.ast)}"
 
 
+# run.json's keys in RunRecord.json_text's value order, each with its value's test;
+# json.loads gives exact types, and NaN and infinities fail the range test
+_RUN_KEYS = {
+    "method": lambda v: v in METHODS,
+    "seed": lambda v: type(v) is int,
+    "epochs": lambda v: type(v) is int,
+    "final_acc": lambda v: type(v) in (int, float) and 0 <= v <= 1,
+    **{f.name: lambda v: type(v) is bool for f in fields(AblationFlags)},
+}
+
+
 @dataclass
 class RunRecord:
+    """One finished run: its ``run.json`` and its ``results.csv`` and
+    ``manifest.csv`` rows are all written from this."""
+
     variant: Variant
     seed: int
+    epochs: int
     accuracy: float
+
+    def json_text(self) -> str:
+        values = (self.variant.method, self.seed, self.epochs, self.accuracy, *astuple(self.variant.flags))
+        return json.dumps(dict(zip(_RUN_KEYS, values)), sort_keys=True, indent=1)
+
+    def columns(self, epochs: bool = False) -> str:
+        """A ``results.csv`` row; with ``epochs``, a ``manifest.csv`` row after its run_dir."""
+        middle = f",{self.epochs}" if epochs else ""
+        return f"{self.variant.columns()},{self.seed}{middle},{self.accuracy!r}"
+
+    @classmethod
+    def read(cls, path: Path) -> RunRecord:
+        """The record in ``runs/<label>/run.json``, labelled by its directory. A
+        ConfigError names the file when it is truncated or not UTF-8 JSON, or
+        a key is missing or its value fails its test in ``_RUN_KEYS``."""
+        try:
+            meta = json.loads(path.read_text())
+            invalid = [key for key, valid in _RUN_KEYS.items() if not valid(meta[key])]
+            if invalid:
+                raise ValueError(f"invalid {', '.join(invalid)}")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: malformed run record ({exc!r})") from exc
+        method, seed, epochs, accuracy, *flags = (meta[key] for key in _RUN_KEYS)
+        return cls(Variant(method, AblationFlags(*flags), path.parent.name), seed, epochs, accuracy)
 
 
 # config keys ------------------------------------------------------------------
@@ -397,10 +436,9 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
             _write_metrics(run_dir, history, task.num_sources)
             with _replacing(run_dir / "model.ckpt") as tmp:
                 save_checkpoint(state, tmp)
-            meta = {"method": variant.method, **asdict(variant.flags), "seed": train_cfg.seed,
-                    "epochs": train_cfg.epochs, "final_acc": accuracy}
-            _write_text(run_dir / "run.json", json.dumps(meta, sort_keys=True, indent=1))
-            records.append(RunRecord(variant, train_cfg.seed, accuracy))
+            record = RunRecord(variant, train_cfg.seed, train_cfg.epochs, accuracy)
+            _write_text(run_dir / "run.json", record.json_text())
+            records.append(record)
             print(
                 f"{variant.label} seed {train_cfg.seed}: target_acc {accuracy:.4f} "
                 f"in {time.perf_counter() - started:.2f} s",
@@ -426,7 +464,7 @@ def write_results(cfg: ExperimentConfig, records: Sequence[RunRecord]) -> list[t
     with _replacing(out_root / "results.csv") as tmp, open(tmp, "w") as f:
         f.write("method,intra_da,inter_da,ast,seed,target_acc\n")
         for r in records:
-            f.write(f"{r.variant.columns()},{r.seed},{r.accuracy!r}\n")
+            f.write(f"{r.columns()}\n")
     summary = aggregate(records)
     with _replacing(out_root / "summary.csv") as tmp, open(tmp, "w") as f:
         f.write("method,intra_da,inter_da,ast,num_seeds,acc_mean,acc_std\n")
@@ -452,44 +490,21 @@ def emit_curves(output_dir) -> Path:
     runs_dir = out_root / "runs"
     if not runs_dir.is_dir():
         raise ConfigError(f"no runs directory under {output_dir!r}")
-    entries = []
+    lines = ["run_dir,method,intra_da,inter_da,ast,seed,epochs,final_acc"]
     for run_dir in sorted(runs_dir.iterdir()):
-        meta_path = run_dir / "run.json"
-        csv_path = run_dir / "metrics.csv"
-        if not meta_path.is_file() or not csv_path.is_file():
+        record_path, csv_path = run_dir / "run.json", run_dir / "metrics.csv"
+        if not record_path.is_file() or not csv_path.is_file():
             continue
-        try:
-            meta = json.loads(meta_path.read_text())
-            types = {"method": str, "seed": int, "epochs": int, "final_acc": (int, float)}
-            wrong = [key for key, kind in types.items()
-                     if isinstance(meta[key], bool) or not isinstance(meta[key], kind)]
-            if wrong:
-                raise TypeError(f"{', '.join(wrong)} of the wrong type")
-            flags = AblationFlags(**{f.name: meta[f.name] for f in fields(AblationFlags)})
-            variant = Variant(meta["method"], flags, run_dir.name)
-            entry = (
-                f"{run_dir.name},{variant.columns()},{meta['seed']},"
-                f"{meta['epochs']},{meta['final_acc']!r}"
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            # a truncated, partial or non-UTF-8 run.json, or a field of the wrong type
-            raise ConfigError(f"{meta_path}: malformed run record ({exc!r})") from exc
+        record = RunRecord.read(record_path)
         try:
             n_rows = len(csv_path.read_text().strip().splitlines()) - 1
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{csv_path}: not UTF-8 text ({exc})") from exc
-        if n_rows != meta["epochs"]:
-            raise ConfigError(
-                f"{csv_path}: expected {meta['epochs']} epoch rows, found {n_rows}"
-            )
-        entries.append(entry)
+        if n_rows != record.epochs:
+            raise ConfigError(f"{csv_path}: expected {record.epochs} epoch rows, found {n_rows}")
+        lines.append(f"{run_dir.name},{record.columns(epochs=True)}")
     manifest = out_root / "manifest.csv"
-    _write_text(
-        manifest,
-        "run_dir,method,intra_da,inter_da,ast,seed,epochs,final_acc\n"
-        + "\n".join(entries)
-        + ("\n" if entries else ""),
-    )
+    _write_text(manifest, "".join(f"{line}\n" for line in lines))
     return manifest
 
 

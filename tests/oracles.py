@@ -27,6 +27,7 @@ from crma.autodiff import (
     _as_tensor,
     accum,
     index,
+    mul,
     node,
 )
 
@@ -134,7 +135,7 @@ def source_ce_chain(head_probs, labels_per_domain):
     weights = []
     for labels in labels_per_domain:
         weights += [np.eye(num_classes)[labels] * (-1.0 / n)] * 2
-    return (head_probs.log() * Tensor(np.stack(weights))).sum()
+    return mul(head_probs.log(), Tensor(np.stack(weights))).sum()
 
 
 def intra_consistency_chain(head_probs):
@@ -162,7 +163,7 @@ def ast_chain(head_probs, pseudo_probs, betas):
     shape = head_probs.shape
     log_pseudo = Tensor(np.broadcast_to(np.log(np.maximum(pseudo_probs, LOG_FLOOR)), shape))
     row_weight = Tensor(np.broadcast_to((betas / n)[:, None], shape))
-    return ((head_probs.log() - log_pseudo) * head_probs * row_weight).sum()
+    return mul(mul(head_probs.log() - log_pseudo, head_probs), row_weight).sum()
 
 
 # autodiff helpers for tests ---------------------------------------------------

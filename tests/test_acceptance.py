@@ -9,9 +9,10 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import crma.losses
-from crma.autodiff import Tape, Tensor, softmax
+from crma.autodiff import Tape, Tensor, mul, softmax
 from crma.cli import main
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import (
@@ -436,6 +437,7 @@ def asymmetric_blobs_spec(seed):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_adaptation():
     started = time.monotonic()
     moons = lambda s: TaskSpec(seed=s)
@@ -516,8 +518,8 @@ def hand_single_source_variant(task, cfg, iterations):
             n = x_src.shape[0]
             onehot = Tensor(np.eye(2)[y_src])
             return (
-                (pa.log() * onehot).sum() * (-1.0 / n)
-                + (pb.log() * onehot).sum() * (-1.0 / n)
+                mul(pa.log(), onehot).sum() * (-1.0 / n)
+                + mul(pb.log(), onehot).sum() * (-1.0 / n)
             )
 
         def pair_gap():
@@ -561,8 +563,8 @@ def hand_single_source_variant(task, cfg, iterations):
             n = x_tgt.shape[0]
             log_pseudo = Tensor(np.log(np.maximum(pseudo, 1e-12)))
             weight = Tensor(np.broadcast_to((betas / n)[:, None], pseudo.shape).copy())
-            loss = ((pa.log() - log_pseudo) * pa * weight).sum() + (
-                (pb.log() - log_pseudo) * pb * weight
+            loss = mul(mul(pa.log() - log_pseudo, pa), weight).sum() + mul(
+                mul(pb.log() - log_pseudo, pb), weight
             ).sum()
         optimizer.zero_grad()
         tape.backward(loss)

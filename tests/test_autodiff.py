@@ -8,9 +8,11 @@ from crma.autodiff import (
     Tape,
     Tensor,
     add_bias,
+    div,
     index,
     linear,
     matmul,
+    mul,
     node,
     softmax,
 )
@@ -91,13 +93,13 @@ def test_log_rejects_negative_and_clamps_underflow():
 
 def test_div_by_zero_raises():
     with pytest.raises(NumericError):
-        Tensor([1.0]) / Tensor([0.0])
+        div(Tensor([1.0]), Tensor([0.0]))
 
 
 def test_scalar_broadcast_ops():
     t = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     with Tape() as tape:
-        loss = ((t * 2.0 + 1.0) / 2.0 - 0.5).sum()
+        loss = (div(t * 2.0 + 1.0, 2.0) - 0.5).sum()
     tape.backward(loss)
     np.testing.assert_allclose(loss.values, 10.0)
     np.testing.assert_allclose(t.grad, np.ones((2, 2)))
@@ -107,7 +109,7 @@ def test_scalar_tensor_broadcast_gradient():
     s = Tensor([2.0], requires_grad=True)
     m = Tensor(np.ones((3, 2)), requires_grad=True)
     with Tape() as tape:
-        loss = (m * s).sum()
+        loss = mul(m, s).sum()
     tape.backward(loss)
     assert s.grad[0] == pytest.approx(6.0)
     np.testing.assert_allclose(m.grad, 2.0 * np.ones((3, 2)))
@@ -149,7 +151,7 @@ def test_softmax_rows_and_gradient():
 
     t = Tensor(logits, requires_grad=True)
     with Tape() as tape:
-        loss = (softmax(t) * Tensor(weights)).sum()
+        loss = mul(softmax(t), Tensor(weights)).sum()
     tape.backward(loss)
 
     def forward(v):
@@ -183,12 +185,12 @@ def test_backward_on_a_loss_before_the_tape_end():
     x_val, y_val = rng.standard_normal((2, 3, 4))
 
     def loss_of(x, y):
-        return (softmax(x * y).log() * y).sum()
+        return mul(softmax(mul(x, y)).log(), y).sum()
 
     x, y = Tensor(x_val, requires_grad=True), Tensor(y_val, requires_grad=True)
     with Tape() as tape:
         loss = loss_of(x, y)
-        later = [loss * 2.0, softmax(y), (x * y).sum()]
+        later = [loss * 2.0, softmax(y), mul(x, y).sum()]
     tape.backward(loss)
     assert all(t.requires_grad and t.grad is None for t in later)  # recorded after the loss
 
@@ -219,7 +221,7 @@ def test_reused_tensor_sums_both_contributions():
     x = Tensor([x_val], requires_grad=True)
     y = Tensor([y_val], requires_grad=True)
     with Tape() as tape:
-        loss = (x * y + x / y).sum()
+        loss = (mul(x, y) + div(x, y)).sum()
     tape.backward(loss)
     assert x.grad[0] == pytest.approx(y_val + 1 / y_val, rel=1e-12)
     assert y.grad[0] == pytest.approx(x_val - x_val / y_val**2, rel=1e-12)
@@ -235,7 +237,7 @@ def test_backward_is_deterministic_after_zeroing():
     def run():
         x.zero_grad()
         with Tape() as tape:
-            loss = ((x * x).exp() * 0.25).sum()
+            loss = (mul(x, x).exp() * 0.25).sum()
         tape.backward(loss)
         return x.grad.copy()
 
@@ -246,7 +248,7 @@ def test_backward_is_deterministic_after_zeroing():
 def test_repeated_backward_accumulates():
     x = Tensor([3.0], requires_grad=True)
     with Tape() as tape:
-        loss = (x * x).sum()
+        loss = mul(x, x).sum()
     tape.backward(loss)
     tape.backward(loss)
     assert x.grad[0] == pytest.approx(12.0)  # 2 * (2x)
@@ -256,7 +258,7 @@ def test_non_requires_grad_tensor_keeps_no_grad():
     x = Tensor([1.0, 2.0], requires_grad=True)
     c = Tensor([5.0, 5.0])
     with Tape() as tape:
-        loss = (x * c).sum()
+        loss = mul(x, c).sum()
     tape.backward(loss)
     assert c.grad is None
     np.testing.assert_array_equal(x.grad, [5.0, 5.0])
@@ -264,11 +266,11 @@ def test_non_requires_grad_tensor_keeps_no_grad():
 
 def test_grad_check_polynomial():
     point = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    err = grad_check(lambda t: (t * t).sum(), point)
+    err = grad_check(lambda t: mul(t, t).sum(), point)
     assert err < 1e-6
     point.zero_grad()
     with Tape() as tape:
-        loss = (point * point).sum()
+        loss = mul(point, point).sum()
     tape.backward(loss)
     np.testing.assert_allclose(point.grad, [2.0, 4.0, 6.0], rtol=1e-12)
 
@@ -285,7 +287,7 @@ def test_grad_check_composed_functions_property():
         def f(x, y):
             z = matmul(x, y)
             p = softmax(z)
-            return (p.abs().relu() * z.exp()).sum() + (x * x).mean() + p.sum().log()
+            return mul(p.abs().relu(), z.exp()).sum() + mul(x, x).mean() + p.sum().log()
 
         assert grad_check(f, [at, bt]) < 1e-4
 
@@ -330,7 +332,7 @@ def test_linear_gradients_match_finite_differences(relu, heads, x_heads):
         assert_no_relu_kinks(x, w, b)
     readout = Tensor(np.random.default_rng(32).standard_normal((x @ w).shape))
     points = [Tensor(v, requires_grad=True) for v in (x, w, b)]
-    err = grad_check(lambda xt, wt, bt: (linear(xt, wt, bt, relu=relu) * readout).sum(), points)
+    err = grad_check(lambda xt, wt, bt: mul(linear(xt, wt, bt, relu=relu), readout).sum(), points)
     assert err < 1e-7
 
 
@@ -348,7 +350,7 @@ def test_linear_with_a_constant_operand(relu, heads, constant):
 
     def f(v, bias):
         args = (fixed, v) if constant == "x" else (v, fixed)
-        return (linear(*args, bias, relu=relu) * readout).sum()
+        return mul(linear(*args, bias, relu=relu), readout).sum()
 
     assert grad_check(f, [varied, bt]) < 1e-7
     assert fixed.grad is None
@@ -368,7 +370,7 @@ def test_linear_matches_matmul_add_bias_relu_bit_for_bit():
                 else:
                     out = add_bias(matmul(ts[0], ts[1]), ts[2])
                     out = out.relu() if relu else out
-                loss = (out * Tensor(readout)).sum()
+                loss = mul(out, Tensor(readout)).sum()
             tape.backward(loss)
             grads.append([out.values] + [t.grad for t in ts])
         for fused_array, chained_array in zip(*grads):
@@ -404,7 +406,7 @@ def test_linear_grouped_gradients_match_finite_differences(relu, groups):
         assert_no_relu_kinks(np.repeat(x, 4 // groups, axis=0), w, b)
     readout = Tensor(np.random.default_rng(40).standard_normal((4, x.shape[1], w.shape[2])))
     points = [Tensor(v, requires_grad=True) for v in (x, w, b)]
-    err = grad_check(lambda xt, wt, bt: (linear(xt, wt, bt, relu=relu) * readout).sum(), points)
+    err = grad_check(lambda xt, wt, bt: mul(linear(xt, wt, bt, relu=relu), readout).sum(), points)
     assert err < 1e-7
 
 
@@ -418,7 +420,7 @@ def test_linear_grouped_matches_per_head_linear_bit_for_bit(relu, groups):
     ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
     with Tape() as tape:
         out = linear(*ts, relu=relu)
-        loss = (out * Tensor(readout)).sum()
+        loss = mul(out, Tensor(readout)).sum()
     tape.backward(loss)
     per_input = 4 // groups
     x_grad = np.zeros_like(x)
@@ -426,7 +428,7 @@ def test_linear_grouped_matches_per_head_linear_bit_for_bit(relu, groups):
         single = [Tensor(v, requires_grad=True) for v in (x[h // per_input], w[h], b[h])]
         with Tape() as tape:
             one = linear(*single, relu=relu)
-            loss = (one * Tensor(readout[h])).sum()
+            loss = mul(one, Tensor(readout[h])).sum()
         tape.backward(loss)
         np.testing.assert_array_equal(out.values[h], one.values)
         np.testing.assert_array_equal(ts[1].grad[h], single[1].grad)
@@ -450,7 +452,7 @@ def test_linear_over_groups_gradients_match_finite_differences(relu):
         assert_no_relu_kinks(x, w, b)
     readout = Tensor(np.random.default_rng(44).standard_normal((3, x.shape[1], w.shape[1])))
     points = [Tensor(v, requires_grad=True) for v in (x, w, b)]
-    err = grad_check(lambda xt, wt, bt: (linear(xt, wt, bt, relu=relu) * readout).sum(), points)
+    err = grad_check(lambda xt, wt, bt: mul(linear(xt, wt, bt, relu=relu), readout).sum(), points)
     assert err < 1e-7
 
 
@@ -465,13 +467,13 @@ def test_linear_over_groups_matches_plain_nodes_bit_for_bit(relu, groups):
     ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
     with Tape() as tape:
         out = linear(*ts, relu=relu)
-        loss = (out * Tensor(readout)).sum()
+        loss = mul(out, Tensor(readout)).sum()
     tape.backward(loss)
     xs = [Tensor(x_g, requires_grad=True) for x_g in x]
     wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
     with Tape() as tape:
         outs = [linear(x_g, wt, bt, relu=relu) for x_g in xs]
-        loss = sum((o * Tensor(r)).sum() for o, r in zip(outs, readout))
+        loss = sum((mul(o, Tensor(r)).sum() for o, r in zip(outs, readout)), Tensor(0.0))
     tape.backward(loss)
     for i in range(groups):
         np.testing.assert_array_equal(out.values[i], outs[i].values)
@@ -501,10 +503,10 @@ def test_stack_and_index_gradients():
 
     def f(*ts):
         s = stack(ts)
-        picked = index(s, pairs) * readout
+        picked = mul(index(s, pairs), readout)
         odd = index(s, slice(1, None, 2))
         corner = index(s, (slice(0, 2), 1, 0))
-        return picked.sum() + (odd * odd).sum() + (corner * corner).sum() + (index(s, 2) * 3.0).sum()
+        return picked.sum() + mul(odd, odd).sum() + mul(corner, corner).sum() + (index(s, 2) * 3.0).sum()
 
     assert grad_check(f, parts) < 1e-7
 
@@ -541,7 +543,7 @@ def test_softmax_batched_matches_each_slice():
 
     t = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     weights = Tensor(rng.standard_normal((2, 3, 4)))
-    assert grad_check(lambda v: (softmax(v) * weights).sum(), t) < 1e-7
+    assert grad_check(lambda v: mul(softmax(v), weights).sum(), t) < 1e-7
 
 
 def test_frozen_operands_record_nothing():

@@ -12,6 +12,7 @@ from crma.cli import (
     CONFIG_KEYS,
     SHIFT_KEYS,
     ConfigError,
+    RunRecord,
     ablation_variants,
     aggregate,
     build_experiment_config,
@@ -455,6 +456,28 @@ def test_emit_curves_manifest(tmp_path):
     assert main(["curves", str(tmp_path / "missing")]) == 1
 
 
+def test_run_json_round_trips_and_manifest_rows_equal_results_rows(tmp_path):
+    cfg_path = write_cfg(tmp_path)  # two seeds
+    out = tmp_path / "out"
+    assert main(["ablate", str(cfg_path), "--out", str(out), "--train.epochs=1"]) == 0
+    assert main(["curves", str(out)]) == 0
+    results = {}
+    for line in (out / "results.csv").read_text().splitlines()[1:]:
+        *key, acc = line.split(",")
+        results[tuple(key)] = acc
+    manifest = (out / "manifest.csv").read_text().splitlines()[1:]
+    assert len(manifest) == len(results) == 2 * len(ABLATION_GRID)
+    for line in manifest:
+        run_dir, *key, epochs, acc = line.split(",")
+        meta = json.loads((out / "runs" / run_dir / "run.json").read_text())
+        assert acc == results[tuple(key)] == repr(meta["final_acc"])
+        assert epochs == "1"
+    for path in (out / "runs").glob("*/run.json"):
+        record = RunRecord.read(path)
+        assert record.variant.label == path.parent.name
+        assert record.json_text().encode() == path.read_bytes()
+
+
 def test_readme_output_layout_matches_written_files(tmp_path):
     cfg_path = write_cfg(tmp_path, text=TINY + "run.num_seeds = 1\n")
     out = tmp_path / "out"
@@ -487,8 +510,18 @@ GOOD_RUN_JSON = (
         (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": "yes"'), b"epoch\n0\n", "run.json"),
         (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": "1"'), b"epoch\n0\n", "run.json"),
         (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": "x"'), b"epoch\n0\n", "run.json"),
+        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": 2'), b"epoch\n0\n", "run.json"),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": NaN'), b"epoch\n0\n", "run.json"),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": Infinity'), b"epoch\n0\n", "run.json"),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": 1.5'), b"epoch\n0\n", "run.json"),
+        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": true'), b"epoch\n0\n", "run.json"),
+        (GOOD_RUN_JSON.replace(b'"crma"', b'"dann"'), b"epoch\n0\n", "run.json"),
     ],
-    ids=["truncated", "no-epochs", "non-utf8", "non-utf8-metrics", "bad-flag", "str-epochs", "str-final-acc"],
+    ids=[
+        "truncated", "no-epochs", "non-utf8", "non-utf8-metrics", "bad-flag", "str-epochs",
+        "str-final-acc", "int-flag", "nan-final-acc", "inf-final-acc", "final-acc-above-1",
+        "bool-seed", "unknown-method",
+    ],
 )
 def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_json, metrics, bad):
     # what a killed sweep or another program can leave behind
