@@ -8,9 +8,9 @@ which is what evaluation-only paths use.
 Everything is float64. Elementwise ops take equal shapes or a scalar
 with a tensor; the other broadcasts are the row-broadcast bias of
 :func:`add_bias` and :func:`linear`, and the leading axes of
-:func:`linear`: a group axis on the input runs one layer over G inputs in
-one node, and a head axis on the weight runs H stacked layers, on one
-shared input or on G inputs that each feed H/G consecutive heads.
+:func:`linear`: a group axis on the input (G inputs) and a head axis on
+the weight (H stacked layers) form one grid of (input, weight) cells,
+computed as one node.
 Backwards only compute the gradients of operands that require one, so a
 subgraph built from frozen tensors is neither recorded nor differentiated.
 
@@ -328,18 +328,18 @@ def add_bias(x, bias) -> Tensor:
 def linear(x, weight, bias, relu: bool = False) -> Tensor:
     """``x @ weight + bias``, optionally followed by relu, as one node.
 
-    Plain: x (n, d), weight (d, k), bias (k,). Value and gradients are
-    bit-identical to ``add_bias(matmul(x, weight), bias)`` (then ``.relu()``).
-    Grouped: x (G, n, d) with the same weight and bias gives (G, n, k), and
-    value and gradients are bit-identical to G plain nodes, one per group,
-    recorded in group order on one tape: the weight and bias gradients add
-    the groups last group first, the order in which that tape adds them.
-    Head-batched: weight (H, d, k) and bias (H, k) hold H layers and the
-    output is (H, n, k). x (n, d) feeds every head; x (G, n, d), with G
-    dividing H, feeds input g to the H/G consecutive heads from g*H/G on
-    (G = H: one input per head). Each head's output and weight and bias
-    gradients are bit-identical to plain ``linear`` on its own input; an
-    input's gradient is the sum over the heads it fed.
+    The input, x (n, d) or G inputs x (G, n, d), and the weight, one shared
+    (d, k) with bias (k,) or H stacked (H, d, k) with bias (H, k), form a
+    (G, H/G) grid of cells, G dividing H: input g meets the H/G stacked
+    weights from g*H/G on, or the one shared weight. The output is (n, k),
+    (G, n, k) or (H, n, k).
+
+    Each cell's value and weight and bias gradients are bit-identical to
+    ``add_bias(matmul(x, weight), bias)`` (then ``.relu()``) on its own
+    input and weight. A stack takes its cells' gradients as they are; a
+    shared weight adds its G cells last group first, as G plain nodes
+    recorded in group order on one tape do. An input's gradient sums the
+    cells it fed in head order.
     """
     x, w, b = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     heads = w.values.ndim == 3
@@ -353,70 +353,57 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
         raise DimensionError(
             f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not align"
         )
-    if heads:
-        groups = x.shape[0] if x.values.ndim == 3 else 1
-        # (G, 1, n, d) @ (G, H/G, d, k): each input meets its H/G heads
-        xs = x.values[:, None] if x.values.ndim == 3 else x.values
-        ws = w.values.reshape((groups, -1) + w.shape[1:])
-        values = (xs @ ws).reshape(w.shape[0], -1, w.shape[2])
-        values += b.values[:, None, :]
-    else:
-        xs, ws = x.values.reshape((-1,) + x.shape[-2:]), w.values  # (G, n, d), G = 1 when plain
-        values = x.values @ ws
-        values += b.values
+    # the (G, H/G) grid of cells: G = 1 for one input, H/G = 1 for a shared weight
+    groups = x.shape[0] if x.values.ndim == 3 else 1
+    xs = x.values.reshape((groups, 1) + x.shape[-2:])
+    ws = w.values.reshape((groups if heads else 1, -1) + w.shape[-2:])
+    values = xs @ ws
+    values += b.values.reshape(ws.shape[:2] + (1, -1))
     if relu:
         np.maximum(values, 0.0, out=values)
+    out = values.reshape((w.shape[:1] if heads else x.shape[:-2]) + values.shape[-2:])
+
+    def add_cells(t, cells):
+        if heads:  # a stack takes its cells as they are
+            accum(t, cells.reshape(t.shape), owned=True)
+            return
+        for cell in cells[::-1, 0]:  # one accum per cell, last group first
+            accum(t, cell, owned=True)
 
     def backward_fn(g):
-        if relu:  # g is this node's own gradient buffer, done with after this call
-            np.multiply(g, values > 0.0, out=g)
-        if heads:
-            if b.requires_grad:
-                # einsum adds the rows in the order sum(axis=-2) does, much faster
-                accum(b, np.einsum("hnk->hk", g), owned=True)
-            gs = g.reshape(ws.shape[:-2] + g.shape[-2:])
-            if w.requires_grad:
-                accum(w, (np.swapaxes(xs, -1, -2) @ gs).reshape(w.shape), owned=True)
-        else:
-            gs = g.reshape(xs.shape[:-1] + g.shape[-1:])
-            for i in reversed(range(len(gs))):  # last group first
-                if b.requires_grad:
-                    accum(b, gs[i].sum(axis=0), owned=True)
-                if w.requires_grad:
-                    accum(w, xs[i].T @ gs[i], owned=True)
+        gs = g.reshape(values.shape)  # this node's own gradient buffer, done with after this call
+        if relu:
+            np.multiply(gs, values > 0.0, out=gs)
+        if b.requires_grad:
+            # einsum adds the rows in the order sum(axis=-2) does, much faster
+            add_cells(b, np.einsum("ghnk->ghk", gs))
+        if w.requires_grad:
+            add_cells(w, np.swapaxes(xs, -1, -2) @ gs)
         if x.requires_grad:
             # a contiguous transpose, not the strided view: OpenBLAS 0.3.31 ran
             # these products 1.3-1.8x faster on it (2-core Xeon), same bits
             wt = np.ascontiguousarray(np.swapaxes(ws, -1, -2))
-            if heads:  # an input's gradient sums over the heads it fed, in head order
-                gx = gs[:, 0] @ wt[:, 0]
-                for j in range(1, ws.shape[1]):
-                    gx += gs[:, j] @ wt[:, j]
-            else:
-                gx = g @ wt
+            gx = gs[:, 0] @ wt[:, 0]
+            for j in range(1, ws.shape[1]):  # head order
+                gx += gs[:, j] @ wt[:, j]
             accum(x, gx.reshape(x.shape), owned=True)
 
-    return node(values, (x, w, b), backward_fn)
+    return node(out, (x, w, b), backward_fn)
 
 
 def index(t, key) -> Tensor:
-    """``t[key]`` as a copy, for a numpy index of ints, slices and int arrays.
-
-    Repeated positions in an integer-array index add up their gradients.
-    """
+    """``t[key]`` as a copy, for a basic numpy index: an int, a slice or a tuple of them."""
     t = _as_tensor(t)
     parts = key if isinstance(key, tuple) else (key,)
-    fancy = any(isinstance(k, (list, np.ndarray)) for k in parts)
+    if not all(isinstance(k, (int, slice)) for k in parts):
+        raise TypeError(f"index: key {key!r} is not an int, a slice or a tuple of them")
 
     def backward_fn(g):
         if not t.requires_grad:
             return
         if t.grad is None:
             t.grad = np.zeros_like(t.values)
-        if fancy:
-            np.add.at(t.grad, key, g)
-        else:
-            t.grad[key] += g
+        t.grad[key] += g
 
     return node(np.array(t.values[key]), (t,), backward_fn)
 

@@ -6,8 +6,9 @@ take the (2M, n, K) probabilities of every head, in (domain, branch a,
 branch b) order, as one tensor and compute over that head axis. Each loss
 is one ``autodiff.node`` on that tensor whatever M is; its backward runs
 the numpy arithmetic of the equivalent chain of autodiff ops (``log``,
-``index``, ``sub``, ``abs``, ``sum``, ...; kept in ``tests/oracles.py``)
-in that chain's order, so values and gradients have the chain's bits.
+``index``, ``gather``, ``sub``, ``abs``, ``sum``, ...; kept in
+``tests/oracles.py``) in that chain's order, so values and gradients have
+the chain's bits.
 
 ``pair_statistics`` gives a target batch's per-sample pair discrepancies
 and pair means, and ``fuse_pseudo_labels`` turns them into the batch's

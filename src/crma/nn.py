@@ -51,8 +51,8 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def _mlp(h: Tensor, leaves: Sequence[Tensor], relu_last: bool) -> Tensor:
-    """``h`` through (weight, bias, weight, bias, ...) layers, relu between them.
+def _mlp(h, leaves: Sequence[Tensor], relu_last: bool) -> Tensor:
+    """``h``, an array or a tensor, through (weight, bias, ...) layers, relu between them.
 
     The layers are one MLP's, or several heads' stacked along a leading
     head axis; ``relu_last`` also puts relu after the last layer.
@@ -112,8 +112,6 @@ class CrmaModel:
 
     def forward_features(self, x) -> Tensor:
         """Features of x (n, d), or of G batches x (G, n, d) in one grouped pass."""
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=np.float64))
         return _mlp(x, self.extractor_leaves, relu_last=True)
 
     def head_probs(self, features: Tensor) -> Tensor:

@@ -244,14 +244,13 @@ def step_source(state: TrainState, batch: DomainBatch, lr: float) -> float:
     return _descend(state, tape, loss, lr)
 
 
-def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
+def step_classifiers(state: TrainState, batch: DomainBatch, lr: float) -> None:
     """One classifier-only step on (source CE - L_intra); extractor frozen.
 
     Skipped entirely when the intra-consistency component is ablated.
-    Returns the pre-step (L_src, L_intra) values.
     """
     if not state.config.ablation.intra_da:
-        return None
+        return
     model = state.model
     with _frozen(model.extractor_leaves):
         with Tape() as tape:
@@ -261,7 +260,6 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float):
             intra = losses.intra_consistency_loss(model.head_probs(target_feats))
             objective = losses.classifier_objective(src_loss, intra)
         _descend(state, tape, objective, lr)  # guards both component losses
-    return src_loss.item(), intra.item()
 
 
 def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
@@ -364,13 +362,11 @@ def train(config: TrainConfig, task: GeneratedTask):
             for _ in range(iterator.batches_per_epoch):
                 batch = next(batches)
                 src_sum += step_source(state, batch, lr)
-                clf = step_classifiers(state, batch, lr)
+                step_classifiers(state, batch, lr)
                 ext = step_extractor(state, batch, lr)
                 if ext is not None:
                     intra_sum += ext[0]
                     inter_sum += ext[1]
-                elif clf is not None:
-                    intra_sum += clf[1]
                 ast = step_ast(state, batch, lr)
                 if ast is not None:
                     ast_sum += ast[0]

@@ -10,9 +10,10 @@ gradients are the bits the single-node losses must reproduce.
 
 ``group_parameters`` picks a model's named parameters by group prefix.
 
-``stack`` and ``grad_check`` are autodiff helpers that no training path
-calls: a stacking op for building head tensors by hand, and the
-central-difference gradient check.
+``stack``, ``gather`` and ``grad_check`` are autodiff helpers that no
+training path calls: a stacking op for building head tensors by hand, an
+integer-array gather along the first axis, and the central-difference
+gradient check.
 """
 
 import math
@@ -153,7 +154,7 @@ def inter_consistency_chain(head_probs):
     a, b = _pair_heads(head_probs)
     means = (a + b) * 0.5
     first, second = np.triu_indices(num_heads // 2, k=1)
-    gap = (index(means, first) - index(means, second)).abs()
+    gap = (gather(means, first) - gather(means, second)).abs()
     return gap.sum() * (1.0 / (n * num_classes))
 
 
@@ -180,6 +181,23 @@ def stack(tensors) -> Tensor:
             accum(t, g_t)
 
     return node(np.stack([t.values for t in ts]), ts, backward_fn)
+
+
+def gather(t, positions) -> Tensor:
+    """``t[positions]`` as a copy, for an integer array of first-axis positions.
+
+    Repeated positions add up their gradients.
+    """
+    t = _as_tensor(t)
+
+    def backward_fn(g):
+        if not t.requires_grad:
+            return
+        if t.grad is None:
+            t.grad = np.zeros_like(t.values)
+        np.add.at(t.grad, positions, g)
+
+    return node(np.array(t.values[positions]), (t,), backward_fn)
 
 
 def grad_check(f, point, h: float = 1e-5) -> float:

@@ -17,7 +17,7 @@ from crma.autodiff import (
     softmax,
 )
 
-from oracles import grad_check, stack
+from oracles import gather, grad_check, stack
 
 
 def central_diff(f, values, h=1e-5):
@@ -482,6 +482,25 @@ def test_linear_over_groups_matches_plain_nodes_bit_for_bit(relu, groups):
     np.testing.assert_array_equal(ts[2].grad, bt.grad)
 
 
+def test_linear_shared_weight_adds_groups_onto_an_existing_gradient():
+    # a grouped node (G = 3), then a plain node, on one weight and bias: the
+    # backward runs the plain node first, so the grouped node adds its cells
+    # one by one, last first, onto a held gradient, as three plain nodes would
+    rng = np.random.default_rng(47)
+    x = away_from_kinks(rng, (4, 16, 8))
+    w, b = rng.standard_normal((8, 6)), rng.standard_normal(6)
+    readout = rng.standard_normal((4, 16, 6))
+    grads = []
+    for parts, readouts in (([x[:3], x[3]], [readout[:3], readout[3]]), (x, readout)):
+        wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            outs = [linear(Tensor(p), wt, bt, relu=True) for p in parts]
+            loss = sum((mul(o, Tensor(r)).sum() for o, r in zip(outs, readouts)), Tensor(0.0))
+        tape.backward(loss)
+        grads.append((wt.grad.tobytes(), bt.grad.tobytes()))
+    assert grads[0] == grads[1]
+
+
 def test_linear_rejects_misaligned_shapes():
     with pytest.raises(DimensionError, match="linear"):
         linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
@@ -503,7 +522,7 @@ def test_stack_and_index_gradients():
 
     def f(*ts):
         s = stack(ts)
-        picked = mul(index(s, pairs), readout)
+        picked = mul(gather(s, pairs), readout)
         odd = index(s, slice(1, None, 2))
         corner = index(s, (slice(0, 2), 1, 0))
         return picked.sum() + mul(odd, odd).sum() + mul(corner, corner).sum() + (index(s, 2) * 3.0).sum()
@@ -523,6 +542,15 @@ def test_stack_and_index_values_are_copies():
     assert s.values[1, 0, 0] == 3.0
     with pytest.raises(DimensionError):
         stack([a, Tensor([1.0])])
+
+
+def test_index_rejects_an_integer_array_key():
+    # repeated positions would add up wrong through t.grad[key] += g;
+    # an integer-array gather is the oracles' gather
+    t = Tensor(np.ones((3, 2)), requires_grad=True)
+    for key in (np.array([0, 0]), [0, 1], (slice(None), np.array([1]))):
+        with pytest.raises(TypeError, match="index"):
+            index(t, key)
 
 
 def test_op_results_do_not_alias_operands():

@@ -116,8 +116,7 @@ def test_step_classifiers_freezes_extractor():
     state = fresh_state(task, seed=6)
     batch = first_batch(task)
     ext_before, clf_before = digests(state.model)
-    result = step_classifiers(state, batch, lr=1e-3)
-    assert result is not None
+    step_classifiers(state, batch, lr=1e-3)
     ext_after, clf_after = digests(state.model)
     assert ext_after == ext_before
     assert clf_after != clf_before
@@ -128,7 +127,7 @@ def test_step_classifiers_skipped_when_ablated():
     state = fresh_state(task, seed=7, ablation=AblationFlags(intra_da=False))
     batch = first_batch(task)
     before = parameters_digest(state.model.parameters())
-    assert step_classifiers(state, batch, lr=1e-3) is None
+    step_classifiers(state, batch, lr=1e-3)
     assert parameters_digest(state.model.parameters()) == before
 
 
