@@ -191,34 +191,32 @@ def _degrees(value: str) -> float:
     return math.radians(float(value))
 
 
-# Every config key: (key, value parser, section, field). The section is the
-# object holding the field: ExperimentConfig.task, .train, .train.ablation,
-# or the ExperimentConfig itself for "run".
+# Every config key: (key, value parser, attribute path from ExperimentConfig).
 CONFIG_KEYS = (
-    ("task.generator", str, "task", "generator"),
-    ("task.num_classes", int, "task", "num_classes"),
-    ("task.samples_per_domain", int, "task", "samples_per_domain"),
-    ("task.seed", int, "task", "seed"),
-    ("task.generator_noise", _optional_float, "task", "generator_noise"),
-    ("train.alpha", float, "train", "alpha"),
-    ("train.lambda", float, "train", "lam"),
-    ("train.base_lr", float, "train", "base_lr"),
-    ("train.extractor_lr_multiplier", float, "train", "extractor_lr_multiplier"),
-    ("train.epochs", int, "train", "epochs"),
-    ("train.batch_per_domain", int, "train", "batch_per_domain"),
-    ("train.optimizer", str, "train", "optimizer"),
-    ("train.scheduler", str, "train", "scheduler"),
-    ("train.seed", int, "train", "seed"),
-    ("train.num_extractor_steps", int, "train", "num_extractor_steps"),
-    ("train.ast_start_epoch", int, "train", "ast_start_epoch"),
-    ("train.extractor_hidden", _int_tuple, "train", "extractor_hidden"),
-    ("train.head_hidden", _int_tuple, "train", "head_hidden"),
-    ("train.intra_da", _bool, "train.ablation", "intra_da"),
-    ("train.inter_da", _bool, "train.ablation", "inter_da"),
-    ("train.ast", _bool, "train.ablation", "ast"),
-    ("run.num_seeds", _count, "run", "num_seeds"),
-    ("run.output_dir", _directory, "run", "output_dir"),
-    ("run.methods", _methods, "run", "methods"),
+    ("task.generator", str, "task.generator"),
+    ("task.num_classes", int, "task.num_classes"),
+    ("task.samples_per_domain", int, "task.samples_per_domain"),
+    ("task.seed", int, "task.seed"),
+    ("task.generator_noise", _optional_float, "task.generator_noise"),
+    ("train.alpha", float, "train.alpha"),
+    ("train.lambda", float, "train.lam"),
+    ("train.base_lr", float, "train.base_lr"),
+    ("train.extractor_lr_multiplier", float, "train.extractor_lr_multiplier"),
+    ("train.epochs", int, "train.epochs"),
+    ("train.batch_per_domain", int, "train.batch_per_domain"),
+    ("train.optimizer", str, "train.optimizer"),
+    ("train.scheduler", str, "train.scheduler"),
+    ("train.seed", int, "train.seed"),
+    ("train.num_extractor_steps", int, "train.num_extractor_steps"),
+    ("train.ast_start_epoch", int, "train.ast_start_epoch"),
+    ("train.extractor_hidden", _int_tuple, "train.extractor_hidden"),
+    ("train.head_hidden", _int_tuple, "train.head_hidden"),
+    ("train.intra_da", _bool, "train.ablation.intra_da"),
+    ("train.inter_da", _bool, "train.ablation.inter_da"),
+    ("train.ast", _bool, "train.ablation.ast"),
+    ("run.num_seeds", _count, "num_seeds"),
+    ("run.output_dir", _directory, "output_dir"),
+    ("run.methods", _methods, "methods"),
 )
 # The ShiftSpec keys under task.source_shifts.<i>. and task.target_shift.:
 # (name, value parser, field). rotation_deg is read into rotation and never
@@ -266,15 +264,23 @@ def _parse(parse, key: str, value: str):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
+def _owner(cfg: ExperimentConfig, path: str) -> tuple[object, str]:
+    """The object holding a CONFIG_KEYS attribute path, and the attribute's name."""
+    *parents, name = path.split(".")
+    for parent in parents:
+        cfg = getattr(cfg, parent)
+    return cfg, name
+
+
 def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     """Defaults overlaid with the given keys; unknown keys are rejected."""
-    values: dict[str, dict] = {section: {} for _, _, section, _ in CONFIG_KEYS}
+    cfg = ExperimentConfig()
     shifts: dict[str, dict] = {}  # shift prefix -> ShiftSpec field -> value
     set_by: dict[tuple[str, str], str] = {}  # (shift prefix, field) -> key
     for key, value in kv.items():
         if key in _KEY_ROWS:
-            parse, section, name = _KEY_ROWS[key]
-            values[section][name] = _parse(parse, key, value)
+            parse, path = _KEY_ROWS[key]
+            setattr(*_owner(cfg, path), _parse(parse, key, value))
             continue
         m = _SHIFT_KEY_RE.match(key)
         prefix = m and m.group(1)
@@ -291,22 +297,15 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
             shifts[prefix] = ShiftSpec(**fields)
         except ValueError as exc:
             raise ConfigError(f"{prefix}: {exc}") from exc
-    task = values["task"]
     if _TARGET_SHIFT in shifts:
-        task["target_shift"] = shifts.pop(_TARGET_SHIFT)
+        cfg.task.target_shift = shifts.pop(_TARGET_SHIFT)
     indices = sorted(int(p.rsplit(".", 1)[1]) for p in shifts)
     if indices != list(range(len(indices))):
         raise ConfigError(
             f"task.source_shifts indices must be contiguous from 0, got {indices}"
         )
     if indices:
-        task["source_shifts"] = [shifts[f"task.source_shifts.{i}"] for i in indices]
-
-    cfg = ExperimentConfig(
-        task=TaskSpec(**task),
-        train=TrainConfig(ablation=AblationFlags(**values["train.ablation"]), **values["train"]),
-        **values["run"],
-    )
+        cfg.task.source_shifts = [shifts[f"task.source_shifts.{i}"] for i in indices]
     try:
         cfg.task.validate()
         cfg.train.validate()
@@ -340,10 +339,7 @@ def effective_config_text(cfg: ExperimentConfig) -> str:
     Rotations are written in radians (the canonical field), so the
     round-trip is bit-exact even when the input used rotation_deg.
     """
-    sections = {
-        "task": cfg.task, "train": cfg.train, "train.ablation": cfg.train.ablation, "run": cfg
-    }
-    lines = {key: _fmt(getattr(sections[section], name)) for key, _, section, name in CONFIG_KEYS}
+    lines = {key: _fmt(getattr(*_owner(cfg, path))) for key, _, path in CONFIG_KEYS}
     shifts = {f"task.source_shifts.{i}": s for i, s in enumerate(cfg.task.source_shifts)}
     shifts[_TARGET_SHIFT] = cfg.task.target_shift
     for prefix, shift in shifts.items():
@@ -461,15 +457,12 @@ def aggregate(records: Sequence[RunRecord]) -> list[tuple[Variant, int, float, f
 
 def write_results(cfg: ExperimentConfig, records: Sequence[RunRecord]) -> list[tuple]:
     out_root = Path(cfg.output_dir)
-    with _replacing(out_root / "results.csv") as tmp, open(tmp, "w") as f:
-        f.write("method,intra_da,inter_da,ast,seed,target_acc\n")
-        for r in records:
-            f.write(f"{r.columns()}\n")
+    lines = ["method,intra_da,inter_da,ast,seed,target_acc", *(r.columns() for r in records)]
+    _write_text(out_root / "results.csv", "".join(f"{line}\n" for line in lines))
     summary = aggregate(records)
-    with _replacing(out_root / "summary.csv") as tmp, open(tmp, "w") as f:
-        f.write("method,intra_da,inter_da,ast,num_seeds,acc_mean,acc_std\n")
-        for variant, num_seeds, mean, std in summary:
-            f.write(f"{variant.columns()},{num_seeds},{mean!r},{std!r}\n")
+    lines = ["method,intra_da,inter_da,ast,num_seeds,acc_mean,acc_std"]
+    lines += [f"{v.columns()},{n},{mean!r},{std!r}" for v, n, mean, std in summary]
+    _write_text(out_root / "summary.csv", "".join(f"{line}\n" for line in lines))
     _write_text(out_root / "summary.txt", render_table(summary))
     return summary
 
@@ -497,7 +490,7 @@ def emit_curves(output_dir) -> Path:
             continue
         record = RunRecord.read(record_path)
         try:
-            n_rows = len(csv_path.read_text().strip().splitlines()) - 1
+            n_rows = len(csv_path.read_text().strip().splitlines()[1:])
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{csv_path}: not UTF-8 text ({exc})") from exc
         if n_rows != record.epochs:
@@ -560,6 +553,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args, extra = parser.parse_known_args(argv)
         if args.command == "curves":
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
             manifest = emit_curves(args.run_dir)
             print(f"wrote {manifest}")
             return 0

@@ -416,27 +416,6 @@ def write_history_csv(history: Sequence[dict], num_domains: int, fileobj: IO[str
 #   iteration u64 | epoch u64
 
 
-class _Reader:
-    """Checkpoint byte reader that reports the offset of any truncation."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(
-                f"truncated trainer checkpoint: needed {n} bytes at offset {self.pos}, "
-                f"file has {len(self.data)}"
-            )
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def _mlp_size(widths: Sequence[int]) -> int:
     """Weight and bias entries of an MLP with these layer widths."""
     return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
@@ -473,31 +452,44 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
     """The state ``save_checkpoint`` wrote; the optimizer's momentum comes from ``config``."""
     with open(path, "rb") as f:
         data = f.read()
-    r = _Reader(data)
-    if r.take(8) != CHECKPOINT_MAGIC:
+    pos = 0
+
+    def header(fmt: str) -> tuple:
+        # the only checked read: the size comparison below covers the body
+        nonlocal pos
+        n = struct.calcsize(fmt)
+        if pos + n > len(data):
+            raise FormatError(
+                f"truncated trainer checkpoint: needed {n} bytes at offset {pos}, "
+                f"file has {len(data)}"
+            )
+        pos += n
+        return struct.unpack_from(fmt, data, pos - n)
+
+    if header("<8s") != (CHECKPOINT_MAGIC,):
         raise FormatError("bad trainer checkpoint magic")
-    (version,) = r.unpack("<I")
+    (version,) = header("<I")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported trainer checkpoint version {version}")
-    input_dim, num_classes, num_domains = r.unpack("<III")
-    (n_ext,) = r.unpack("<I")
-    extractor_hidden = r.unpack(f"<{n_ext}I")
-    (n_head,) = r.unpack("<I")
-    head_hidden = r.unpack(f"<{n_head}I")
+    input_dim, num_classes, num_domains = header("<III")
+    (n_ext,) = header("<I")
+    extractor_hidden = header(f"<{n_ext}I")
+    (n_head,) = header("<I")
+    head_hidden = header(f"<{n_head}I")
     # check the header's size claim before allocating the model it describes
     widths = (input_dim, *extractor_hidden)
     count = _mlp_size(widths) + 2 * num_domains * _mlp_size((widths[-1], *head_hidden, num_classes))
     # values and velocities, tracker sums and counts, two counters
     size = 8 * (2 * count + 2 * num_domains + 2)
-    left = len(data) - r.pos
+    left = len(data) - pos
     if size > left:
         raise FormatError(
             f"truncated trainer checkpoint: the header implies {count} parameters, "
-            f"{left} bytes are left at offset {r.pos}, {size} needed"
+            f"{left} bytes are left at offset {pos}, {size} needed"
         )
     if size < left:
         raise FormatError(
-            f"malformed trainer checkpoint: data ends at offset {r.pos + size}, "
+            f"malformed trainer checkpoint: data ends at offset {pos + size}, "
             f"file has {len(data)} bytes ({left - size} trailing)"
         )
     try:
@@ -506,6 +498,7 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
         raise FormatError(f"malformed trainer checkpoint header: {exc}") from exc
     state = TrainState(model, config)
     for a in _stored_arrays(state):
-        a.flat = np.frombuffer(r.take(a.nbytes), a.dtype.newbyteorder("<"))
-    state.iteration, state.epoch = r.unpack("<QQ")
+        a.flat = np.frombuffer(data, a.dtype.newbyteorder("<"), a.size, pos)
+        pos += a.nbytes
+    state.iteration, state.epoch = struct.unpack_from("<QQ", data, pos)
     return state

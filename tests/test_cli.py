@@ -116,6 +116,15 @@ def test_bad_values_are_config_errors():
         {"run.methods": ""},
         {"run.methods": "crma,crma"},
         {"run.output_dir": ""},
+        {"train.optimizer": "adam"},
+        {"train.scheduler": "step"},
+        {"train.alpha": "-1"},
+        {"train.lambda": "-0.1"},
+        {"train.base_lr": "0"},
+        {"train.extractor_lr_multiplier": "0"},
+        {"run.num_seeds": "0"},
+        {"task.source_shifts.0.translation": "1,2,3"},
+        {"task.generator": "gaussian_blobs", "task.num_classes": "1"},
     ):
         with pytest.raises(ConfigError):
             build_experiment_config(kv)
@@ -256,11 +265,26 @@ def test_rerun_whose_checkpoint_write_fails_keeps_the_earlier_checkpoint(tmp_pat
     assert sorted(p.name for p in run_dir.iterdir()) == ["metrics.csv", "model.ckpt", "run.json"]
 
 
-@pytest.mark.parametrize("argv", [["run"], ["frobnicate"]], ids=["no-config", "unknown-command"])
-def test_cli_usage_error_exits_one(argv, capsys):
-    # exit 2 means a diverged run, so a bad command line must not use it
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run"],
+        ["frobnicate"],
+        ["run", "exp.cfg", "--out", "new", "oops"],
+        ["curves", "old", "--train.epochs=3", "bogus"],
+    ],
+    ids=["no-config", "unknown-command", "override-without-equals", "curves-extra-args"],
+)
+def test_cli_usage_error_exits_one(argv, tmp_path, monkeypatch, capsys):
+    # exit 2 means a diverged run, so a bad command line must not use it; it
+    # writes nothing, not even the manifest of the empty sweep in "old"
+    write_cfg(tmp_path)
+    (tmp_path / "old" / "runs").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 1
     assert "config error:" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize(
@@ -516,11 +540,13 @@ GOOD_RUN_JSON = (
         (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": 1.5'), b"epoch\n0\n", "run.json"),
         (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": true'), b"epoch\n0\n", "run.json"),
         (GOOD_RUN_JSON.replace(b'"crma"', b'"dann"'), b"epoch\n0\n", "run.json"),
+        (GOOD_RUN_JSON, b"epoch\n0\n1\n", "metrics.csv"),
+        (GOOD_RUN_JSON, b"", "metrics.csv"),
     ],
     ids=[
         "truncated", "no-epochs", "non-utf8", "non-utf8-metrics", "bad-flag", "str-epochs",
         "str-final-acc", "int-flag", "nan-final-acc", "inf-final-acc", "final-acc-above-1",
-        "bool-seed", "unknown-method",
+        "bool-seed", "unknown-method", "extra-epoch-row", "empty-metrics",
     ],
 )
 def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_json, metrics, bad):
@@ -532,6 +558,8 @@ def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_
     assert main(["curves", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(run_dir / bad) in err
+    if not metrics:
+        assert "expected 1 epoch rows, found 0" in err
 
 
 def test_uniform_ensemble_equals_ast_pseudo_labels_single_source():

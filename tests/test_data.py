@@ -62,6 +62,35 @@ def test_shift_validation():
         ShiftSpec(scale=0.0)
     with pytest.raises(ValueError):
         ShiftSpec(noise_std=-1.0)
+    with pytest.raises(ValueError, match="translation must have 2 entries"):
+        ShiftSpec(translation=(1, 2, 3))
+
+
+def test_task_without_sources_rejected():
+    with pytest.raises(ValueError, match="at least one source"):
+        TaskSpec(source_shifts=[]).validate()
+
+
+def test_per_domain_noise_changes_only_that_domains_features():
+    shifts = [ShiftSpec(), ShiftSpec(rotation=0.4), ShiftSpec(rotation=0.8)]
+    clean = generate_task(TaskSpec(samples_per_domain=100, seed=5, source_shifts=shifts))
+    noisy_shifts = [shifts[0], ShiftSpec(rotation=0.4, noise_std=0.3), shifts[2]]
+    spec = TaskSpec(samples_per_domain=100, seed=5, source_shifts=noisy_shifts)
+    noisy, again = generate_task(spec), generate_task(spec)
+    for task in (noisy, again):
+        assert not np.array_equal(task.sources[1].features, clean.sources[1].features)
+        np.testing.assert_array_equal(task.sources[1].labels, clean.sources[1].labels)
+        for m in (0, 2):
+            np.testing.assert_array_equal(task.sources[m].features, clean.sources[m].features)
+            np.testing.assert_array_equal(task.sources[m].labels, clean.sources[m].labels)
+        np.testing.assert_array_equal(task.target.features, clean.target.features)
+        np.testing.assert_array_equal(task.target_train_labels, clean.target_train_labels)
+        np.testing.assert_array_equal(task.target_test_features, clean.target_test_features)
+        np.testing.assert_array_equal(task.target_test_labels, clean.target_test_labels)
+    # the draw is seeded: two generations agree bit for bit
+    np.testing.assert_array_equal(noisy.sources[1].features, again.sources[1].features)
+    with pytest.raises(ValueError, match="needs an rng"):
+        apply_shift(noisy_shifts[1], clean.sources[1].features)
 
 
 def test_labels_balanced_both_generators():
@@ -71,6 +100,14 @@ def test_labels_balanced_both_generators():
             counts = np.bincount(domain.labels, minlength=spec.num_classes)
             expected = spec.samples_per_domain / spec.num_classes
             assert np.all(np.abs(counts - expected) <= 0.1 * expected)
+
+
+def test_uneven_class_counts_differ_by_at_most_one():
+    spec = blob_spec(num_classes=3, samples_per_domain=500)
+    task = generate_task(spec)
+    for domain in task.sources:
+        np.testing.assert_array_equal(np.bincount(domain.labels), [167, 167, 166])
+    np.testing.assert_array_equal(np.bincount(task.target_test_labels), [33, 33, 33])
 
 
 def test_target_split_disjoint_and_stratified():

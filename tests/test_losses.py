@@ -111,6 +111,12 @@ def test_source_ce_rejects_unequal_domain_batches():
         source_ce_loss(head_probs([(small, small)] * 2), [np.array([0, 1]), np.array([0, 1, 2, 0])])
 
 
+def test_source_ce_rejects_a_label_array_count_other_than_m():
+    probs = np.full((2, 3), 1 / 3)
+    with pytest.raises(ContractError, match="4 heads but 1 label arrays"):
+        source_ce_loss(head_probs([(probs, probs)] * 2), [np.array([0, 1])])
+
+
 # discrepancy -------------------------------------------------------------------
 
 
@@ -380,6 +386,13 @@ def test_ast_loss_matches_triple_loop():
             sample += kl_divergence(pa[i], pseudo[i]) + kl_divergence(pb[i], pseudo[i])
         expected += betas[i] * sample
     assert loss.item() == pytest.approx(expected / 4, rel=1e-12)
+
+
+def test_ast_loss_rejects_pseudo_labels_of_the_wrong_shape():
+    rng = np.random.default_rng(19)
+    probs = head_probs([(random_probs(rng, 4, 3), random_probs(rng, 4, 3))])
+    with pytest.raises(ContractError, match=r"\(4, 2\).*\(4, 3\) batch"):
+        ast_loss(probs, random_probs(rng, 4, 2), np.ones(4))
 
 
 def test_ast_loss_nonnegative_property():
