@@ -10,9 +10,9 @@ Configs are flat ``key = value`` text with ``#`` comments. Every key is one
 row of ``CONFIG_KEYS`` (``SHIFT_KEYS`` for the per-domain shifts), which
 drives parsing, unknown-key suggestions and ``effective.cfg``. Any key can
 be overridden on the command line as ``--section.key=value``; ``--seed`` and
-``--out`` set ``task.seed``/``train.seed`` and ``run.output_dir``. Seeds for
-run i are derived as base seed + i for both the task and the trainer, so
-methods see paired tasks. Each finished run prints a progress line to stderr.
+``--out`` set ``task.seed``/``train.seed`` and ``run.output_dir``. A sweep is
+``plan``, ``execute`` per ``RunSpec`` (each prints a progress line to stderr),
+then ``write_results``; run i's seeds are the base seeds + i, so methods pair tasks.
 Exit codes: 0 ok, 1 config or usage error, 2 diverged run (its partial
 metrics and the finished runs' results and summary are written first).
 Every file is written beside its final name and then moved over it, so a
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
+import itertools
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ShiftSpec, TaskSpec, generate_task, target_test_counts
+from .data import GeneratedTask, ShiftSpec, TaskSpec, generate_task, target_test_counts
 from .trainer import (
     AblationFlags,
     DivergedRunError,
@@ -48,16 +49,9 @@ from .trainer import (
 
 METHODS = ("crma", "source_only", "uniform_ensemble")
 
-# Table row order for the ablation grid: none, singles, pairs, all.
-ABLATION_GRID = (
-    (False, False, False),
-    (True, False, False),
-    (False, True, False),
-    (False, False, True),
-    (True, True, False),
-    (True, False, True),
-    (False, True, True),
-    (True, True, True),
+# Table row order for the ablation grid's (intra, inter, ast) flags: none, singles, pairs, all.
+ABLATION_GRID = tuple(
+    tuple(c in on for c in range(3)) for size in range(4) for on in itertools.combinations(range(3), size)
 )
 
 
@@ -138,12 +132,9 @@ class RunRecord:
 
 
 def _bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1"):
-        return True
-    if lowered in ("false", "0"):
-        return False
-    raise ValueError(f"expected true/false, got {value!r}")
+    if value.lower() not in ("true", "1", "false", "0"):
+        raise ValueError(f"expected true/false, got {value!r}")
+    return value.lower() in ("true", "1")
 
 
 def _optional_float(value: str) -> float | None:
@@ -187,10 +178,6 @@ def _directory(value: str) -> str:
     return value
 
 
-def _degrees(value: str) -> float:
-    return math.radians(float(value))
-
-
 # Every config key: (key, value parser, attribute path from ExperimentConfig).
 CONFIG_KEYS = (
     ("task.generator", str, "task.generator"),
@@ -223,7 +210,7 @@ CONFIG_KEYS = (
 # written back.
 SHIFT_KEYS = (
     ("rotation", float, "rotation"),
-    ("rotation_deg", _degrees, "rotation"),
+    ("rotation_deg", lambda value: math.radians(float(value)), "rotation"),
     ("translation", _float_pair, "translation"),
     ("scale", float, "scale"),
     ("noise_std", float, "noise_std"),
@@ -353,9 +340,8 @@ def effective_config_text(cfg: ExperimentConfig) -> str:
 
 
 def _variant_for(method: str, cfg: ExperimentConfig) -> Variant:
-    if method == "source_only":
-        return Variant(method, AblationFlags(False, False, False), method)
-    return Variant(method, replace(cfg.train.ablation), method)
+    flags = AblationFlags(False, False, False) if method == "source_only" else replace(cfg.train.ablation)
+    return Variant(method, flags, method)
 
 
 def ablation_variants() -> list[Variant]:
@@ -388,58 +374,74 @@ def _write_metrics(run_dir: Path, history: Sequence[dict], num_domains: int) -> 
         write_history_csv(history, num_domains, f)
 
 
-def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunRecord]:
-    """Train every (variant, seed) pair and write per-run artifacts.
+@dataclass(frozen=True)
+class RunSpec:
+    """One run of a sweep: what ``execute`` trains, and where it writes (nowhere for ``None``)."""
 
-    Prints one progress line per finished run to stderr. When a run
-    diverges, its partial history still goes to its ``metrics.csv``,
-    ``results.csv`` and ``summary.*`` are written for the runs that
-    finished, and the ``DivergedRunError`` propagates. The diverged run's
-    directory keeps no ``run.json`` or ``model.ckpt``, not even from an
-    earlier sweep into the same directory.
-    """
-    out_root = Path(cfg.output_dir)
-    runs_dir = out_root / "runs"
+    variant: Variant
+    seed_index: int
+    task: TaskSpec
+    train: TrainConfig
+    run_dir: Path | None
+
+
+def plan(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunSpec]:
+    """Every run of a sweep, variant-major and seed-minor; run i's task and
+    trainer seeds are the base seeds + i."""
+    specs = []
+    for variant in variants:
+        for i in range(cfg.num_seeds):
+            train_cfg = replace(cfg.train, seed=cfg.train.seed + i, ablation=replace(variant.flags),
+                                uniform_pseudo_weights=variant.method == "uniform_ensemble")
+            run_dir = Path(cfg.output_dir, "runs", f"{variant.label}_seed{train_cfg.seed}")
+            specs.append(RunSpec(variant, i, replace(cfg.task, seed=cfg.task.seed + i), train_cfg, run_dir))
+    return specs
+
+
+def execute(spec: RunSpec, task: GeneratedTask) -> RunRecord:
+    """Train one run. With a run directory, write its ``metrics.csv``, ``model.ckpt``
+    and ``run.json`` and print its progress line to stderr; a diverged run writes
+    its partial ``metrics.csv`` there before its ``DivergedRunError`` propagates."""
+    started = time.perf_counter()
     try:
-        runs_dir.mkdir(parents=True, exist_ok=True)
+        state, history = train(spec.train, task)
+    except DivergedRunError as err:
+        if spec.run_dir is not None:  # no run.json of an earlier sweep beside the partial history
+            for stale in ("run.json", "model.ckpt"):
+                (spec.run_dir / stale).unlink(missing_ok=True)
+            _write_metrics(spec.run_dir, err.history, task.num_sources)
+        raise
+    record = RunRecord(spec.variant, spec.train.seed, spec.train.epochs, history[-1]["target_acc"])
+    if spec.run_dir is not None:
+        _write_metrics(spec.run_dir, history, task.num_sources)
+        with _replacing(spec.run_dir / "model.ckpt") as tmp:
+            save_checkpoint(state, tmp)
+        _write_text(spec.run_dir / "run.json", record.json_text())
+        line = f"{spec.variant.label} seed {record.seed}: target_acc {record.accuracy:.4f}"
+        print(f"{line} in {time.perf_counter() - started:.2f} s", file=sys.stderr)
+    return record
+
+
+def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunRecord]:
+    """Execute the sweep's plan, drawing each seed's task once before anything is
+    written, so a task that cannot be generated is a ConfigError. A diverged run's
+    error propagates once the finished runs' ``results.csv`` and ``summary.*`` are written."""
+    specs = plan(cfg, variants)
+    try:  # the first variant's specs hold every seed's task
+        tasks = [generate_task(spec.task) for spec in specs[: cfg.num_seeds]]
+        Path(cfg.output_dir, "runs").mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     except OSError as exc:
         raise ConfigError(f"run.output_dir {cfg.output_dir!r}: {exc.strerror}") from exc
-    _write_text(out_root / "effective.cfg", effective_config_text(cfg))
-
-    tasks = [generate_task(replace(cfg.task, seed=cfg.task.seed + i)) for i in range(cfg.num_seeds)]
+    _write_text(Path(cfg.output_dir, "effective.cfg"), effective_config_text(cfg))
     records = []
-    for variant in variants:
-        for i, task in enumerate(tasks):
-            train_cfg = replace(
-                cfg.train,
-                seed=cfg.train.seed + i,
-                ablation=replace(variant.flags),
-                uniform_pseudo_weights=variant.method == "uniform_ensemble",
-            )
-            started = time.perf_counter()
-            run_dir = runs_dir / f"{variant.label}_seed{train_cfg.seed}"
-            try:
-                state, history = train(train_cfg, task)
-            except DivergedRunError as err:
-                # a finished run of an earlier sweep into this directory
-                # must not leave its run.json beside the partial history
-                for stale in ("run.json", "model.ckpt"):
-                    (run_dir / stale).unlink(missing_ok=True)
-                _write_metrics(run_dir, err.history, task.num_sources)
-                write_results(cfg, records)
-                raise
-            accuracy = history[-1]["target_acc"]
-            _write_metrics(run_dir, history, task.num_sources)
-            with _replacing(run_dir / "model.ckpt") as tmp:
-                save_checkpoint(state, tmp)
-            record = RunRecord(variant, train_cfg.seed, train_cfg.epochs, accuracy)
-            _write_text(run_dir / "run.json", record.json_text())
-            records.append(record)
-            print(
-                f"{variant.label} seed {train_cfg.seed}: target_acc {accuracy:.4f} "
-                f"in {time.perf_counter() - started:.2f} s",
-                file=sys.stderr,
-            )
+    try:
+        for spec in specs:
+            records.append(execute(spec, tasks[spec.seed_index]))
+    except DivergedRunError:
+        write_results(cfg, records)
+        raise
     return records
 
 
@@ -505,13 +507,10 @@ def emit_curves(output_dir) -> Path:
 
 
 def _parse_overrides(extra: Sequence[str]) -> dict[str, str]:
-    kv = {}
-    for arg in extra:
-        if not arg.startswith("--") or "=" not in arg:
-            raise ConfigError(f"expected --section.key=value override, got {arg!r}")
-        key, value = arg[2:].split("=", 1)
-        kv[key.strip()] = value.strip()
-    return kv
+    bad = [arg for arg in extra if not arg.startswith("--") or "=" not in arg]
+    if bad:
+        raise ConfigError(f"expected --section.key=value override, got {bad[0]!r}")
+    return {key.strip(): value.strip() for key, value in (arg[2:].split("=", 1) for arg in extra)}
 
 
 def _load_experiment(args, extra: Sequence[str]) -> ExperimentConfig:
@@ -519,8 +518,7 @@ def _load_experiment(args, extra: Sequence[str]) -> ExperimentConfig:
         text = Path(args.config).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    kv = parse_config_text(text)
-    kv.update(_parse_overrides(extra))
+    kv = {**parse_config_text(text), **_parse_overrides(extra)}
     if args.seed is not None:
         kv["task.seed"] = kv["train.seed"] = args.seed
     if args.out is not None:
@@ -538,17 +536,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _ArgumentParser(
-        prog="crma", description="Multi-source adaptation experiment runner"
-    )
+    parser = _ArgumentParser(prog="crma", description="Multi-source adaptation experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "ablate", "baseline"):
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--seed", default=None, help="base seed for task and training")
         p.add_argument("--out", default=None, help="output directory")
-    curves_p = sub.add_parser("curves")
-    curves_p.add_argument("run_dir")
+    sub.add_parser("curves").add_argument("run_dir")
 
     try:
         args, extra = parser.parse_known_args(argv)
@@ -559,15 +554,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"wrote {manifest}")
             return 0
         cfg = _load_experiment(args, extra)
-        if args.command == "run":
-            variants = [_variant_for(m, cfg) for m in cfg.methods]
-        elif args.command == "ablate":
-            variants = ablation_variants()
-        else:  # baseline
-            variants = [_variant_for("uniform_ensemble", cfg), _variant_for("crma", cfg)]
-        records = run_variants(cfg, variants)
-        summary = write_results(cfg, records)
-        print(render_table(summary), end="")
+        methods = {"run": cfg.methods, "baseline": ("uniform_ensemble", "crma")}.get(args.command)
+        variants = [_variant_for(m, cfg) for m in methods] if methods else ablation_variants()
+        print(render_table(write_results(cfg, run_variants(cfg, variants))), end="")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,6 +20,8 @@ from .seeds import stream_rng
 GENERATORS = ("two_moons", "gaussian_blobs")
 FEATURE_DIM = 2
 TEST_FRACTION = 0.2
+# Largest total size of a task's float64 feature arrays, sources and target.
+MAX_FEATURE_BYTES = 2**30
 
 # Generator spread when TaskSpec.generator_noise is left unset.
 DEFAULT_NOISE = {"two_moons": 0.12, "gaussian_blobs": 0.55}
@@ -88,6 +90,10 @@ class TaskSpec:
                 f"samples_per_domain={self.samples_per_domain} is below the "
                 f"4*K={4 * self.num_classes} minimum"
             )
+        feature_bytes = (len(self.source_shifts) + 1) * self.samples_per_domain * FEATURE_DIM * 8
+        if feature_bytes > MAX_FEATURE_BYTES:
+            raise ValueError(f"samples_per_domain={self.samples_per_domain} implies {feature_bytes} "
+                             f"bytes of features, over the {MAX_FEATURE_BYTES}-byte bound")
 
     @property
     def noise(self) -> float:
@@ -183,12 +189,16 @@ def apply_shift(shift: ShiftSpec, x: np.ndarray, rng: np.random.Generator | None
     return out
 
 
-def _generate_domain(spec: TaskSpec, shift: ShiftSpec, rng: np.random.Generator):
-    if spec.generator == "two_moons":
-        x, y = _two_moons(spec.samples_per_domain, spec.noise, rng)
-    else:
-        x, y = _gaussian_blobs(spec.samples_per_domain, spec.num_classes, spec.noise, rng)
-    return apply_shift(shift, x, rng), y
+def _generate_domain(spec: TaskSpec, shift: ShiftSpec, rng: np.random.Generator, name: str):
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        if spec.generator == "two_moons":
+            x, y = _two_moons(spec.samples_per_domain, spec.noise, rng)
+        else:
+            x, y = _gaussian_blobs(spec.samples_per_domain, spec.num_classes, spec.noise, rng)
+        x = apply_shift(shift, x, rng)
+    if not np.isfinite(x).all():
+        raise ValueError(f"domain {name!r}: generated features are not all finite")
+    return x, y
 
 
 def target_test_counts(spec: TaskSpec) -> list[int]:
@@ -202,17 +212,18 @@ def generate_task(spec: TaskSpec) -> GeneratedTask:
 
     The target's labels never reach the Domain object handed to the
     trainer; 20% of target samples (stratified by those labels) are set
-    aside as the labeled test split.
+    aside as the labeled test split. A domain whose features overflow to
+    non-finite values is a ValueError that names it.
     """
     spec.validate()
     sources = []
     for m, shift in enumerate(spec.source_shifts):
         rng = stream_rng(spec.seed, "data", m)
-        x, y = _generate_domain(spec, shift, rng)
+        x, y = _generate_domain(spec, shift, rng, f"source{m}")
         sources.append(Domain(name=f"source{m}", features=x, labels=y))
 
     rng = stream_rng(spec.seed, "data", len(spec.source_shifts))
-    tx, ty = _generate_domain(spec, spec.target_shift, rng)
+    tx, ty = _generate_domain(spec, spec.target_shift, rng, "target")
 
     test_idx = []
     for c, n_test in enumerate(target_test_counts(spec)):

@@ -7,13 +7,14 @@ oracle run of this implementation (tolerance: 2 accuracy points).
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import crma.losses
 from crma.autodiff import Tape, Tensor, mul, softmax
-from crma.cli import main
+from crma.cli import ExperimentConfig, Variant, execute, main, plan
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import (
     ast_loss,
@@ -415,12 +416,11 @@ LOCK_TOL = 0.02
 
 
 def run_mean(task_spec_for_seed, flags, uniform=False, seeds=range(5)):
-    accs = []
-    for s in seeds:
-        task = generate_task(task_spec_for_seed(s))
-        cfg = TrainConfig(seed=s, ablation=flags, uniform_pseudo_weights=uniform)
-        _, history = train(cfg, task)
-        accs.append(history[-1]["target_acc"])
+    # the sweep's own plan, over contiguous seeds, executed without writing anything
+    method = "uniform_ensemble" if uniform else "crma"
+    cfg = ExperimentConfig(task_spec_for_seed(seeds[0]), TrainConfig(seed=seeds[0]), len(seeds))
+    specs = plan(cfg, [Variant(method, flags, method)])
+    accs = [execute(replace(spec, run_dir=None), generate_task(spec.task)).accuracy for spec in specs]
     return float(np.mean(accs))
 
 

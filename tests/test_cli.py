@@ -17,14 +17,17 @@ from crma.cli import (
     aggregate,
     build_experiment_config,
     effective_config_text,
+    execute,
     main,
     parse_config_text,
+    plan,
     run_variants,
     write_results,
     _variant_for,
 )
 from crma.data import generate_task
-from crma.trainer import history_columns, save_checkpoint
+from crma.nn import parameters_digest
+from crma.trainer import TrainConfig, history_columns, load_checkpoint, save_checkpoint, train
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -291,7 +294,8 @@ def test_cli_usage_error_exits_one(argv, tmp_path, monkeypatch, capsys):
     "override",
     ["--train.base_lr=nan", "--train.alpha=inf", "--task.generator_noise=nan",
      "--task.generator_noise=-0.5", "--task.source_shifts.0.scale=nan",
-     "--train.ast_start_epoch=-1"],
+     "--train.ast_start_epoch=-1", "--task.generator_noise=1e308",
+     "--task.source_shifts.0.noise_std=1e308"],
 )
 def test_non_finite_or_negative_value_is_a_config_error(tmp_path, capsys, override):
     # nan passes every `< 0` check, so each bound also rejects non-finite values
@@ -299,6 +303,23 @@ def test_non_finite_or_negative_value_is_a_config_error(tmp_path, capsys, overri
     assert main(["run", str(write_cfg(tmp_path)), "--out", str(out), override]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflowing_domain_is_a_config_error_naming_it(tmp_path, capsys):
+    # each seed's task is drawn before anything is written
+    out = tmp_path / "out"
+    argv = ["run", str(ROOT / "configs" / "two_moons.cfg"), "--out", str(out), "--run.num_seeds=1",
+            "--train.epochs=1", "--task.source_shifts.1.noise_std=1e308"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: domain 'source1': generated features are not all finite\n"
+    assert not out.exists()
+
+
+def test_task_over_the_feature_byte_bound_is_a_config_error():
+    # checked from the spec alone: generating this task would need 373 GiB
+    with pytest.raises(ConfigError, match="samples_per_domain=99999999999 implies"):
+        build_experiment_config({"task.samples_per_domain": "99999999999"})
 
 
 def test_batch_larger_than_the_smallest_domain_is_a_config_error(tmp_path, capsys):
@@ -339,6 +360,79 @@ def test_sweep_draws_each_seeds_task_once(tmp_path, monkeypatch):
     cfg_path = write_cfg(tmp_path, text=text.replace("train.epochs = 2", "train.epochs = 1"))
     assert main(["ablate", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert drawn == [0, 1]  # 8 variants x 2 seeds, two distinct tasks
+
+
+SWEEP_LABELS = {
+    "run": ["crma", "source_only"],
+    "ablate": ["crma_i0e0a0", "crma_i1e0a0", "crma_i0e1a0", "crma_i0e0a1",
+               "crma_i1e1a0", "crma_i1e0a1", "crma_i0e1a1", "crma_i1e1a1"],
+    "baseline": ["uniform_ensemble", "crma"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_LABELS))
+def test_plan_is_the_order_seeds_and_run_dirs_the_sweep_trains(tmp_path, monkeypatch, command):
+    import crma.cli as cli_module
+
+    trained = []
+
+    def recorded(cfg, task):
+        trained.append((cfg, task.spec))
+        return train(cfg, task)
+
+    monkeypatch.setattr(cli_module, "train", recorded)
+    text = TINY.replace("task.samples_per_domain = 80", "task.samples_per_domain = 40")
+    cfg_path = write_cfg(tmp_path, text=text.replace("train.epochs = 2", "train.epochs = 1"))
+    out = tmp_path / "out"
+    assert main([command, str(cfg_path), "--out", str(out), "--seed", "3"]) == 0
+
+    cfg = build_experiment_config({**parse_config_text(cfg_path.read_text()), "task.seed": "3",
+                                   "train.seed": "3", "run.output_dir": str(out)})
+    variants = {
+        "run": [_variant_for(m, cfg) for m in cfg.methods],
+        "ablate": ablation_variants(),
+        "baseline": [_variant_for("uniform_ensemble", cfg), _variant_for("crma", cfg)],
+    }[command]
+    specs = plan(cfg, variants)
+    # variant-major, seed-minor; run i's task and trainer seeds are 3 + i
+    expected = [(label, i, 3 + i, 3 + i) for label in SWEEP_LABELS[command] for i in range(2)]
+    assert [(s.variant.label, s.seed_index, s.task.seed, s.train.seed) for s in specs] == expected
+    assert [s.run_dir for s in specs] == [out / "runs" / f"{label}_seed{seed}" for label, _, seed, _ in expected]
+    assert sorted(p.name for p in (out / "runs").iterdir()) == sorted(s.run_dir.name for s in specs)
+    for spec in specs:
+        v = spec.variant
+        assert spec.train == replace(cfg.train, seed=spec.train.seed, ablation=v.flags,
+                                     uniform_pseudo_weights=v.method == "uniform_ensemble")
+    assert trained == [(s.train, s.task) for s in specs]
+
+
+def test_execute_without_a_run_dir_writes_nothing_and_trains_the_same_run(tmp_path, monkeypatch, capsys):
+    import crma.cli as cli_module
+
+    states = []
+
+    def kept(cfg, task):
+        state, history = train(cfg, task)
+        states.append(state)
+        return state, history
+
+    monkeypatch.setattr(cli_module, "train", kept)
+    monkeypatch.chdir(tmp_path)
+    cfg = build_experiment_config(parse_config_text(TINY))
+    spec = plan(cfg, [_variant_for("crma", cfg)])[1]
+    task = generate_task(spec.task)
+
+    bare = execute(replace(spec, run_dir=None), task)
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == ""  # no progress line either
+    written = execute(spec, task)
+    assert sorted(p.name for p in spec.run_dir.iterdir()) == ["metrics.csv", "model.ckpt", "run.json"]
+    assert re.fullmatch(r"crma seed 1: target_acc 0\.\d{4} in \d+\.\d\d s\n", capsys.readouterr().err)
+    assert bare == written
+    assert (spec.run_dir / "run.json").read_text() == bare.json_text()
+    digests = [parameters_digest(state.model.parameters()) for state in states]
+    saved = load_checkpoint(spec.run_dir / "model.ckpt", TrainConfig())
+    assert digests[0] == digests[1] == parameters_digest(saved.model.parameters())
 
 
 def test_cli_help_exits_zero(capsys):

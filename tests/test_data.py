@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from crma.data import (
+    FEATURE_DIM,
+    MAX_FEATURE_BYTES,
     BatchIterator,
     Domain,
     InsufficientDataError,
@@ -141,6 +143,27 @@ def test_two_moons_requires_two_classes():
 def test_unknown_generator_rejected():
     with pytest.raises(ValueError, match="unknown generator"):
         generate_task(TaskSpec(generator="spirals", samples_per_domain=100))
+
+
+def test_feature_byte_bound_admits_a_task_at_the_bound_only():
+    # four domains of FEATURE_DIM float64 columns
+    at_bound = MAX_FEATURE_BYTES // (4 * FEATURE_DIM * 8)
+    TaskSpec(samples_per_domain=at_bound).validate()
+    with pytest.raises(ValueError, match="over the 1073741824-byte bound"):
+        TaskSpec(samples_per_domain=at_bound + 1).validate()
+
+
+@pytest.mark.parametrize(
+    "spec, domain",
+    [
+        (TaskSpec(samples_per_domain=40, generator_noise=1e308), "source0"),
+        (TaskSpec(samples_per_domain=40, target_shift=ShiftSpec(noise_std=1e308)), "target"),
+        (blob_spec(source_shifts=[ShiftSpec(), ShiftSpec(scale=1e308)]), "source1"),
+    ],
+)
+def test_non_finite_features_are_rejected_naming_the_domain(spec, domain):
+    with pytest.raises(ValueError, match=f"domain '{domain}': generated features are not all finite"):
+        generate_task(spec)
 
 
 # batching ----------------------------------------------------------------------
