@@ -37,7 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import GeneratedTask, ShiftSpec, TaskSpec, generate_task, target_test_counts
+from .data import FEATURE_DIM, GeneratedTask, ShiftSpec, TaskSpec, generate_task, target_test_counts
+from .nn import validate_shape
 from .trainer import (
     AblationFlags,
     DivergedRunError,
@@ -148,8 +149,17 @@ def _float_pair(value: str) -> tuple[float, ...]:
     return parts
 
 
+def _items(value: str) -> list[str]:
+    """The comma-separated items of ``value``: none when it is empty, and an
+    empty item between commas is an error."""
+    items = [p.strip() for p in value.split(",")] if value.strip() else []
+    if "" in items:
+        raise ValueError(f"empty item in the list {value!r}")
+    return items
+
+
 def _int_tuple(value: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in value.split(",") if p.strip())
+    return tuple(int(p) for p in _items(value))
 
 
 def _count(value: str) -> int:
@@ -160,7 +170,7 @@ def _count(value: str) -> int:
 
 
 def _methods(value: str) -> tuple[str, ...]:
-    methods = tuple(p.strip() for p in value.split(",") if p.strip())
+    methods = tuple(_items(value))
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
@@ -296,6 +306,8 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     try:
         cfg.task.validate()
         cfg.train.validate()
+        validate_shape(FEATURE_DIM, cfg.task.num_classes, len(cfg.task.source_shifts),
+                       cfg.train.extractor_hidden, cfg.train.head_hidden)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # the target's training split is the smallest domain

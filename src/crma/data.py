@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -101,32 +101,24 @@ class TaskSpec:
 
 
 @dataclass
-class Domain:
-    """One domain's feature matrix; labels only for sources."""
-
-    name: str
-    features: np.ndarray
-    labels: np.ndarray | None
-
-
-@dataclass
 class GeneratedTask:
-    """A generated task bundle: labeled sources, unlabeled target, test split."""
+    """A generated task bundle: labeled sources stacked, unlabeled target, test split."""
 
     spec: TaskSpec
-    sources: list[Domain]
-    target: Domain                     # 80% of target samples, labels withheld
-    target_train_labels: np.ndarray    # held-out labels of target.features (metrics only)
+    source_features: np.ndarray        # (M, N, d)
+    source_labels: np.ndarray          # (M, N)
+    target_features: np.ndarray        # 80% of target samples, labels withheld
+    target_train_labels: np.ndarray    # held-out labels of target_features (metrics only)
     target_test_features: np.ndarray   # stratified 20% split
     target_test_labels: np.ndarray
 
     @property
     def num_sources(self) -> int:
-        return len(self.sources)
+        return self.source_features.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.sources[0].features.shape[1]
+        return self.source_features.shape[2]
 
 
 @dataclass
@@ -136,7 +128,7 @@ class DomainBatch:
     source_features: np.ndarray  # (M, n, d), the sources stacked
     source_labels: np.ndarray    # (M, n)
     target_features: np.ndarray
-    source_indices: list[np.ndarray]
+    source_indices: np.ndarray   # (M, n)
     target_indices: np.ndarray
 
 
@@ -208,19 +200,17 @@ def target_test_counts(spec: TaskSpec) -> list[int]:
 
 
 def generate_task(spec: TaskSpec) -> GeneratedTask:
-    """Draw every domain from its seeded substream and split the target.
+    """Draw every domain from its seeded substream, stack the sources, split the target.
 
-    The target's labels never reach the Domain object handed to the
-    trainer; 20% of target samples (stratified by those labels) are set
-    aside as the labeled test split. A domain whose features overflow to
-    non-finite values is a ValueError that names it.
+    ``target_features`` carries no labels; 20% of target samples (stratified
+    by those labels) are set aside as the labeled test split. A domain whose
+    features overflow to non-finite values is a ValueError that names it.
     """
     spec.validate()
-    sources = []
-    for m, shift in enumerate(spec.source_shifts):
-        rng = stream_rng(spec.seed, "data", m)
-        x, y = _generate_domain(spec, shift, rng, f"source{m}")
-        sources.append(Domain(name=f"source{m}", features=x, labels=y))
+    xs, ys = zip(*(
+        _generate_domain(spec, shift, stream_rng(spec.seed, "data", m), f"source{m}")
+        for m, shift in enumerate(spec.source_shifts)
+    ))
 
     rng = stream_rng(spec.seed, "data", len(spec.source_shifts))
     tx, ty = _generate_domain(spec, spec.target_shift, rng, "target")
@@ -232,11 +222,11 @@ def generate_task(spec: TaskSpec) -> GeneratedTask:
     test_mask = np.zeros(ty.size, dtype=bool)
     test_mask[np.array(test_idx, dtype=np.int64)] = True
 
-    target = Domain(name="target", features=tx[~test_mask], labels=None)
     return GeneratedTask(
         spec=spec,
-        sources=sources,
-        target=target,
+        source_features=np.stack(xs),
+        source_labels=np.stack(ys),
+        target_features=tx[~test_mask],
         target_train_labels=ty[~test_mask],
         target_test_features=tx[test_mask],
         target_test_labels=ty[test_mask],
@@ -255,9 +245,9 @@ class _IndexStream:
         self._perm = rng.permutation(n)
         self._pos = 0
 
-    def take(self, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.int64)
-        filled = 0
+    def take(self, out: np.ndarray) -> None:
+        """Fill ``out`` with the stream's next ``len(out)`` indices."""
+        filled, count = 0, len(out)
         while filled < count:
             if self._pos == self.n:
                 self._perm = self.rng.permutation(self.n)
@@ -266,55 +256,50 @@ class _IndexStream:
             out[filled : filled + grab] = self._perm[self._pos : self._pos + grab]
             self._pos += grab
             filled += grab
-        return out
 
 
 class BatchIterator:
     """Seeded per-domain mini-batch stream.
 
     Each batch holds one labeled size-b batch per source plus one unlabeled
-    size-b target batch. Every domain is consumed through chained seeded
-    shuffles, so shorter domains wrap around into a fresh shuffle. One
-    epoch is ceil(largest domain / b) batches, which covers every sample of
-    every domain at least once.
+    size-b target batch, gathered from the task's arrays by one index per
+    array. Every domain is consumed through chained seeded shuffles, so
+    shorter domains wrap around into a fresh shuffle. One epoch is
+    ceil(largest domain / b) batches, which covers every sample of every
+    domain at least once.
     """
 
-    def __init__(
-        self,
-        sources: Sequence[Domain],
-        target: Domain,
-        batch_per_domain: int,
-        seed: int,
-    ):
-        domains = [*sources, target]
-        for d in domains:
-            if d.features.shape[0] == 0:
-                raise ValueError(f"domain {d.name!r} is empty")
-            if batch_per_domain > d.features.shape[0]:
+    def __init__(self, task: GeneratedTask, batch_per_domain: int, seed: int):
+        num_sources, n = task.source_labels.shape
+        sizes = {f"source{m}": n for m in range(num_sources)}
+        sizes["target"] = len(task.target_features)
+        for name, size in sizes.items():
+            if size == 0:
+                raise ValueError(f"domain {name!r} is empty")
+            if batch_per_domain > size:
                 raise ValueError(
-                    f"batch_per_domain={batch_per_domain} exceeds domain "
-                    f"{d.name!r} size {d.features.shape[0]}"
+                    f"batch_per_domain={batch_per_domain} exceeds domain {name!r} size {size}"
                 )
-        self.sources = list(sources)
-        self.target = target
+        self.task = task
         self.batch_per_domain = int(batch_per_domain)
-        largest = max(d.features.shape[0] for d in domains)
-        self.batches_per_epoch = -(-largest // self.batch_per_domain)
+        self.batches_per_epoch = -(-max(sizes.values()) // self.batch_per_domain)
         self._streams = [
-            _IndexStream(d.features.shape[0], np.random.default_rng([seed, slot]))
-            for slot, d in enumerate(domains)
+            _IndexStream(size, np.random.default_rng([seed, slot]))
+            for slot, size in enumerate(sizes.values())
         ]
 
     def __iter__(self) -> Iterator[DomainBatch]:
-        b = self.batch_per_domain
+        task = self.task
+        rows = np.arange(task.num_sources)[:, None]
         while True:
-            src_idx = [s.take(b) for s in self._streams[:-1]]
-            tgt_idx = self._streams[-1].take(b)
+            indices = np.empty((len(self._streams), self.batch_per_domain), dtype=np.int64)
+            for stream, out in zip(self._streams, indices):
+                stream.take(out)
+            src_idx, tgt_idx = indices[:-1], indices[-1]
             yield DomainBatch(
-                source_features=np.stack([d.features[i] for d, i in zip(self.sources, src_idx)]),
-                source_labels=np.stack([d.labels[i] for d, i in zip(self.sources, src_idx)]),
-                target_features=self.target.features[tgt_idx],
+                source_features=task.source_features[rows, src_idx],
+                source_labels=task.source_labels[rows, src_idx],
+                target_features=task.target_features[tgt_idx],
                 source_indices=src_idx,
                 target_indices=tgt_idx,
             )
-

@@ -63,6 +63,41 @@ def _mlp(h, leaves: Sequence[Tensor], relu_last: bool) -> Tensor:
     return h
 
 
+# Largest model CrmaModel builds, in bytes of float64 parameter values.
+MAX_MODEL_BYTES = 2**30
+
+
+def _mlp_size(widths: Sequence[int]) -> int:
+    """Weight and bias entries of an MLP with these layer widths."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+
+
+def parameter_count(input_dim: int, num_classes: int, num_domains: int,
+                    extractor_hidden: Sequence[int], head_hidden: Sequence[int]) -> int:
+    """Weight and bias entries of the extractor and all 2M heads."""
+    widths = (input_dim, *extractor_hidden)
+    return _mlp_size(widths) + 2 * num_domains * _mlp_size((widths[-1], *head_hidden, num_classes))
+
+
+def validate_shape(input_dim: int, num_classes: int, num_domains: int,
+                   extractor_hidden: Sequence[int], head_hidden: Sequence[int]) -> None:
+    """Raises ValueError naming the first shape rule broken; allocates nothing."""
+    narrowest = min((*extractor_hidden, *head_hidden), default=1)
+    for ok, what in (
+        (input_dim >= 1, f"input_dim {input_dim}, need >= 1"),
+        (bool(extractor_hidden), "no extractor layer, need at least one"),
+        (narrowest >= 1, f"a hidden width of {narrowest}, need >= 1"),
+        (num_classes >= 2, f"num_classes {num_classes}, need >= 2"),
+        (num_domains >= 1, f"num_domains {num_domains}, need >= 1"),
+    ):
+        if not ok:
+            raise ValueError(what)
+    count = parameter_count(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
+    if 8 * count > MAX_MODEL_BYTES:
+        raise ValueError(f"the model has {count} parameters, {8 * count} bytes of float64 "
+                         f"values, over the {MAX_MODEL_BYTES}-byte bound")
+
+
 class CrmaModel:
     """Shared extractor plus M pairs of domain-specific classifier heads."""
 
@@ -75,16 +110,8 @@ class CrmaModel:
         head_hidden: Sequence[int] = (32,),
         rng: np.random.Generator | None = None,
     ):
-        """Raises ValueError naming the first shape rule broken, before any allocation."""
-        for ok, what in (
-            (input_dim >= 1, f"input_dim {input_dim}, need >= 1"),
-            (bool(extractor_hidden), "no extractor layer, need at least one"),
-            (min((*extractor_hidden, *head_hidden), default=1) >= 1, "a hidden width of 0, need >= 1"),
-            (num_classes >= 2, f"num_classes {num_classes}, need >= 2"),
-            (num_domains >= 1, f"num_domains {num_domains}, need >= 1"),
-        ):
-            if not ok:
-                raise ValueError(what)
+        """Raises ValueError as ``validate_shape`` does, before any allocation."""
+        validate_shape(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.input_dim = int(input_dim)
         self.num_classes = int(num_classes)

@@ -31,7 +31,7 @@ import numpy as np
 from . import losses
 from .autodiff import NumericError, Tape, Tensor
 from .data import BatchIterator, DomainBatch, GeneratedTask
-from .nn import CrmaModel
+from .nn import CrmaModel, parameter_count
 from .seeds import stream_rng, stream_seed
 
 LOSS_CEILING = 1e6
@@ -100,10 +100,6 @@ class TrainConfig:
             raise ValueError("epochs, batch size, and extractor steps must be >= 1")
         if self.ast_start_epoch < 0:
             raise ValueError(f"ast_start_epoch must be >= 0, got {self.ast_start_epoch}")
-        if not self.extractor_hidden:
-            raise ValueError("extractor_hidden needs at least one layer")
-        if min((*self.extractor_hidden, *self.head_hidden)) < 1:
-            raise ValueError("hidden layer widths must be >= 1")
         if self.seed < 0:
             raise ValueError(f"train seed must be >= 0, got {self.seed}")
         if self.optimizer not in ("sgd", "sgd_momentum"):
@@ -346,39 +342,38 @@ def train(config: TrainConfig, task: GeneratedTask):
     model = CrmaModel(task.input_dim, task.spec.num_classes, num_domains, config.extractor_hidden,
                       config.head_hidden, stream_rng(config.seed, "init"))
     state = TrainState(model, config)
-    iterator = BatchIterator(
-        task.sources, task.target, config.batch_per_domain,
-        stream_seed(config.seed, "shuffle"),
-    )
+    iterator = BatchIterator(task, config.batch_per_domain, stream_seed(config.seed, "shuffle"))
     batches = iter(iterator)
 
     try:
-        for epoch in range(config.epochs):
-            state.epoch = epoch
-            lr = learning_rate(config, epoch)
-            src_sum = intra_sum = inter_sum = ast_sum = 0.0
-            weight_sum = np.zeros(num_domains)
-            weight_batches = 0
-            for _ in range(iterator.batches_per_epoch):
-                batch = next(batches)
-                src_sum += step_source(state, batch, lr)
-                step_classifiers(state, batch, lr)
-                ext = step_extractor(state, batch, lr)
-                if ext is not None:
-                    intra_sum += ext[0]
-                    inter_sum += ext[1]
-                ast = step_ast(state, batch, lr)
-                if ast is not None:
-                    ast_sum += ast[0]
-                    weight_sum += ast[1].normalized_weights.mean(axis=0)
-                    weight_batches += 1
-                state.iteration += 1
-            accuracy, _ = evaluate(model, task.target_test_features, task.target_test_labels)
-            n = iterator.batches_per_epoch
-            mean_w = weight_sum / weight_batches if weight_batches else np.zeros(num_domains)
-            values = (epoch, src_sum / n, intra_sum / n, inter_sum / n, ast_sum / n, lr, accuracy,
-                      *mean_w.tolist(), *state.tracker.means.tolist())
-            state.history.append(dict(zip(history_columns(num_domains), values, strict=True)))
+        # every overflow ends in a NumericError or a loss check, the run's own report
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(config.epochs):
+                state.epoch = epoch
+                lr = learning_rate(config, epoch)
+                src_sum = intra_sum = inter_sum = ast_sum = 0.0
+                weight_sum = np.zeros(num_domains)
+                weight_batches = 0
+                for _ in range(iterator.batches_per_epoch):
+                    batch = next(batches)
+                    src_sum += step_source(state, batch, lr)
+                    step_classifiers(state, batch, lr)
+                    ext = step_extractor(state, batch, lr)
+                    if ext is not None:
+                        intra_sum += ext[0]
+                        inter_sum += ext[1]
+                    ast = step_ast(state, batch, lr)
+                    if ast is not None:
+                        ast_sum += ast[0]
+                        weight_sum += ast[1].normalized_weights.mean(axis=0)
+                        weight_batches += 1
+                    state.iteration += 1
+                accuracy, _ = evaluate(model, task.target_test_features, task.target_test_labels)
+                n = iterator.batches_per_epoch
+                mean_w = weight_sum / weight_batches if weight_batches else np.zeros(num_domains)
+                values = (epoch, src_sum / n, intra_sum / n, inter_sum / n, ast_sum / n, lr, accuracy,
+                          *mean_w.tolist(), *state.tracker.means.tolist())
+                state.history.append(dict(zip(history_columns(num_domains), values, strict=True)))
     except NumericError as err:
         # a forward overflowed mid-run; surface it as a diverged run
         raise DivergedRunError(
@@ -414,11 +409,6 @@ def write_history_csv(history: Sequence[dict], num_domains: int, fileobj: IO[str
 #     leaf's values (f8), each leaf's velocity (f8), tracker sums (f8) and
 #     counts (i8); shapes are implied by the header, so there is no framing
 #   iteration u64 | epoch u64
-
-
-def _mlp_size(widths: Sequence[int]) -> int:
-    """Weight and bias entries of an MLP with these layer widths."""
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
 
 def _stored_arrays(state: TrainState) -> list[np.ndarray]:
@@ -477,8 +467,7 @@ def load_checkpoint(path, config: TrainConfig) -> TrainState:
     (n_head,) = header("<I")
     head_hidden = header(f"<{n_head}I")
     # check the header's size claim before allocating the model it describes
-    widths = (input_dim, *extractor_hidden)
-    count = _mlp_size(widths) + 2 * num_domains * _mlp_size((widths[-1], *head_hidden, num_classes))
+    count = parameter_count(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
     # values and velocities, tracker sums and counts, two counters
     size = 8 * (2 * count + 2 * num_domains + 2)
     left = len(data) - pos

@@ -346,7 +346,7 @@ def test_criterion_4_minmax_dynamics():
             rng=stream_rng(seed, "init"),
         )
         state = TrainState(model, cfg)
-        batch = next(iter(BatchIterator(task.sources, task.target, 128, seed=seed)))
+        batch = next(iter(BatchIterator(task, 128, seed=seed)))
         for _ in range(150):  # source pretraining so the CE gradient is small
             step_source(state, batch, lr=0.05)
 
@@ -502,7 +502,7 @@ def hand_single_source_variant(task, cfg, iterations):
     )
     optimizer = SgdOptimizer(model, momentum=0.9)
     stream = iter(
-        BatchIterator(task.sources, task.target, cfg.batch_per_domain,
+        BatchIterator(task, cfg.batch_per_domain,
                       stream_seed(cfg.seed, "shuffle"))
     )
     mean_sum, count = 0.0, 0
@@ -587,7 +587,7 @@ def test_criterion_6_degenerate_equivalences():
     model = CrmaModel(2, 2, 1, cfg.extractor_hidden, cfg.head_hidden, rng=stream_rng(60, "init"))
     state = TrainState(model, cfg)
     stream = iter(
-        BatchIterator(task.sources, task.target, 16, stream_seed(60, "shuffle"))
+        BatchIterator(task, 16, stream_seed(60, "shuffle"))
     )
     max_gap = 0.0
     for i in range(5):
@@ -616,7 +616,7 @@ def test_criterion_6_degenerate_equivalences():
     model = CrmaModel(2, 2, task.num_sources, cfg.extractor_hidden, cfg.head_hidden,
                       rng=stream_rng(61, "init"))
     optimizer = SgdOptimizer(model, momentum=0.9)
-    iterator = BatchIterator(task.sources, task.target, 16, stream_seed(61, "shuffle"))
+    iterator = BatchIterator(task, 16, stream_seed(61, "shuffle"))
     stream = iter(iterator)
     for _ in range(2 * iterator.batches_per_epoch):
         batch = next(stream)

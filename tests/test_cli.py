@@ -128,9 +128,28 @@ def test_bad_values_are_config_errors():
         {"run.num_seeds": "0"},
         {"task.source_shifts.0.translation": "1,2,3"},
         {"task.generator": "gaussian_blobs", "task.num_classes": "1"},
+        {"train.extractor_hidden": "64,,64"},
+        {"train.head_hidden": ","},
+        {"run.methods": "crma,,source_only"},
+        {"run.methods": "crma,"},
     ):
         with pytest.raises(ConfigError):
             build_experiment_config(kv)
+
+
+def test_an_empty_head_hidden_means_no_hidden_layer():
+    cfg = build_experiment_config({"train.head_hidden": ""})
+    assert cfg.train.head_hidden == ()
+    text = effective_config_text(cfg)
+    assert "train.head_hidden = \n" in text
+    assert build_experiment_config(parse_config_text(text)) == cfg
+
+
+@pytest.mark.parametrize("key", ["train.extractor_hidden", "train.head_hidden"])
+def test_a_model_over_the_byte_bound_is_a_config_error(key):
+    # rejected before anything allocates the model's 143 or 286 GiB
+    with pytest.raises(ConfigError, match="over the 1073741824-byte bound"):
+        build_experiment_config({key: "100000000"})
 
 
 def test_effective_config_round_trips_exactly():

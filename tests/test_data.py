@@ -1,7 +1,9 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +13,14 @@ from crma.data import (
     FEATURE_DIM,
     MAX_FEATURE_BYTES,
     BatchIterator,
-    Domain,
+    DomainBatch,
     InsufficientDataError,
     ShiftSpec,
     TaskSpec,
     apply_shift,
     generate_task,
 )
+from crma.seeds import stream_seed
 
 from oracles import invert_shift
 
@@ -38,10 +41,9 @@ def blob_spec(**kwargs):
 def test_same_seed_is_bit_identical():
     a = generate_task(TaskSpec(samples_per_domain=100, seed=3))
     b = generate_task(TaskSpec(samples_per_domain=100, seed=3))
-    for da, db in zip(a.sources, b.sources):
-        np.testing.assert_array_equal(da.features, db.features)
-        np.testing.assert_array_equal(da.labels, db.labels)
-    np.testing.assert_array_equal(a.target.features, b.target.features)
+    np.testing.assert_array_equal(a.source_features, b.source_features)
+    np.testing.assert_array_equal(a.source_labels, b.source_labels)
+    np.testing.assert_array_equal(a.target_features, b.target_features)
     np.testing.assert_array_equal(a.target_test_features, b.target_test_features)
     np.testing.assert_array_equal(a.target_test_labels, b.target_test_labels)
 
@@ -80,26 +82,26 @@ def test_per_domain_noise_changes_only_that_domains_features():
     spec = TaskSpec(samples_per_domain=100, seed=5, source_shifts=noisy_shifts)
     noisy, again = generate_task(spec), generate_task(spec)
     for task in (noisy, again):
-        assert not np.array_equal(task.sources[1].features, clean.sources[1].features)
-        np.testing.assert_array_equal(task.sources[1].labels, clean.sources[1].labels)
+        assert not np.array_equal(task.source_features[1], clean.source_features[1])
+        np.testing.assert_array_equal(task.source_labels[1], clean.source_labels[1])
         for m in (0, 2):
-            np.testing.assert_array_equal(task.sources[m].features, clean.sources[m].features)
-            np.testing.assert_array_equal(task.sources[m].labels, clean.sources[m].labels)
-        np.testing.assert_array_equal(task.target.features, clean.target.features)
+            np.testing.assert_array_equal(task.source_features[m], clean.source_features[m])
+            np.testing.assert_array_equal(task.source_labels[m], clean.source_labels[m])
+        np.testing.assert_array_equal(task.target_features, clean.target_features)
         np.testing.assert_array_equal(task.target_train_labels, clean.target_train_labels)
         np.testing.assert_array_equal(task.target_test_features, clean.target_test_features)
         np.testing.assert_array_equal(task.target_test_labels, clean.target_test_labels)
     # the draw is seeded: two generations agree bit for bit
-    np.testing.assert_array_equal(noisy.sources[1].features, again.sources[1].features)
+    np.testing.assert_array_equal(noisy.source_features[1], again.source_features[1])
     with pytest.raises(ValueError, match="needs an rng"):
-        apply_shift(noisy_shifts[1], clean.sources[1].features)
+        apply_shift(noisy_shifts[1], clean.source_features[1])
 
 
 def test_labels_balanced_both_generators():
     for spec in (TaskSpec(samples_per_domain=500, seed=2), blob_spec(samples_per_domain=500)):
         task = generate_task(spec)
-        for domain in task.sources:
-            counts = np.bincount(domain.labels, minlength=spec.num_classes)
+        for labels in task.source_labels:
+            counts = np.bincount(labels, minlength=spec.num_classes)
             expected = spec.samples_per_domain / spec.num_classes
             assert np.all(np.abs(counts - expected) <= 0.1 * expected)
 
@@ -107,15 +109,15 @@ def test_labels_balanced_both_generators():
 def test_uneven_class_counts_differ_by_at_most_one():
     spec = blob_spec(num_classes=3, samples_per_domain=500)
     task = generate_task(spec)
-    for domain in task.sources:
-        np.testing.assert_array_equal(np.bincount(domain.labels), [167, 167, 166])
+    for labels in task.source_labels:
+        np.testing.assert_array_equal(np.bincount(labels), [167, 167, 166])
     np.testing.assert_array_equal(np.bincount(task.target_test_labels), [33, 33, 33])
 
 
 def test_target_split_disjoint_and_stratified():
     spec = blob_spec(samples_per_domain=400)
     task = generate_task(spec)
-    n_train = task.target.features.shape[0]
+    n_train = task.target_features.shape[0]
     n_test = task.target_test_features.shape[0]
     assert n_train + n_test == spec.samples_per_domain
     assert n_test == pytest.approx(0.2 * spec.samples_per_domain, abs=spec.num_classes)
@@ -123,10 +125,11 @@ def test_target_split_disjoint_and_stratified():
     test_counts = np.bincount(task.target_test_labels, minlength=4)
     np.testing.assert_array_equal(test_counts, np.full(4, 400 // 4 // 5))
     # disjoint: no shared rows between the splits
-    train_rows = {tuple(row) for row in task.target.features}
+    train_rows = {tuple(row) for row in task.target_features}
     test_rows = {tuple(row) for row in task.target_test_features}
     assert not train_rows & test_rows
-    assert task.target.labels is None
+    # the batches training sees carry no target labels
+    assert [f.name for f in fields(DomainBatch) if "labels" in f.name] == ["source_labels"]
     assert task.target_train_labels.shape == (n_train,)
 
 
@@ -175,8 +178,8 @@ def small_task():
 
 def test_full_batch_covers_domain_each_epoch():
     task = small_task()
-    n_target = task.target.features.shape[0]
-    it = BatchIterator(task.sources, task.target, n_target, seed=0)
+    n_target = task.target_features.shape[0]
+    it = BatchIterator(task, n_target, seed=0)
     # target is the largest domain here, so one batch per epoch... only if
     # sources are smaller; sources have 60 > 48 target samples
     assert it.batches_per_epoch == math.ceil(60 / n_target)
@@ -186,9 +189,9 @@ def test_full_batch_covers_domain_each_epoch():
 
 def test_epoch_coverage_with_wraparound():
     task = small_task()
-    it = BatchIterator(task.sources, task.target, 16, seed=5)
+    it = BatchIterator(task, 16, seed=5)
     stream = iter(it)
-    seen_source = [set() for _ in task.sources]
+    seen_source = [set() for _ in range(task.num_sources)]
     seen_target = set()
     for _ in range(it.batches_per_epoch):
         batch = next(stream)
@@ -196,15 +199,15 @@ def test_epoch_coverage_with_wraparound():
             assert idx.shape == (16,)
             seen_source[m].update(idx.tolist())
         seen_target.update(batch.target_indices.tolist())
-    for m, domain in enumerate(task.sources):
-        assert seen_source[m] == set(range(domain.features.shape[0]))
-    assert seen_target == set(range(task.target.features.shape[0]))
+    for seen in seen_source:
+        assert seen == set(range(task.source_features.shape[1]))
+    assert seen_target == set(range(task.target_features.shape[0]))
 
 
 def test_equal_seeds_emit_identical_sequences():
     task = small_task()
-    a = iter(BatchIterator(task.sources, task.target, 8, seed=9))
-    b = iter(BatchIterator(task.sources, task.target, 8, seed=9))
+    a = iter(BatchIterator(task, 8, seed=9))
+    b = iter(BatchIterator(task, 8, seed=9))
     for _ in range(20):
         ba, bb = next(a), next(b)
         for ia, ib in zip(ba.source_indices, bb.source_indices):
@@ -214,27 +217,44 @@ def test_equal_seeds_emit_identical_sequences():
 
 def test_batch_labels_align_with_features():
     task = small_task()
-    batch = next(iter(BatchIterator(task.sources, task.target, 8, seed=1)))
-    for m, domain in enumerate(task.sources):
+    batch = next(iter(BatchIterator(task, 8, seed=1)))
+    for m in range(task.num_sources):
         np.testing.assert_array_equal(
-            batch.source_features[m], domain.features[batch.source_indices[m]]
+            batch.source_features[m], task.source_features[m][batch.source_indices[m]]
         )
         np.testing.assert_array_equal(
-            batch.source_labels[m], domain.labels[batch.source_indices[m]]
+            batch.source_labels[m], task.source_labels[m][batch.source_indices[m]]
         )
+
+
+def test_batch_stream_bits_are_pinned():
+    # the stream train draws for TaskSpec(seed=3): 40 batches, so both wraps
+    # into a fresh shuffle (target after 12.5 batches, sources after 15.6) are in it
+    task = generate_task(TaskSpec(seed=3))
+    stream = iter(BatchIterator(task, 128, stream_seed(3, "shuffle")))
+    h = hashlib.sha256()
+    for _ in range(40):
+        batch = next(stream)
+        for a in (batch.source_features, batch.source_labels, batch.target_features,
+                  batch.source_indices, batch.target_indices):
+            h.update(str((a.dtype.str, a.shape)).encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == "e7cda7be588ab4564fc1514d3c5cb4485e4db56e68240f0f8e7f2879941bb5f9"
 
 
 def test_empty_domain_rejected():
     task = small_task()
-    empty = Domain("empty", np.zeros((0, 2)), np.zeros(0, dtype=np.int32))
+    empty = replace(
+        task, source_features=np.zeros((1, 0, 2)), source_labels=np.zeros((1, 0), dtype=np.int32)
+    )
     with pytest.raises(ValueError, match="empty"):
-        BatchIterator([empty], task.target, 4, seed=0)
+        BatchIterator(empty, 4, seed=0)
 
 
 def test_oversized_batch_rejected():
     task = small_task()
     with pytest.raises(ValueError, match="exceeds"):
-        BatchIterator(task.sources, task.target, 10_000, seed=0)
+        BatchIterator(task, 10_000, seed=0)
 
 
 def test_a_training_process_never_imports_numpy_ma():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from crma.autodiff import DimensionError, Tensor
-from crma.nn import CrmaModel, classifier_group, parameters_digest
+import crma.nn as nn
+from crma.nn import CrmaModel, classifier_group, parameter_count, parameters_digest, validate_shape
 
 from oracles import group_parameters
 
@@ -35,6 +36,22 @@ def test_model_rejects_out_of_range_shapes(
 ):
     with pytest.raises(ValueError, match=what):
         CrmaModel(input_dim, num_classes, num_domains, extractor_hidden, head_hidden)
+
+
+def test_model_byte_bound_admits_a_model_at_the_bound_only():
+    # extractor (w,), no head hidden layer, K = 2, M = 1: 3w + 2 * 2(w + 1) parameters
+    w = (nn.MAX_MODEL_BYTES // 8 - 4) // 7
+    assert parameter_count(2, 2, 1, (w,), ()) == 7 * w + 4
+    validate_shape(2, 2, 1, (w,), ())
+    with pytest.raises(ValueError, match="over the 1073741824-byte bound"):
+        validate_shape(2, 2, 1, (w + 1,), ())
+
+
+def test_model_checks_the_byte_bound_before_allocating(monkeypatch):
+    # a bound just under the small model, so the check is seen without a large model
+    monkeypatch.setattr(nn, "MAX_MODEL_BYTES", 8 * parameter_count(2, 3, 2, (8, 6), (5,)) - 1)
+    with pytest.raises(ValueError, match="over the"):
+        small_model()
 
 
 def test_zero_extractor_gives_zero_features():

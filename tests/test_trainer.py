@@ -4,6 +4,7 @@ import io
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def fresh_state(task, seed=0, momentum=True, **cfg_kwargs):
 
 
 def first_batch(task, b=16, seed=0):
-    return next(iter(BatchIterator(task.sources, task.target, b, seed=seed)))
+    return next(iter(BatchIterator(task, b, seed=seed)))
 
 
 def digests(model):
@@ -88,7 +89,7 @@ def test_step_source_zero_lr_keeps_parameters():
 def test_step_source_descends_on_full_batch():
     task = tiny_task(seed=4)
     state = fresh_state(task, seed=4)
-    n_target = task.target.features.shape[0]
+    n_target = task.target_features.shape[0]
     batch = first_batch(task, b=min(80, n_target))
     values = [step_source(state, batch, lr=0.05) for _ in range(40)]
     assert values[-1] < values[0]
@@ -183,7 +184,7 @@ def test_minmax_direction_on_full_batch():
     for seed in range(3):
         task = tiny_task(seed=seed, n=120)
         state = fresh_state(task, seed=seed, momentum=False)
-        n_target = task.target.features.shape[0]
+        n_target = task.target_features.shape[0]
         batch = first_batch(task, b=min(120, n_target), seed=seed)
         for _ in range(150):
             step_source(state, batch, lr=0.05)
@@ -320,7 +321,7 @@ def test_step_ast_update_then_weight_golden_trace():
     # update-then-weight tracker order
     task = tiny_task(seed=12)
     state = fresh_state(task, seed=12)
-    stream = iter(BatchIterator(task.sources, task.target, 16, seed=0))
+    stream = iter(BatchIterator(task, 16, seed=0))
     means, betas = [], []
     for _ in range(2):
         _, fused = step_ast(state, next(stream), lr=1e-3)
@@ -479,7 +480,7 @@ def test_all_ablations_off_equals_pure_source_loop():
 
     model = CrmaModel(2, 2, task.num_sources, (16, 8), (8,), rng=stream_rng(15, "init"))
     optimizer = SgdOptimizer(model, momentum=0.9)
-    iterator = BatchIterator(task.sources, task.target, 16, stream_seed(15, "shuffle"))
+    iterator = BatchIterator(task, 16, stream_seed(15, "shuffle"))
     stream = iter(iterator)
     for _ in range(2 * iterator.batches_per_epoch):
         batch = next(stream)
@@ -578,6 +579,19 @@ def test_divergence_guard_aborts_with_history(monkeypatch):
     )
     with pytest.raises(DivergedRunError, match="overflow"):
         train(cfg, task)
+
+
+def test_a_diverging_run_gives_no_numpy_warning():
+    # the first update at lr 1e308 overflows the next forward's matmul; the
+    # run's DivergedRunError is its only report of that
+    task = tiny_task(seed=20)
+    cfg = TrainConfig(epochs=1, base_lr=1e308, seed=20, extractor_hidden=(8,), head_hidden=(4,),
+                      batch_per_domain=16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergedRunError):
+            train(cfg, task)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_extractor_lr_multiplier_slows_extractor():
