@@ -49,6 +49,8 @@ from .trainer import (
 )
 
 METHODS = ("crma", "source_only", "uniform_ensemble")
+# Most seeds one sweep may plan; a sweep also draws every seed's task before its first run.
+MAX_SEEDS = 10_000
 
 # Table row order for the ablation grid's (intra, inter, ast) flags: none, singles, pairs, all.
 ABLATION_GRID = tuple(
@@ -183,8 +185,13 @@ def _methods(value: str) -> tuple[str, ...]:
 
 
 def _directory(value: str) -> str:
+    """A path that ``effective.cfg`` writes back as it is: no ``#``, no line
+    break, and no whitespace at either end."""
     if not value:
         raise ValueError("expected a directory path, got an empty one")
+    if "#" in value or value.splitlines() != [value] or value != value.strip():
+        raise ValueError(f"{value!r} holds a '#', a line break or outer whitespace, "
+                         f"which effective.cfg cannot hold")
     return value
 
 
@@ -303,8 +310,10 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         )
     if indices:
         cfg.task.source_shifts = [shifts[f"task.source_shifts.{i}"] for i in indices]
+    if cfg.num_seeds > MAX_SEEDS:
+        raise ConfigError(f"run.num_seeds={cfg.num_seeds} is over the {MAX_SEEDS}-seed bound")
     try:
-        cfg.task.validate()
+        cfg.task.validate(cfg.num_seeds)  # a sweep holds every seed's task at once
         cfg.train.validate()
         validate_shape(FEATURE_DIM, cfg.task.num_classes, len(cfg.task.source_shifts),
                        cfg.train.extractor_hidden, cfg.train.head_hidden)

@@ -71,7 +71,9 @@ class TaskSpec:
     seed: int = 0
     generator_noise: float | None = None
 
-    def validate(self) -> None:
+    def validate(self, num_tasks: int = 1) -> None:
+        """Raise a ValueError for a spec that cannot be generated, or whose
+        features, times the ``num_tasks`` held at once, exceed MAX_FEATURE_BYTES."""
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}; choose from {GENERATORS}")
         if self.generator == "two_moons" and self.num_classes != 2:
@@ -90,10 +92,11 @@ class TaskSpec:
                 f"samples_per_domain={self.samples_per_domain} is below the "
                 f"4*K={4 * self.num_classes} minimum"
             )
-        feature_bytes = (len(self.source_shifts) + 1) * self.samples_per_domain * FEATURE_DIM * 8
+        feature_bytes = num_tasks * (len(self.source_shifts) + 1) * self.samples_per_domain * FEATURE_DIM * 8
         if feature_bytes > MAX_FEATURE_BYTES:
+            tasks = f" for {num_tasks} tasks" if num_tasks > 1 else ""
             raise ValueError(f"samples_per_domain={self.samples_per_domain} implies {feature_bytes} "
-                             f"bytes of features, over the {MAX_FEATURE_BYTES}-byte bound")
+                             f"bytes of features{tasks}, over the {MAX_FEATURE_BYTES}-byte bound")
 
     @property
     def noise(self) -> float:

@@ -136,16 +136,6 @@ def inter_consistency_loss(head_probs: Tensor) -> Tensor:
     return node(np.sum(np.abs(gaps)) * scale, (head_probs,), backward_fn)
 
 
-def classifier_objective(l_src: Tensor, l_intra: Tensor) -> Tensor:
-    """Objective minimized over classifier parameters: source CE minus L_intra."""
-    return l_src - l_intra
-
-
-def extractor_objective(l_intra: Tensor, l_inter: Tensor, alpha: float) -> Tensor:
-    """Objective minimized over extractor parameters: L_intra + alpha * L_inter."""
-    return l_intra + l_inter * float(alpha)
-
-
 @dataclass
 class PseudoBatch:
     """Fused pseudo-labels and weights for one target batch, all detached."""

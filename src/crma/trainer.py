@@ -131,12 +131,14 @@ class ConfidenceTracker:
 
 
 class SgdOptimizer:
-    """SGD with optional momentum over a model's storage leaves.
+    """SGD with momentum over a model's storage leaves; plain SGD is momentum 0.
 
     ``leaves`` is ``(*extractor_leaves, *head_leaves)`` and ``velocities``
     holds one buffer per leaf in the same order. ``step`` updates exactly
     the leaves whose ``requires_grad`` is set, as whole arrays; every other
-    leaf keeps both its values and its velocity bit-identical.
+    leaf keeps both its values and its velocity bit-identical. At momentum 0
+    a stepped leaf's velocity is its last gradient, up to the sign of a zero
+    entry, and checkpoints store it.
     """
 
     def __init__(self, model: CrmaModel, momentum: float):
@@ -155,12 +157,9 @@ class SgdOptimizer:
                 continue
             grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.values)
             rate = lr * (extractor_lr_multiplier if i < self._num_extractor else 1.0)
-            if self.momentum > 0:
-                velocity *= self.momentum
-                velocity += grad
-                leaf.values -= rate * velocity
-            else:
-                leaf.values -= rate * grad
+            velocity *= self.momentum
+            velocity += grad
+            leaf.values -= rate * velocity
 
 
 @dataclass
@@ -241,7 +240,7 @@ def step_source(state: TrainState, batch: DomainBatch, lr: float) -> float:
 
 
 def step_classifiers(state: TrainState, batch: DomainBatch, lr: float) -> None:
-    """One classifier-only step on (source CE - L_intra); extractor frozen.
+    """One classifier-only step on L_src - L_intra; extractor frozen.
 
     Skipped entirely when the intra-consistency component is ablated.
     """
@@ -254,7 +253,7 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float) -> None:
             src_loss = losses.source_ce_loss(source_probs, batch.source_labels)
             target_feats = model.forward_features(batch.target_features)
             intra = losses.intra_consistency_loss(model.head_probs(target_feats))
-            objective = losses.classifier_objective(src_loss, intra)
+            objective = src_loss - intra
         _descend(state, tape, objective, lr)  # guards both component losses
 
 
@@ -279,7 +278,7 @@ def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
                 # an ablated term enters as a constant 0.0
                 intra = losses.intra_consistency_loss(probs) if use_intra else Tensor(0.0)
                 inter = losses.inter_consistency_loss(probs) if use_inter else Tensor(0.0)
-                objective = losses.extractor_objective(intra, inter, cfg.alpha)
+                objective = intra + inter * cfg.alpha
             if first_values is None:
                 first_values = (intra.item(), inter.item())
             _descend(state, tape, objective, lr)

@@ -18,8 +18,6 @@ from crma.cli import ExperimentConfig, Variant, execute, main, plan
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import (
     ast_loss,
-    classifier_objective,
-    extractor_objective,
     fuse_pseudo_labels,
     inter_consistency_loss,
     intra_consistency_loss,
@@ -117,13 +115,13 @@ def test_criterion_1_gradient_correctness():
             return inter_consistency_loss(target_probs())
 
         def loss_classifier_step(*_):
-            return classifier_objective(loss_src(), loss_intra())
+            return loss_src() - loss_intra()
 
         def loss_extractor_step(*_):
             probs = target_probs()
             intra = intra_consistency_loss(probs)
             inter = inter_consistency_loss(probs)
-            return extractor_objective(intra, inter, 0.5)
+            return intra + inter * 0.5
 
         # freeze pseudo-labels and betas once, outside the differentiated graph
         probs_now = target_probs().values
@@ -361,7 +359,7 @@ def test_criterion_4_minmax_dynamics():
                 probs = model.head_probs(model.forward_features(batch.target_features))
                 intra = intra_consistency_loss(probs)
                 inter = inter_consistency_loss(probs)
-                loss = extractor_objective(intra, inter, cfg.alpha)
+                loss = intra + inter * cfg.alpha
             state.optimizer.zero_grad()
             tape.backward(loss)
             total = 0.0

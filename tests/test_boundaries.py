@@ -4,25 +4,33 @@ metrics.csv and checkpoint bytes.
 Each case mutates a valid input with the stdlib ``random`` module and feeds
 it through the boundary's reader. The outcome must be success or the
 boundary's own error (``ConfigError`` or ``FormatError``); any other
-exception fails the test and names the input that raised it.
+exception fails the test and names the input that raised it. An accepted
+config must also fit its byte bounds, read back unchanged from its
+``effective.cfg``, and generate all-finite features or name the domain
+whose features are not.
 """
 
 import json
 import random
+import re
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crma.cli import (
     CONFIG_KEYS,
+    MAX_SEEDS,
     ConfigError,
     RunRecord,
     build_experiment_config,
+    effective_config_text,
     emit_curves,
     main,
     parse_config_text,
 )
-from crma.data import FEATURE_DIM, MAX_FEATURE_BYTES
+from crma.data import FEATURE_DIM, MAX_FEATURE_BYTES, generate_task
 from crma.nn import MAX_MODEL_BYTES, parameter_count
 from crma.trainer import FormatError, TrainConfig, load_checkpoint
 
@@ -45,6 +53,18 @@ SHIFT_PREFIXES = ["task.source_shifts.0", "task.source_shifts.1", "task.source_s
 KEYS = [key for key, _, _ in CONFIG_KEYS] + [
     f"{prefix}.{name}" for prefix in SHIFT_PREFIXES for name in SHIFT_NAMES
 ] + ["train.alpah", "task"]
+# the keys that scale, turn, move or spread a task's features
+SHAPING_KEYS = ["task.generator_noise"] + [
+    f"{prefix}.{name}" for prefix in ("task.source_shifts.0", "task.source_shifts.1", "task.target_shift")
+    for name in ("rotation", "translation", "scale", "noise_std")
+]
+# values drawn for one key alone: seed counts up to 10^9, and output directories
+# that effective.cfg cannot write back as they are (a comment, a line break, outer whitespace)
+KEY_DRAWS = {
+    "run.num_seeds": lambda rng: str(rng.choice([MAX_SEEDS, MAX_SEEDS + 1, rng.randint(1, 10**9)])),
+    "run.output_dir": lambda rng: rng.choice(["res#1", "#", "a\nb", "a\r", "a\u2028b", "out\n",
+                                              " out", "out\t", "a b", "r\u00e9s"]),
+}
 
 
 def _outcome(read, error, case):
@@ -77,25 +97,36 @@ def _mutate(rng: random.Random, data: bytes, alphabet: bytes) -> bytes:
     return data
 
 
-def _check_model_bound(cfg):
-    """An accepted config's model and features fit their bounds, by arithmetic."""
+def _check_accepted(cfg):
+    """An accepted config's model and its sweep's features fit their bounds, by
+    arithmetic, and its effective.cfg reads back as the same config."""
     task, train = cfg.task, cfg.train
     count = parameter_count(FEATURE_DIM, task.num_classes, len(task.source_shifts),
                             train.extractor_hidden, train.head_hidden)
     assert 8 * count <= MAX_MODEL_BYTES, cfg
-    assert (len(task.source_shifts) + 1) * task.samples_per_domain * FEATURE_DIM * 8 <= MAX_FEATURE_BYTES
+    # a sweep holds every seed's task at once
+    task_bytes = (len(task.source_shifts) + 1) * task.samples_per_domain * FEATURE_DIM * 8
+    assert cfg.num_seeds <= MAX_SEEDS and cfg.num_seeds * task_bytes <= MAX_FEATURE_BYTES, cfg
     assert train.extractor_hidden and min((*train.extractor_hidden, *train.head_hidden)) >= 1
+    assert build_experiment_config(parse_config_text(effective_config_text(cfg))) == cfg
+
+
+def _overridden(rng: random.Random) -> dict[str, str]:
+    """A shipped config's keys with one to four values set by the mutator."""
+    kv = parse_config_text(rng.choice(CONFIGS))
+    kv.update((rng.choice(KEYS), rng.choice(VALUES)) for _ in range(rng.randint(1, 4)))
+    kv.update((key, draw(rng)) for key, draw in KEY_DRAWS.items() if rng.random() < 0.1)
+    return kv
 
 
 def test_config_overrides_fail_only_with_config_errors():
     rng = random.Random(20261020)
     accepted = 0
     for _ in range(3000):
-        kv = parse_config_text(rng.choice(CONFIGS))
-        kv.update((rng.choice(KEYS), rng.choice(VALUES)) for _ in range(rng.randint(1, 4)))
+        kv = _overridden(rng)
         cfg = _outcome(lambda: build_experiment_config(kv), ConfigError, kv)
         if cfg is not None:
-            _check_model_bound(cfg)
+            _check_accepted(cfg)
             accepted += 1
     assert 100 < accepted < 2900  # both outcomes are exercised
 
@@ -108,9 +139,43 @@ def test_config_text_fails_only_with_config_errors():
         text = _mutate(rng, rng.choice(CONFIGS).encode(), alphabet).decode(errors="replace")
         cfg = _outcome(lambda: build_experiment_config(parse_config_text(text)), ConfigError, text)
         if cfg is not None:
-            _check_model_bound(cfg)
+            _check_accepted(cfg)
             accepted += 1
     assert accepted > 100
+
+
+def _shaping_overrides(rng: random.Random) -> dict[str, str]:
+    """A shipped config with one to three SHAPING_KEYS set to values from FLOATS
+    (pairs for a translation)."""
+    kv = parse_config_text(rng.choice(CONFIGS))
+    for _ in range(rng.randint(1, 3)):
+        key = rng.choice(SHAPING_KEYS)
+        pair = key.endswith(".translation")
+        kv[key] = f"{rng.choice(FLOATS)},{rng.choice(FLOATS)}" if pair else rng.choice(FLOATS)
+    return kv
+
+
+def test_accepted_configs_generate_finite_features_or_name_the_domain():
+    rng = random.Random(29)
+    checked = raised = 0
+    for _ in range(1000):
+        kv = _shaping_overrides(rng)
+        cfg = _outcome(lambda: build_experiment_config(kv), ConfigError, kv)
+        if cfg is None:
+            continue
+        # the smallest domains the config's class count admits, so the check stays fast
+        spec = replace(cfg.task, samples_per_domain=4 * cfg.task.num_classes)
+        checked += 1
+        try:
+            task = generate_task(spec)
+        except ValueError as exc:
+            assert re.fullmatch(r"domain '(source\d+|target)': generated features are not all finite",
+                                str(exc)), (spec, exc)
+            raised += 1
+            continue
+        for features in (task.source_features, task.target_features, task.target_test_features):
+            assert np.isfinite(features).all(), spec
+    assert 0 < raised < checked  # both outcomes are exercised
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,7 @@ from crma.cli import (
     write_results,
     _variant_for,
 )
-from crma.data import generate_task
+from crma.data import FEATURE_DIM, generate_task
 from crma.nn import parameters_digest
 from crma.trainer import TrainConfig, history_columns, load_checkpoint, save_checkpoint, train
 
@@ -102,7 +102,7 @@ def test_value_parsing_and_overrides():
     assert cfg.methods == ("crma",)
 
 
-def test_bad_values_are_config_errors():
+def test_bad_values_are_config_errors(tmp_path, monkeypatch, capsys):
     for kv in (
         {"train.alpha": "fast"},
         {"train.intra_da": "maybe"},
@@ -132,9 +132,36 @@ def test_bad_values_are_config_errors():
         {"train.head_hidden": ","},
         {"run.methods": "crma,,source_only"},
         {"run.methods": "crma,"},
+        {"run.num_seeds": "10001"},
+        # effective.cfg would read these back as "res", as two lines and as "out"
+        {"run.output_dir": "res#1"},
+        {"run.output_dir": "a\nb"},
+        {"run.output_dir": " out"},
     ):
         with pytest.raises(ConfigError):
             build_experiment_config(kv)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_cfg(tmp_path)
+    for out in ("res#1", "a\nb"):
+        assert main(["run", str(cfg_path), "--out", out, "--run.num_seeds=1"]) == 1
+        assert "run.output_dir" in capsys.readouterr().err
+    assert not any(p.is_dir() for p in tmp_path.iterdir())
+
+
+def test_seed_count_is_bounded_before_anything_is_planned(monkeypatch):
+    from crma import cli as cli_module, data
+
+    kv = {"task.samples_per_domain": "80", "train.batch_per_domain": "16"}
+    most = str(cli_module.MAX_SEEDS)
+    assert build_experiment_config({**kv, "run.num_seeds": most}).num_seeds == cli_module.MAX_SEEDS
+    with pytest.raises(ConfigError, match="run.num_seeds=100000000 is over"):
+        build_experiment_config({**kv, "run.num_seeds": "100000000"})
+    # a sweep draws every seed's task before its first run, so their features share the bound
+    task_bytes = 4 * 80 * FEATURE_DIM * 8  # three sources and the target
+    monkeypatch.setattr(data, "MAX_FEATURE_BYTES", 3 * task_bytes)
+    assert build_experiment_config({**kv, "run.num_seeds": "3"}).num_seeds == 3
+    with pytest.raises(ConfigError, match=f"for 4 tasks, over the {3 * task_bytes}-byte bound"):
+        build_experiment_config({**kv, "run.num_seeds": "4"})
 
 
 def test_an_empty_head_hidden_means_no_hidden_layer():

@@ -8,8 +8,6 @@ from crma.autodiff import Tape, Tensor, softmax
 from crma.losses import (
     ContractError,
     ast_loss,
-    classifier_objective,
-    extractor_objective,
     fuse_pseudo_labels,
     inter_consistency_loss,
     intra_consistency_loss,
@@ -208,10 +206,11 @@ def test_inter_matches_pair_loop():
 
 
 def test_objective_arithmetic():
-    assert classifier_objective(Tensor(1.0), Tensor(0.3)).item() == pytest.approx(0.7)
-    assert classifier_objective(Tensor(2.5), Tensor(0.0)).item() == pytest.approx(2.5)
-    assert extractor_objective(Tensor(0.2), Tensor(0.4), 0.5).item() == pytest.approx(0.4)
-    assert extractor_objective(Tensor(0.2), Tensor(0.9), 0.0).item() == pytest.approx(0.2)
+    # the trainer's two objectives: L_src - L_intra and L_intra + alpha * L_inter
+    assert (Tensor(1.0) - Tensor(0.3)).item() == pytest.approx(0.7)
+    assert (Tensor(2.5) - Tensor(0.0)).item() == pytest.approx(2.5)
+    assert (Tensor(0.2) + Tensor(0.4) * 0.5).item() == pytest.approx(0.4)
+    assert (Tensor(0.2) + Tensor(0.9) * 0.0).item() == pytest.approx(0.2)
 
 
 def test_classifier_objective_gradient_composes():
@@ -224,7 +223,7 @@ def test_classifier_objective_gradient_composes():
         heads = heads_from_logits([x, y])
         src = source_ce_loss(heads, [labels])
         intra = intra_consistency_loss(heads)
-        return classifier_objective(src, intra)
+        return src - intra
 
     assert grad_check(build, [la, lb]) < 1e-4
 
@@ -243,7 +242,7 @@ def test_extractor_objective_ignores_source_batches():
             intra = intra_consistency_loss(heads_from_logits([la, lb]))
             mean = random_probs(rng, 4, 3)
             inter = inter_consistency_loss(head_probs([(mean, mean)]))
-            loss = extractor_objective(intra, inter, 0.5)
+            loss = intra + inter * 0.5
         tape.backward(loss)
         return la.grad.copy(), lb.grad.copy()
 
@@ -545,14 +544,14 @@ def test_single_node_losses_sharing_a_head_tensor_accumulate_in_chain_order(m, k
     values = floored_probs(rng, (2 * m, n, k))
     labels = rng.integers(0, k, size=(m, n))
     assert_same_bits(
-        lambda p: classifier_objective(source_ce_chain(p, list(labels)), intra_consistency_chain(p)),
-        lambda p: classifier_objective(source_ce_loss(p, labels), intra_consistency_loss(p)),
+        lambda p: source_ce_chain(p, list(labels)) - intra_consistency_chain(p),
+        lambda p: source_ce_loss(p, labels) - intra_consistency_loss(p),
         values,
         3,
     )
     assert_same_bits(
-        lambda p: extractor_objective(intra_consistency_chain(p), inter_consistency_chain(p), 0.3),
-        lambda p: extractor_objective(intra_consistency_loss(p), inter_consistency_loss(p), 0.3),
+        lambda p: intra_consistency_chain(p) + inter_consistency_chain(p) * 0.3,
+        lambda p: intra_consistency_loss(p) + inter_consistency_loss(p) * 0.3,
         values,
         4,
     )
