@@ -143,22 +143,20 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
 
-        ``loss`` must be a scalar recorded on this tape, found by identity
-        from the tape's end (in training it is the last entry). Leaf
-        gradients accumulate across calls (zero them between passes if that
-        is not wanted); an intermediate node's gradient lives only until it
-        has been passed on to its operands, so repeated calls are deterministic.
+        ``loss`` must be a scalar and the tape's last entry, as every training
+        phase's objective is. Leaf gradients accumulate across calls (zero them
+        between passes if that is not wanted); an intermediate node's gradient
+        lives only until it has been passed on to its operands, so repeated
+        calls are deterministic.
         """
         if loss.values.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-        pos = next((i for i in reversed(range(len(self))) if self._entries[i][0] is loss), None)
-        if pos is None:
-            raise GraphError("loss tensor was not recorded on this tape")
-        scope = self._entries[: pos + 1]
-        for out, _ in scope:
+        if not self._entries or self._entries[-1][0] is not loss:
+            raise GraphError("loss tensor is not the last entry recorded on this tape")
+        for out, _ in self._entries:
             out.grad = None
         loss.grad = np.ones_like(loss.values)
-        for out, backward_fn in reversed(scope):
+        for out, backward_fn in reversed(self._entries):
             if out.grad is None:  # not on a path to the loss
                 continue
             backward_fn(out.grad)

@@ -397,13 +397,13 @@ def _write_metrics(run_dir: Path, history: Sequence[dict], num_domains: int) -> 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One run of a sweep: what ``execute`` trains, and where it writes (nowhere for ``None``)."""
+    """One run of a sweep: what ``execute`` trains, and where it writes."""
 
     variant: Variant
     seed_index: int
     task: TaskSpec
     train: TrainConfig
-    run_dir: Path | None
+    run_dir: Path
 
 
 def plan(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunSpec]:
@@ -420,36 +420,38 @@ def plan(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunSpec]:
 
 
 def execute(spec: RunSpec, task: GeneratedTask) -> RunRecord:
-    """Train one run. With a run directory, write its ``metrics.csv``, ``model.ckpt``
-    and ``run.json`` and print its progress line to stderr; a diverged run writes
-    its partial ``metrics.csv`` there before its ``DivergedRunError`` propagates."""
+    """Train one run, write its ``metrics.csv``, ``model.ckpt`` and ``run.json``, and
+    print its progress line to stderr; a diverged run writes its partial
+    ``metrics.csv`` before its ``DivergedRunError`` propagates."""
     started = time.perf_counter()
     try:
         state, history = train(spec.train, task)
     except DivergedRunError as err:
-        if spec.run_dir is not None:  # no run.json of an earlier sweep beside the partial history
-            for stale in ("run.json", "model.ckpt"):
-                (spec.run_dir / stale).unlink(missing_ok=True)
-            _write_metrics(spec.run_dir, err.history, task.num_sources)
+        for stale in ("run.json", "model.ckpt"):  # no earlier sweep's run beside the partial history
+            (spec.run_dir / stale).unlink(missing_ok=True)
+        _write_metrics(spec.run_dir, err.history, task.num_sources)
         raise
     record = RunRecord(spec.variant, spec.train.seed, spec.train.epochs, history[-1]["target_acc"])
-    if spec.run_dir is not None:
-        _write_metrics(spec.run_dir, history, task.num_sources)
-        with _replacing(spec.run_dir / "model.ckpt") as tmp:
-            save_checkpoint(state, tmp)
-        _write_text(spec.run_dir / "run.json", record.json_text())
-        line = f"{spec.variant.label} seed {record.seed}: target_acc {record.accuracy:.4f}"
-        print(f"{line} in {time.perf_counter() - started:.2f} s", file=sys.stderr)
+    _write_metrics(spec.run_dir, history, task.num_sources)
+    with _replacing(spec.run_dir / "model.ckpt") as tmp:
+        save_checkpoint(state, tmp)
+    _write_text(spec.run_dir / "run.json", record.json_text())
+    line = f"{spec.variant.label} seed {record.seed}: target_acc {record.accuracy:.4f}"
+    print(f"{line} in {time.perf_counter() - started:.2f} s", file=sys.stderr)
     return record
 
 
 def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunRecord]:
     """Execute the sweep's plan, drawing each seed's task once before anything is
-    written, so a task that cannot be generated is a ConfigError. A diverged run's
-    error propagates once the finished runs' ``results.csv`` and ``summary.*`` are written."""
+    written, so a task that cannot be generated, like a planned run directory that
+    names a file, is a ConfigError. A diverged run's error propagates once the
+    finished runs' ``results.csv`` and ``summary.*`` are written."""
     specs = plan(cfg, variants)
     try:  # the first variant's specs hold every seed's task
         tasks = [generate_task(spec.task) for spec in specs[: cfg.num_seeds]]
+        for spec in specs:
+            if spec.run_dir.exists() and not spec.run_dir.is_dir():
+                raise ValueError(f"run directory {str(spec.run_dir)!r} is not a directory")
         Path(cfg.output_dir, "runs").mkdir(parents=True, exist_ok=True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

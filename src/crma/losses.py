@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -63,23 +62,17 @@ def _add_to_pairs(head_probs: Tensor, grad_a: np.ndarray, grad_b: np.ndarray) ->
     head_probs.grad[0::2] += grad_a
 
 
-def source_ce_loss(head_probs: Tensor, labels_per_domain: Sequence[np.ndarray]) -> Tensor:
+def source_ce_loss(head_probs: Tensor, labels: np.ndarray) -> Tensor:
     """Summed softmax cross entropy over every domain's classifier pair.
 
     ``head_probs`` holds each pair's (2, n, K) probabilities on its own
-    domain's labeled batch, and ``labels_per_domain`` the (M, n) labels (an
-    array, or M length-n arrays); the loss is the sum over domains and
-    branches of the batch-mean negative log probability of the true class.
+    domain's labeled batch, and ``labels`` the batch's (M, n) integer labels;
+    the loss is the sum over domains and branches of the batch-mean negative
+    log probability of the true class.
     """
     num_heads, n, num_classes = head_probs.shape
-    if num_heads != 2 * len(labels_per_domain):
-        raise ContractError(
-            f"{num_heads} heads but {len(labels_per_domain)} label arrays"
-        )
-    for labels in labels_per_domain:
-        if np.shape(labels) != (n,):
-            raise ContractError(f"labels shape {np.shape(labels)} does not match batch {n}")
-    labels = np.asarray(labels_per_domain)
+    if num_heads % 2 or labels.shape != (num_heads // 2, n):
+        raise ContractError(f"labels shape {labels.shape} does not match {num_heads} heads of batch {n}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
     low, high = labels.min(), labels.max()

@@ -6,15 +6,15 @@ oracle run of this implementation (tolerance: 2 accuracy points).
 """
 
 import math
+import multiprocessing
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import crma.losses
 from crma.autodiff import Tape, Tensor, mul, softmax
-from crma.cli import ExperimentConfig, Variant, execute, main, plan
+from crma.cli import ExperimentConfig, Variant, aggregate, main, run_variants
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import (
     ast_loss,
@@ -106,7 +106,7 @@ def test_criterion_1_gradient_correctness():
             return model.head_probs(model.forward_features(target_x))
 
         def loss_src(*_):
-            return source_ce_loss(source_probs(), source_y)
+            return source_ce_loss(source_probs(), np.array(source_y))
 
         def loss_intra(*_):
             return intra_consistency_loss(target_probs())
@@ -413,13 +413,18 @@ EXPECTED_ASYM = {
 LOCK_TOL = 0.02
 
 
-def run_mean(task_spec_for_seed, flags, uniform=False, seeds=range(5)):
-    # the sweep's own plan, over contiguous seeds, executed without writing anything
-    method = "uniform_ensemble" if uniform else "crma"
-    cfg = ExperimentConfig(task_spec_for_seed(seeds[0]), TrainConfig(seed=seeds[0]), len(seeds))
-    specs = plan(cfg, [Variant(method, flags, method)])
-    accs = [execute(replace(spec, run_dir=None), generate_task(spec.task)).accuracy for spec in specs]
-    return float(np.mean(accs))
+ALL_ON = AblationFlags(True, True, True)
+# the rows of each experiment; source_only is crma with every component off
+MOONS_VARIANTS = [
+    Variant("crma", AblationFlags(False, False, False), "source_only"),
+    Variant("crma", ALL_ON, "crma"),
+    Variant("crma", AblationFlags(True, False, False), "intra_only"),
+    Variant("crma", AblationFlags(False, True, False), "inter_only"),
+    Variant("crma", AblationFlags(False, False, True), "ast_only"),
+]
+ASYM_VARIANTS = [Variant("uniform_ensemble", ALL_ON, "uniform_ensemble"), Variant("crma", ALL_ON, "crma")]
+# each experiment's five seeds as two seed-contiguous sweeps, one per pool process
+SEED_PIECES = ((0, 3), (3, 2))
 
 
 def asymmetric_blobs_spec(seed):
@@ -436,22 +441,32 @@ def asymmetric_blobs_spec(seed):
 
 
 @pytest.mark.slow
-def test_criterion_5_desk_scale_adaptation():
+def test_criterion_5_desk_scale_adaptation(tmp_path, monkeypatch):
+    # the CLI's own sweep: run_variants over seed pieces, two processes of one BLAS thread
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    experiments = {
+        "moons": (lambda seed: TaskSpec(seed=seed), MOONS_VARIANTS),
+        "asym": (asymmetric_blobs_spec, ASYM_VARIANTS),
+    }
+    pieces = [
+        (ExperimentConfig(spec_for_seed(start), TrainConfig(seed=start), count, str(tmp_path / f"{name}{start}")),
+         variants)
+        for name, (spec_for_seed, variants) in experiments.items()
+        for start, count in SEED_PIECES
+    ]
     started = time.monotonic()
-    moons = lambda s: TaskSpec(seed=s)
-
-    means = {
-        "source_only": run_mean(moons, AblationFlags(False, False, False)),
-        "crma": run_mean(moons, AblationFlags(True, True, True)),
-        "intra_only": run_mean(moons, AblationFlags(True, False, False)),
-        "inter_only": run_mean(moons, AblationFlags(False, True, False)),
-        "ast_only": run_mean(moons, AblationFlags(False, False, True)),
-    }
-    asym = {
-        "uniform_ensemble": run_mean(asymmetric_blobs_spec, AblationFlags(True, True, True), uniform=True),
-        "crma": run_mean(asymmetric_blobs_spec, AblationFlags(True, True, True)),
-    }
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        swept = iter(pool.starmap_async(run_variants, pieces, chunksize=1).get(timeout=900))
     elapsed = time.monotonic() - started
+
+    by_experiment = {}
+    for name, (_, variants) in experiments.items():
+        # the plan's order, variant-major and seed-minor, so each mean adds its seeds in order
+        records = sorted((r for _ in SEED_PIECES for r in next(swept)),
+                         key=lambda r: (variants.index(r.variant), r.seed))
+        by_experiment[name] = {variant.label: mean for variant, _, mean, _ in aggregate(records)}
+    means, asym = by_experiment["moons"], by_experiment["asym"]
 
     gap = means["crma"] - means["source_only"]
     ordering_a = gap >= 0.05

@@ -179,27 +179,19 @@ def test_backward_requires_scalar_recorded_loss():
         tape.backward(loss)  # recorded on `other`, not `tape`
 
 
-def test_backward_on_a_loss_before_the_tape_end():
-    # the loss is found by identity, not by position: what follows it stays out
+def test_backward_on_a_loss_before_the_tape_end_is_a_graph_error():
+    # backward starts at the tape's last entry: a loss with nodes after it is refused
     rng = np.random.default_rng(5)
     x_val, y_val = rng.standard_normal((2, 3, 4))
-
-    def loss_of(x, y):
-        return mul(softmax(mul(x, y)).log(), y).sum()
-
     x, y = Tensor(x_val, requires_grad=True), Tensor(y_val, requires_grad=True)
     with Tape() as tape:
-        loss = loss_of(x, y)
-        later = [loss * 2.0, softmax(y), mul(x, y).sum()]
-    tape.backward(loss)
-    assert all(t.requires_grad and t.grad is None for t in later)  # recorded after the loss
-
-    x_alone, y_alone = Tensor(x_val, requires_grad=True), Tensor(y_val, requires_grad=True)
-    with Tape() as alone:
-        loss_alone = loss_of(x_alone, y_alone)
-    alone.backward(loss_alone)
-    np.testing.assert_array_equal(x.grad, x_alone.grad)
-    np.testing.assert_array_equal(y.grad, y_alone.grad)
+        loss = mul(softmax(mul(x, y)).log(), y).sum()
+        later = loss * 2.0
+    with pytest.raises(GraphError, match="last entry"):
+        tape.backward(loss)
+    assert x.grad is None and y.grad is None
+    tape.backward(later)  # the last entry itself runs
+    assert x.grad is not None and y.grad is not None
 
 
 def test_node_wraps_its_array_and_records_only_what_needs_a_gradient():

@@ -282,6 +282,24 @@ def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     assert blocker.read_bytes() == b"not a directory"
 
 
+def test_planned_run_dir_naming_a_file_is_a_config_error_before_any_run_trains(
+    tmp_path, monkeypatch, capsys
+):
+    import crma.cli as cli_module
+
+    trained = []
+    monkeypatch.setattr(cli_module, "train", lambda cfg, task: trained.append(cfg))
+    out = tmp_path / "out"
+    blocker = out / "runs" / "crma_seed1"  # the sweep's second run
+    blocker.parent.mkdir(parents=True)
+    blocker.write_bytes(b"not a directory")
+    assert main(["run", str(write_cfg(tmp_path)), "--out", str(out), "--run.methods=crma"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(blocker) in err and "Traceback" not in err
+    assert trained == []
+    assert sorted(p.name for p in out.rglob("*")) == ["crma_seed1", "runs"]
+
+
 def test_empty_out_is_a_config_error_and_writes_nothing(tmp_path, monkeypatch, capsys):
     cfg_path = write_cfg(tmp_path)
     cwd = tmp_path / "cwd"
@@ -452,7 +470,7 @@ def test_plan_is_the_order_seeds_and_run_dirs_the_sweep_trains(tmp_path, monkeyp
     assert trained == [(s.train, s.task) for s in specs]
 
 
-def test_execute_without_a_run_dir_writes_nothing_and_trains_the_same_run(tmp_path, monkeypatch, capsys):
+def test_execute_writes_its_run_and_the_checkpoint_of_the_trained_state(tmp_path, monkeypatch, capsys):
     import crma.cli as cli_module
 
     states = []
@@ -466,19 +484,12 @@ def test_execute_without_a_run_dir_writes_nothing_and_trains_the_same_run(tmp_pa
     monkeypatch.chdir(tmp_path)
     cfg = build_experiment_config(parse_config_text(TINY))
     spec = plan(cfg, [_variant_for("crma", cfg)])[1]
-    task = generate_task(spec.task)
-
-    bare = execute(replace(spec, run_dir=None), task)
-    assert list(tmp_path.iterdir()) == []
-    assert capsys.readouterr().err == ""  # no progress line either
-    written = execute(spec, task)
+    record = execute(spec, generate_task(spec.task))
     assert sorted(p.name for p in spec.run_dir.iterdir()) == ["metrics.csv", "model.ckpt", "run.json"]
     assert re.fullmatch(r"crma seed 1: target_acc 0\.\d{4} in \d+\.\d\d s\n", capsys.readouterr().err)
-    assert bare == written
-    assert (spec.run_dir / "run.json").read_text() == bare.json_text()
-    digests = [parameters_digest(state.model.parameters()) for state in states]
+    assert (spec.run_dir / "run.json").read_text() == record.json_text()
     saved = load_checkpoint(spec.run_dir / "model.ckpt", TrainConfig())
-    assert digests[0] == digests[1] == parameters_digest(saved.model.parameters())
+    assert parameters_digest(states[0].model.parameters()) == parameters_digest(saved.model.parameters())
 
 
 def test_cli_help_exits_zero(capsys):

@@ -216,15 +216,26 @@ def test_equal_seeds_emit_identical_sequences():
 
 
 def test_batch_labels_align_with_features():
+    # each index array gathers exactly its batch's features and labels
     task = small_task()
-    batch = next(iter(BatchIterator(task, 8, seed=1)))
-    for m in range(task.num_sources):
-        np.testing.assert_array_equal(
-            batch.source_features[m], task.source_features[m][batch.source_indices[m]]
-        )
-        np.testing.assert_array_equal(
-            batch.source_labels[m], task.source_labels[m][batch.source_indices[m]]
-        )
+    stream = iter(BatchIterator(task, 8, seed=1))
+    for _ in range(20):
+        batch = next(stream)
+        for m, idx in enumerate(batch.source_indices):
+            np.testing.assert_array_equal(batch.source_features[m], task.source_features[m][idx])
+            np.testing.assert_array_equal(batch.source_labels[m], task.source_labels[m][idx])
+        np.testing.assert_array_equal(batch.target_features, task.target_features[batch.target_indices])
+
+
+def test_target_train_labels_name_the_moon_of_each_target_sample():
+    # noise-free moons: class 0 lies on the unit circle about (-0.5, -0.25)
+    spec = TaskSpec(samples_per_domain=200, seed=4, generator_noise=0.0)
+    task = generate_task(spec)
+    unshifted = invert_shift(spec.target_shift, task.target_features)
+    distance = np.hypot(unshifted[:, 0] + 0.5, unshifted[:, 1] + 0.25)
+    moon = np.where(np.isclose(distance, 1.0, rtol=0.0, atol=1e-9), 0, 1)
+    np.testing.assert_array_equal(task.target_train_labels, moon)
+    assert set(moon.tolist()) == {0, 1}
 
 
 def test_batch_stream_bits_are_pinned():

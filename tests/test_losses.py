@@ -67,13 +67,13 @@ def fuse_one(d_row, running_means, lam, rows=None, uniform=False):
 
 def test_source_ce_perfect_prediction_is_zero():
     probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss = source_ce_loss(head_probs([(probs, probs)]), [np.array([0, 1])])
+    loss = source_ce_loss(head_probs([(probs, probs)]), np.array([[0, 1]]))
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_source_ce_uniform_is_log_k_per_head():
     probs = np.full((3, 4), 0.25)
-    loss = source_ce_loss(head_probs([(probs, probs)]), [np.array([0, 1, 2])])
+    loss = source_ce_loss(head_probs([(probs, probs)]), np.array([[0, 1, 2]]))
     # two heads, each contributing a batch-mean of log 4
     assert loss.item() == pytest.approx(2 * math.log(4), rel=1e-12)
 
@@ -81,7 +81,7 @@ def test_source_ce_uniform_is_log_k_per_head():
 def test_source_ce_matches_explicit_loop():
     rng = np.random.default_rng(0)
     prob_arrays = [(random_probs(rng, 8, 3), random_probs(rng, 8, 3)) for _ in range(2)]
-    labels = [rng.integers(0, 3, size=8) for _ in range(2)]
+    labels = np.array([rng.integers(0, 3, size=8) for _ in range(2)])
     loss = source_ce_loss(head_probs(prob_arrays), labels)
 
     expected = 0.0
@@ -97,22 +97,22 @@ def test_source_ce_matches_explicit_loop():
 def test_source_ce_rejects_out_of_range_labels():
     probs = np.full((2, 3), 1 / 3)
     with pytest.raises(ContractError):
-        source_ce_loss(head_probs([(probs, probs)]), [np.array([0, 3])])
+        source_ce_loss(head_probs([(probs, probs)]), np.array([[0, 3]]))
     # a fractional label lies in [0, K) but names no class
     with pytest.raises(ContractError, match="integers"):
-        source_ce_loss(head_probs([(probs, probs)]), [np.array([0, 0.5])])
+        source_ce_loss(head_probs([(probs, probs)]), np.array([[0, 0.5]]))
 
 
 def test_source_ce_rejects_unequal_domain_batches():
     small = np.full((2, 3), 1 / 3)
-    with pytest.raises(ContractError, match="does not match batch"):
-        source_ce_loss(head_probs([(small, small)] * 2), [np.array([0, 1]), np.array([0, 1, 2, 0])])
+    with pytest.raises(ContractError, match="does not match 4 heads of batch 2"):
+        source_ce_loss(head_probs([(small, small)] * 2), np.array([[0, 1, 2, 0], [0, 1, 2, 0]]))
 
 
 def test_source_ce_rejects_a_label_array_count_other_than_m():
     probs = np.full((2, 3), 1 / 3)
-    with pytest.raises(ContractError, match="4 heads but 1 label arrays"):
-        source_ce_loss(head_probs([(probs, probs)] * 2), [np.array([0, 1])])
+    with pytest.raises(ContractError, match=r"labels shape \(1, 2\) does not match 4 heads"):
+        source_ce_loss(head_probs([(probs, probs)] * 2), np.array([[0, 1]]))
 
 
 # discrepancy -------------------------------------------------------------------
@@ -221,7 +221,7 @@ def test_classifier_objective_gradient_composes():
 
     def build(x, y):
         heads = heads_from_logits([x, y])
-        src = source_ce_loss(heads, [labels])
+        src = source_ce_loss(heads, np.array([labels]))
         intra = intra_consistency_loss(heads)
         return src - intra
 

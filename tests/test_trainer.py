@@ -104,7 +104,7 @@ def test_source_gradients_stay_in_own_heads():
     with Tape() as tape:
         feats = model.forward_features(batch.source_features[0])
         pred_a, pred_b = model.predict_pair(0, feats)
-        loss = source_ce_loss(stack([pred_a, pred_b]), [batch.source_labels[0]])
+        loss = source_ce_loss(stack([pred_a, pred_b]), np.array([batch.source_labels[0]]))
     state.optimizer.zero_grad()
     tape.backward(loss)
     for leaf in model.head_leaves:
