@@ -32,7 +32,7 @@ class DimensionError(ValueError):
 
 
 class NumericError(ValueError):
-    """Operand values lie outside the operation's numeric domain."""
+    """Operand values lie outside an op's numeric domain, or a training loss out of its bounds."""
 
 
 class GraphError(RuntimeError):

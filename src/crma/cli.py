@@ -372,11 +372,24 @@ def ablation_variants() -> list[Variant]:
     ]
 
 
+def _beside(path: Path) -> Path:
+    """The temporary file that ``_replacing`` writes before it moves it over ``path``."""
+    return path.with_name(path.name + ".tmp")
+
+
+def _check_not_directories(paths: Sequence[Path]) -> None:
+    """Raises ConfigError naming the first of ``paths``, or their ``_beside`` files, that is a directory."""
+    for path in paths:
+        for where in (path, _beside(path)):
+            if where.is_dir():
+                raise ConfigError(f"{str(where)!r} is a directory, where a file is to be written")
+
+
 @contextlib.contextmanager
 def _replacing(path: Path):
     """Yields a temporary path beside ``path`` and moves it over ``path`` when
     the block succeeds; the temporary file is removed either way."""
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _beside(path)
     try:
         yield tmp
         os.replace(tmp, path)
@@ -444,20 +457,25 @@ def execute(spec: RunSpec, task: GeneratedTask) -> RunRecord:
 def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunRecord]:
     """Execute the sweep's plan, drawing each seed's task once before anything is
     written, so a task that cannot be generated, like a planned run directory that
-    names a file, is a ConfigError. A diverged run's error propagates once the
-    finished runs' ``results.csv`` and ``summary.*`` are written."""
+    names a file or a planned file that names a directory, is a ConfigError. A
+    diverged run's error propagates once the finished runs' ``results.csv`` and
+    ``summary.*`` are written."""
     specs = plan(cfg, variants)
+    out_root = Path(cfg.output_dir)
     try:  # the first variant's specs hold every seed's task
         tasks = [generate_task(spec.task) for spec in specs[: cfg.num_seeds]]
+        files = [out_root / name for name in ("effective.cfg", "results.csv", "summary.csv", "summary.txt")]
         for spec in specs:
             if spec.run_dir.exists() and not spec.run_dir.is_dir():
                 raise ValueError(f"run directory {str(spec.run_dir)!r} is not a directory")
-        Path(cfg.output_dir, "runs").mkdir(parents=True, exist_ok=True)
+            files += [spec.run_dir / name for name in ("metrics.csv", "model.ckpt", "run.json")]
+        _check_not_directories(files)
+        (out_root / "runs").mkdir(parents=True, exist_ok=True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except OSError as exc:
         raise ConfigError(f"run.output_dir {cfg.output_dir!r}: {exc.strerror}") from exc
-    _write_text(Path(cfg.output_dir, "effective.cfg"), effective_config_text(cfg))
+    _write_text(out_root / "effective.cfg", effective_config_text(cfg))
     records = []
     try:
         for spec in specs:
@@ -508,6 +526,8 @@ def emit_curves(output_dir) -> Path:
     runs_dir = out_root / "runs"
     if not runs_dir.is_dir():
         raise ConfigError(f"no runs directory under {output_dir!r}")
+    manifest = out_root / "manifest.csv"
+    _check_not_directories([manifest])
     lines = ["run_dir,method,intra_da,inter_da,ast,seed,epochs,final_acc"]
     for run_dir in sorted(runs_dir.iterdir()):
         record_path, csv_path = run_dir / "run.json", run_dir / "metrics.csv"
@@ -521,7 +541,6 @@ def emit_curves(output_dir) -> Path:
         if n_rows != record.epochs:
             raise ConfigError(f"{csv_path}: expected {record.epochs} epoch rows, found {n_rows}")
         lines.append(f"{run_dir.name},{record.columns(epochs=True)}")
-    manifest = out_root / "manifest.csv"
     _write_text(manifest, "".join(f"{line}\n" for line in lines))
     return manifest
 

@@ -7,43 +7,26 @@ and ``head_leaves``, one (2M, ...) leaf per head-layer slot that stacks the
 2M heads in (domain, branch a, branch b) order. One MLP helper runs both
 stacks, so every forward pass runs all 2M heads at once.
 
-Names and groups ("extractor" or "classifier.<m>.<branch>") exist only in
-``parameters()``, which builds them on demand: the extractor leaves, then
-each head's writable views of its rows of the slots. Digests read them; no
-other module knows which row is which head.
+Names exist only in ``parameters()``, which builds them on demand: the
+extractor leaves, then each head's writable views of its rows of the slots.
+A name's prefix is its group ("extractor" or "classifier.<m>.<branch>").
+Digests read them; no other module knows which row is which head.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, index, linear, softmax
 
-EXTRACTOR_GROUP = "extractor"
-
-
-def classifier_group(domain_index: int, branch: str) -> str:
-    return f"classifier.{domain_index}.{branch}"
-
-
-@dataclass
-class Parameter:
-    """One named trainable tensor and its group."""
-
-    name: str
-    group: str
-    tensor: Tensor
-
-
-def _named(group: str, tensors: Sequence[Tensor]) -> list[Parameter]:
-    """Parameters ``<group>.layer<i>.weight``/``bias`` over (weight, bias, ...) tensors."""
+def _named(group: str, arrays: Sequence[np.ndarray]) -> dict[str, np.ndarray]:
+    """``<group>.layer<i>.weight``/``bias`` over (weight, bias, ...) arrays."""
     kinds = ("weight", "bias")
-    return [Parameter(f"{group}.layer{i // 2}.{kinds[i % 2]}", group, t) for i, t in enumerate(tensors)]
+    return {f"{group}.layer{i // 2}.{kinds[i % 2]}": a for i, a in enumerate(arrays)}
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -173,20 +156,20 @@ class CrmaModel:
         probs = total / (2 * self.num_domains)
         return probs, np.argmax(probs, axis=1).astype(np.int32)
 
-    def parameters(self) -> list[Parameter]:
-        """The extractor leaves, then each head's writable views of its rows,
-        heads in (domain, branch a, branch b) order."""
-        params = _named(EXTRACTOR_GROUP, self.extractor_leaves)
-        groups = [classifier_group(m, b) for m in range(self.num_domains) for b in ("a", "b")]
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Name -> writable values: the extractor leaves, then each head's
+        views of its rows, heads in (domain, branch a, branch b) order."""
+        params = _named("extractor", [leaf.values for leaf in self.extractor_leaves])
+        groups = [f"classifier.{m}.{b}" for m in range(self.num_domains) for b in ("a", "b")]
         for h, group in enumerate(groups):
-            params += _named(group, [Tensor(leaf.values[h], copy=False) for leaf in self.head_leaves])
+            params |= _named(group, [leaf.values[h] for leaf in self.head_leaves])
         return params
 
 
-def parameters_digest(params: Iterable[Parameter]) -> str:
+def parameters_digest(params: Mapping[str, np.ndarray]) -> str:
     """SHA-256 over parameter names and raw little-endian float64 bytes."""
     h = hashlib.sha256()
-    for p in params:
-        h.update(p.name.encode())
-        h.update(np.ascontiguousarray(p.tensor.values, dtype="<f8").tobytes())
+    for name, values in params.items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
     return h.hexdigest()

@@ -217,13 +217,11 @@ def _frozen(leaves: Sequence[Tensor]):
 
 def _descend(state: TrainState, tape: Tape, loss: Tensor, lr: float) -> float:
     """One optimizer step down ``loss``, recorded on ``tape``; returns the
-    pre-step loss, or raises ``DivergedRunError`` when it is not finite or
-    past ``LOSS_CEILING``."""
+    pre-step loss, or raises ``NumericError`` when it is not finite or past
+    ``LOSS_CEILING``, before any parameter moves."""
     value = loss.item()
     if not math.isfinite(value) or abs(value) > LOSS_CEILING:
-        raise DivergedRunError(
-            f"loss {value} at iteration {state.iteration}", state.iteration, state.history
-        )
+        raise NumericError(f"loss {value}")
     state.optimizer.zero_grad()
     tape.backward(loss)
     state.optimizer.step(lr, extractor_lr_multiplier=state.config.extractor_lr_multiplier)
@@ -374,12 +372,8 @@ def train(config: TrainConfig, task: GeneratedTask):
                           *mean_w.tolist(), *state.tracker.means.tolist())
                 state.history.append(dict(zip(history_columns(num_domains), values, strict=True)))
     except NumericError as err:
-        # a forward overflowed mid-run; surface it as a diverged run
-        raise DivergedRunError(
-            f"numeric overflow at iteration {state.iteration}: {err}",
-            state.iteration,
-            state.history,
-        ) from err
+        # a forward overflowed or a loss left its bounds: the run diverged
+        raise DivergedRunError(f"{err} at iteration {state.iteration}", state.iteration, state.history) from err
     return state, state.history
 
 

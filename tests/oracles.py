@@ -8,7 +8,9 @@ The ``*_chain`` functions are the four losses as chains of autodiff ops,
 the form they had before each became one tape node. Their values and
 gradients are the bits the single-node losses must reproduce.
 
-``group_parameters`` picks a model's named parameters by group prefix.
+``group_parameters`` picks a model's named parameters by group, a name
+prefix: ``EXTRACTOR_GROUP`` or ``classifier_group(m, branch)``, or
+``"classifier"`` for every head.
 
 ``stack``, ``gather`` and ``grad_check`` are autodiff helpers that no
 training path calls: a stacking op for building head tensors by hand, an
@@ -36,9 +38,16 @@ LOG_FLOOR = 1e-12
 WEIGHT_DENOM_FLOOR = 1e-8
 
 
-def group_parameters(model, prefix):
-    """The model's named parameters whose group starts with ``prefix``."""
-    return [p for p in model.parameters() if p.group.startswith(prefix)]
+EXTRACTOR_GROUP = "extractor"
+
+
+def classifier_group(domain_index, branch):
+    return f"classifier.{domain_index}.{branch}"
+
+
+def group_parameters(model, group):
+    """The name -> values entries of ``model.parameters()`` named ``<group>.…``."""
+    return {name: v for name, v in model.parameters().items() if name.startswith(group + ".")}
 
 
 def discrepancy(p, q) -> float:

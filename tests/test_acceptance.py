@@ -24,7 +24,7 @@ from crma.losses import (
     pair_statistics,
     source_ce_loss,
 )
-from crma.nn import EXTRACTOR_GROUP, CrmaModel, classifier_group, parameters_digest
+from crma.nn import CrmaModel, parameters_digest
 from crma.seeds import stream_rng, stream_seed
 from crma.trainer import (
     AblationFlags,
@@ -42,7 +42,9 @@ from crma.trainer import (
 )
 
 from oracles import (
+    EXTRACTOR_GROUP,
     ast_beta,
+    classifier_group,
     discrepancy,
     domain_weights,
     grad_check,
@@ -68,10 +70,8 @@ def tiny_model(rng, num_domains, num_classes):
         rng=rng,
     )
     # keep every coordinate away from relu/abs kinks and the |x| < 10h zone
-    for p in model.parameters():
-        p.tensor.values += rng.uniform(0.01, 0.05, p.tensor.values.shape) * np.where(
-            rng.random(p.tensor.values.shape) < 0.5, -1.0, 1.0
-        )
+    for p in model.parameters().values():
+        p += rng.uniform(0.01, 0.05, p.shape) * np.where(rng.random(p.shape) < 0.5, -1.0, 1.0)
     return model
 
 
@@ -308,10 +308,10 @@ def test_criterion_3_invariants():
     for new_m, old_m in enumerate(order):
         for branch in ("a", "b"):
             for p_new, p_old in zip(
-                group_parameters(permuted, classifier_group(new_m, branch)),
-                group_parameters(base, classifier_group(old_m, branch)),
+                group_parameters(permuted, classifier_group(new_m, branch)).values(),
+                group_parameters(base, classifier_group(old_m, branch)).values(),
             ):
-                p_new.tensor.values[...] = p_old.tensor.values
+                p_new[...] = p_old
     x = rng.standard_normal((50, 2))
     ok_final = bool(
         np.all(np.abs(base.final_prediction(x)[0] - permuted.final_prediction(x)[0]) < 1e-12)
@@ -584,7 +584,7 @@ def hand_single_source_variant(task, cfg, iterations):
         optimizer.step(cfg.base_lr)
 
         snapshots.append(
-            np.concatenate([p.tensor.values.ravel().copy() for p in model.parameters()])
+            np.concatenate([p.ravel().copy() for p in model.parameters().values()])
         )
     return snapshots
 
@@ -610,7 +610,7 @@ def test_criterion_6_degenerate_equivalences():
         step_extractor(state, batch, cfg.base_lr)
         step_ast(state, batch, cfg.base_lr)
         state.iteration += 1
-        flat = np.concatenate([p.tensor.values.ravel() for p in model.parameters()])
+        flat = np.concatenate([p.ravel() for p in model.parameters().values()])
         max_gap = max(max_gap, float(np.abs(flat - hand[i]).max()))
     single_source_ok = max_gap <= 1e-12
 

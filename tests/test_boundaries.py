@@ -1,5 +1,5 @@
 """Seeded fuzz of every input boundary: config text and overrides, run.json,
-metrics.csv and checkpoint bytes.
+metrics.csv, checkpoint bytes and the output layout a sweep writes into.
 
 Each case mutates a valid input with the stdlib ``random`` module and feeds
 it through the boundary's reader. The outcome must be success or the
@@ -250,3 +250,62 @@ def test_checkpoint_bytes_fail_only_with_format_errors(run_dir, tmp_path):
         if _outcome(lambda: load_checkpoint(path, TrainConfig()), FormatError, data) is not None:
             loaded += 1
     assert loaded > 0  # mutations of the body alone still load
+
+
+# paths of a one-run `crma run` plan, relative to --out ("" is --out itself)
+PLANNED_PATHS = ["", "runs", "runs/crma_seed0"] + [
+    f"{where}{name}{tmp}"
+    for where, names in (("", ("effective.cfg", "results.csv", "summary.csv", "summary.txt")),
+                         ("runs/crma_seed0/", ("metrics.csv", "model.ckpt", "run.json")))
+    for name in names
+    for tmp in ("", ".tmp")
+]
+
+
+def _block_planned_paths(rng: random.Random, out: Path) -> list[tuple[str, str]]:
+    """Puts a file or a non-empty directory at one to three PLANNED_PATHS under
+    ``out``, shallowest first, skipping a path under a file; returns what it put."""
+    placed = []
+    for rel in sorted(rng.sample(PLANNED_PATHS, rng.randint(1, 3)), key=lambda rel: len(Path(rel).parts)):
+        path = out / rel
+        if any(parent.is_file() for parent in path.parents):
+            continue
+        kind = rng.choice(["file", "dir"])
+        if kind == "file":
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"kept")
+        else:
+            path.mkdir(parents=True, exist_ok=True)
+            (path / "kept").write_bytes(b"kept")
+        placed.append((rel, kind))
+    return placed
+
+
+def test_output_layout_fails_only_with_config_errors_before_training(tmp_path, monkeypatch, capsys):
+    import crma.cli as cli_module
+
+    calls = []
+    real_train = cli_module.train
+    monkeypatch.setattr(cli_module, "train", lambda cfg, task: calls.append(cfg) or real_train(cfg, task))
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("task.samples_per_domain = 16\ntrain.epochs = 1\ntrain.batch_per_domain = 4\n"
+                   "train.extractor_hidden = 6\ntrain.head_hidden = 4\nrun.num_seeds = 1\n"
+                   "run.methods = crma\n")
+    rng = random.Random(31)
+    outcomes = []
+    for i in range(200):
+        out = tmp_path / f"out{i}"
+        case = _block_planned_paths(rng, out)
+        calls.clear()
+        try:
+            code = main(["run", str(cfg), "--out", str(out)])
+        except Exception as exc:  # anything else escaped the CLI
+            pytest.fail(f"{case!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        if code == 0:
+            assert len((out / "results.csv").read_text().splitlines()) == 2, case
+        else:
+            assert code == 1 and err.startswith("config error:") and calls == [], (case, code, err)
+        assert "Traceback" not in err, case
+        outcomes.append(code)
+    assert 0 < outcomes.count(0) < len(outcomes)  # both outcomes are exercised

@@ -300,6 +300,42 @@ def test_planned_run_dir_naming_a_file_is_a_config_error_before_any_run_trains(
     assert sorted(p.name for p in out.rglob("*")) == ["crma_seed1", "runs"]
 
 
+@pytest.mark.parametrize("blocked", ["runs/crma_seed0/metrics.csv", "effective.cfg", "results.csv"])
+def test_a_directory_at_a_planned_file_is_a_config_error_before_any_run_trains(
+    tmp_path, monkeypatch, capsys, blocked
+):
+    import crma.cli as cli_module
+
+    calls = []
+
+    def counted(cfg, task):
+        calls.append(cfg)
+        return train(cfg, task)
+
+    monkeypatch.setattr(cli_module, "train", counted)
+    out = tmp_path / "out"
+    (out / blocked / "kept").mkdir(parents=True)
+    argv = ["run", str(write_cfg(tmp_path)), "--out", str(out), "--train.epochs=1", "--run.num_seeds=1",
+            "--run.methods=crma"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out / blocked) in err and "Traceback" not in err
+    assert calls == []
+    assert (out / blocked / "kept").is_dir()
+
+
+def test_curves_with_a_directory_at_the_manifest_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(write_cfg(tmp_path)), "--out", str(out), "--train.epochs=1",
+                 "--run.num_seeds=1", "--run.methods=crma"]) == 0
+    for blocked in ("manifest.csv.tmp", "manifest.csv"):
+        (out / blocked).mkdir()
+        capsys.readouterr()
+        assert main(["curves", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out / blocked) in err and "Traceback" not in err
+
+
 def test_empty_out_is_a_config_error_and_writes_nothing(tmp_path, monkeypatch, capsys):
     cfg_path = write_cfg(tmp_path)
     cwd = tmp_path / "cwd"

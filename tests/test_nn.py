@@ -3,9 +3,9 @@ import pytest
 
 from crma.autodiff import DimensionError, Tensor
 import crma.nn as nn
-from crma.nn import CrmaModel, classifier_group, parameter_count, parameters_digest, validate_shape
+from crma.nn import CrmaModel, parameter_count, parameters_digest, validate_shape
 
-from oracles import group_parameters
+from oracles import classifier_group, group_parameters
 
 
 def small_model(seed=0, num_domains=2, num_classes=3):
@@ -77,8 +77,8 @@ def test_extractor_rejects_wrong_width():
 
 def test_seeded_init_is_bit_exact():
     a, b = small_model(seed=42), small_model(seed=42)
-    for pa, pb in zip(a.parameters(), b.parameters()):
-        np.testing.assert_array_equal(pa.tensor.values, pb.tensor.values)
+    for pa, pb in zip(a.parameters().values(), b.parameters().values()):
+        np.testing.assert_array_equal(pa, pb)
     x = np.random.default_rng(1).standard_normal((4, 2))
     fa = a.forward_features(x).values
     fb = b.forward_features(x).values
@@ -88,10 +88,10 @@ def test_seeded_init_is_bit_exact():
 def test_identical_heads_predict_identically():
     model = small_model()
     for pa, pb in zip(
-        group_parameters(model, classifier_group(0, "a")),
-        group_parameters(model, classifier_group(0, "b")),
+        group_parameters(model, classifier_group(0, "a")).values(),
+        group_parameters(model, classifier_group(0, "b")).values(),
     ):
-        pb.tensor.values[...] = pa.tensor.values
+        pb[...] = pa
     feats = model.forward_features(np.random.default_rng(2).standard_normal((5, 2)))
     pred_a, pred_b = model.predict_pair(0, feats)
     np.testing.assert_array_equal(pred_a.values, pred_b.values)
@@ -99,8 +99,8 @@ def test_identical_heads_predict_identically():
 
 def test_zero_logit_head_is_uniform():
     model = small_model(num_classes=2)
-    for p in group_parameters(model, classifier_group(0, "a")):
-        p.tensor.values[...] = 0.0
+    for p in group_parameters(model, classifier_group(0, "a")).values():
+        p[...] = 0.0
     feats = model.forward_features(np.ones((3, 2)))
     pred_a, _ = model.predict_pair(0, feats)
     np.testing.assert_allclose(pred_a.values, 0.5)
@@ -124,10 +124,10 @@ def test_domain_index_out_of_range():
 def test_final_prediction_single_pair_equal_heads():
     model = small_model(num_domains=1)
     for pa, pb in zip(
-        group_parameters(model, classifier_group(0, "a")),
-        group_parameters(model, classifier_group(0, "b")),
+        group_parameters(model, classifier_group(0, "a")).values(),
+        group_parameters(model, classifier_group(0, "b")).values(),
     ):
-        pb.tensor.values[...] = pa.tensor.values
+        pb[...] = pa
     x = np.random.default_rng(5).standard_normal((4, 2))
     probs, _ = model.final_prediction(x)
     feats = model.forward_features(x)
@@ -137,8 +137,8 @@ def test_final_prediction_single_pair_equal_heads():
 
 def test_final_prediction_uniform_ties_break_low():
     model = small_model()
-    for p in group_parameters(model, "classifier"):
-        p.tensor.values[...] = 0.0
+    for p in group_parameters(model, "classifier").values():
+        p[...] = 0.0
     probs, labels = model.final_prediction(np.random.default_rng(6).standard_normal((5, 2)))
     np.testing.assert_allclose(probs, 1.0 / 3.0)
     np.testing.assert_array_equal(labels, 0)
@@ -184,7 +184,7 @@ def test_head_perturbation_is_local():
     x = np.random.default_rng(9).standard_normal((6, 2))
     feats = model.forward_features(x)
     before = model.head_probs(feats).values.copy()
-    group_parameters(model, classifier_group(0, "a"))[0].tensor.values += 0.1
+    model.parameters()["classifier.0.a.layer0.weight"] += 0.1
     after = model.head_probs(feats).values
     # rows in (domain, branch) order: (0, a), (0, b), (1, a), (1, b)
     assert not np.allclose(after[0], before[0])
@@ -201,10 +201,10 @@ def test_final_prediction_invariant_to_domain_order():
     for new_m, old_m in enumerate(perm):
         for branch in ("a", "b"):
             for p_new, p_old in zip(
-                group_parameters(permuted, classifier_group(new_m, branch)),
-                group_parameters(model, classifier_group(old_m, branch)),
+                group_parameters(permuted, classifier_group(new_m, branch)).values(),
+                group_parameters(model, classifier_group(old_m, branch)).values(),
             ):
-                p_new.tensor.values[...] = p_old.tensor.values
+                p_new[...] = p_old
     for p_new, p_old in zip(permuted.extractor_leaves, model.extractor_leaves):
         p_new.values[...] = p_old.values
     probs_perm, _ = permuted.final_prediction(x)
@@ -220,3 +220,24 @@ def test_all_pairs_pass_matches_each_pair():
     for m in range(3):
         for h, want in enumerate(model.predict_pair(m, feats)):
             np.testing.assert_allclose(batched[2 * m + h], want.values, rtol=1e-14, atol=0)
+
+
+def test_every_parameter_writes_exactly_its_slice_of_one_leaf():
+    # extractor.layer<i>.<kind> is a whole extractor leaf;
+    # classifier.<m>.<branch>.layer<i>.<kind> is one head's row of a stacked leaf
+    model = small_model(seed=24, num_domains=3)
+    leaves = (*model.extractor_leaves, *model.head_leaves)
+    params = model.parameters()
+    assert len(params) == len(model.extractor_leaves) + 2 * model.num_domains * len(model.head_leaves)
+    for name, values in params.items():
+        *group, layer, kind = name.split(".")
+        slot = 2 * int(layer.removeprefix("layer")) + ("weight", "bias").index(kind)
+        if group == ["extractor"]:
+            leaf, row = model.extractor_leaves[slot], ...
+        else:
+            leaf, row = model.head_leaves[slot], 2 * int(group[1]) + ("a", "b").index(group[2])
+        expected = [t.values.copy() for t in leaves]
+        expected[[t is leaf for t in leaves].index(True)][row] += 1.0
+        values += 1.0
+        for t, want in zip(leaves, expected):
+            np.testing.assert_array_equal(t.values, want)

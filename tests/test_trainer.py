@@ -12,7 +12,7 @@ import pytest
 from crma.autodiff import Tape
 from crma.data import BatchIterator, ShiftSpec, TaskSpec, generate_task
 from crma.losses import intra_consistency_loss, source_ce_loss
-from crma.nn import EXTRACTOR_GROUP, CrmaModel, classifier_group, parameters_digest
+from crma.nn import CrmaModel, parameters_digest
 from crma.trainer import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -35,7 +35,15 @@ from crma.trainer import (
     write_history_csv,
 )
 
-from oracles import ast_beta, domain_weights, group_parameters, pseudo_label, stack
+from oracles import (
+    EXTRACTOR_GROUP,
+    ast_beta,
+    classifier_group,
+    domain_weights,
+    group_parameters,
+    pseudo_label,
+    stack,
+)
 
 
 def tiny_task(seed=0, n=80):
@@ -341,11 +349,11 @@ def test_step_ast_zero_gradient_when_heads_match_pseudo():
     task = tiny_task(seed=13)
     state = fresh_state(task, seed=13, momentum=False)
     model = state.model
-    reference = group_parameters(model, classifier_group(0, "a"))
+    reference = group_parameters(model, classifier_group(0, "a")).values()
     for m in range(model.num_domains):
         for branch in ("a", "b"):
-            for p_dst, p_src in zip(group_parameters(model, classifier_group(m, branch)), reference):
-                p_dst.tensor.values[...] = p_src.tensor.values
+            for p_dst, p_src in zip(group_parameters(model, classifier_group(m, branch)).values(), reference):
+                p_dst[...] = p_src
     batch = first_batch(task)
     before = parameters_digest(model.parameters())
     result = step_ast(state, batch, lr=1e-3)
@@ -356,16 +364,15 @@ def test_step_ast_zero_gradient_when_heads_match_pseudo():
 def test_parameter_groups_partition_exactly():
     model = CrmaModel(2, 3, 2, (8, 4), (4,), rng=np.random.default_rng(0))
     params = model.parameters()
-    assert len({p.name for p in params}) == len(params)
-    groups = {p.group for p in params}
-    assert groups == {EXTRACTOR_GROUP, "classifier.0.a", "classifier.0.b",
-                      "classifier.1.a", "classifier.1.b"}
-    covered = set()
+    # a dict merges a repeated name; the count catches it
+    assert len(params) == len(model.extractor_leaves) + 2 * 2 * len(model.head_leaves)
+    groups = [EXTRACTOR_GROUP, *(classifier_group(m, b) for m in range(2) for b in ("a", "b"))]
+    covered = []
     for g in groups:
-        members = {p.name for p in params if p.group == g}
-        assert not covered & members
-        covered |= members
-    assert covered == {p.name for p in params}
+        members = list(group_parameters(model, g))
+        assert members and not set(covered) & set(members)
+        covered += members
+    assert covered == list(params)
 
 
 # golden bits -------------------------------------------------------------------
@@ -426,10 +433,10 @@ def test_golden_bits_of_the_stacked_head_storage(tmp_path):
     state = TrainState(model, TrainConfig())
     checkpoint = hashlib.sha256(checkpoint_bytes(state, tmp_path)).hexdigest()
     assert checkpoint == GOLDEN_FRESH_CHECKPOINT_SHA256
-    # a head's tensor is a writable view of its row of the leaf
+    # a head's array is a writable view of its row of the leaf
     slot = model.head_leaves[0]
     before = slot.values.copy()
-    group_parameters(model, classifier_group(1, "b"))[0].tensor.values[...] += 1.0
+    model.parameters()["classifier.1.b.layer0.weight"][...] += 1.0
     changed = np.any(slot.values != before, axis=(1, 2))
     assert changed.tolist() == [False, False, False, True, False, False]
     np.testing.assert_array_equal(slot.values[3], before[3] + 1.0)
@@ -568,8 +575,10 @@ def test_divergence_guard_aborts_with_history(monkeypatch):
     monkeypatch.setattr(losses_module, "source_ce_loss", exploding_ce)
     with pytest.raises(DivergedRunError) as excinfo:
         train(cfg, task)
-    assert excinfo.value.iteration > 0
-    assert len(excinfo.value.history) >= 1  # completed epochs survive
+    # call 11 is iteration 5's source phase
+    assert str(excinfo.value) == "loss 2000000.0 at iteration 5"
+    assert excinfo.value.iteration == 5
+    assert len(excinfo.value.history) == 1  # the completed epoch survives
 
     # a numeric overflow mid-run surfaces the same way
     monkeypatch.setattr(
@@ -577,8 +586,23 @@ def test_divergence_guard_aborts_with_history(monkeypatch):
         "source_ce_loss",
         lambda pairs, labels: (_ for _ in ()).throw(NumericError("overflow")),
     )
-    with pytest.raises(DivergedRunError, match="overflow"):
+    with pytest.raises(DivergedRunError) as excinfo:
         train(cfg, task)
+    assert str(excinfo.value) == "overflow at iteration 0"
+
+
+def test_step_source_past_the_loss_ceiling_raises_before_any_update(monkeypatch):
+    import crma.losses as losses_module
+    from crma.autodiff import NumericError, Tensor
+    from crma.trainer import LOSS_CEILING
+
+    task = tiny_task(seed=21)
+    state = fresh_state(task, seed=21)
+    before = parameters_digest(state.model.parameters())
+    monkeypatch.setattr(losses_module, "source_ce_loss", lambda probs, labels: Tensor(2 * LOSS_CEILING))
+    with pytest.raises(NumericError, match=r"^loss 2000000\.0$"):
+        step_source(state, first_batch(task), lr=1e-3)
+    assert parameters_digest(state.model.parameters()) == before
 
 
 def test_a_diverging_run_gives_no_numpy_warning():
@@ -589,9 +613,11 @@ def test_a_diverging_run_gives_no_numpy_warning():
                       batch_per_domain=16)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(DivergedRunError):
+        with pytest.raises(DivergedRunError) as excinfo:
             train(cfg, task)
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    # step_source's update overflows step_classifiers' forward
+    assert str(excinfo.value) == "softmax input contains NaN or Inf at iteration 0"
 
 
 def test_extractor_lr_multiplier_slows_extractor():
