@@ -15,8 +15,9 @@ be overridden on the command line as ``--section.key=value``; ``--seed`` and
 then ``write_results``; run i's seeds are the base seeds + i, so methods pair tasks.
 Exit codes: 0 ok, 1 config or usage error, 2 diverged run (its partial
 metrics and the finished runs' results and summary are written first).
-Every file is written beside its final name and then moved over it, so a
-killed or failed write leaves the previous file whole.
+A run removes its ``run.json`` and ``model.ckpt`` before it trains, and a sweep
+its ``results.csv`` and ``summary.*``, so no file reports an earlier sweep's
+run; every file is written beside its final name and then moved over it.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ class Variant:
 # json.loads gives exact types, and NaN and infinities fail the range test
 _RUN_KEYS = {
     "method": lambda v: v in METHODS,
-    "seed": lambda v: type(v) is int,
-    "epochs": lambda v: type(v) is int,
+    "seed": lambda v: type(v) is int and v >= 0,
+    "epochs": lambda v: type(v) is int and v >= 1,
     "final_acc": lambda v: type(v) in (int, float) and 0 <= v <= 1,
     **{f.name: lambda v: type(v) is bool for f in fields(AblationFlags)},
 }
@@ -434,14 +435,15 @@ def plan(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunSpec]:
 
 def execute(spec: RunSpec, task: GeneratedTask) -> RunRecord:
     """Train one run, write its ``metrics.csv``, ``model.ckpt`` and ``run.json``, and
-    print its progress line to stderr; a diverged run writes its partial
-    ``metrics.csv`` before its ``DivergedRunError`` propagates."""
+    print its progress line to stderr. An earlier ``run.json`` and ``model.ckpt`` go
+    before it trains; a diverged run writes its partial ``metrics.csv`` before its
+    ``DivergedRunError`` propagates."""
     started = time.perf_counter()
+    for stale in ("run.json", "model.ckpt"):
+        (spec.run_dir / stale).unlink(missing_ok=True)
     try:
         state, history = train(spec.train, task)
     except DivergedRunError as err:
-        for stale in ("run.json", "model.ckpt"):  # no earlier sweep's run beside the partial history
-            (spec.run_dir / stale).unlink(missing_ok=True)
         _write_metrics(spec.run_dir, err.history, task.num_sources)
         raise
     record = RunRecord(spec.variant, spec.train.seed, spec.train.epochs, history[-1]["target_acc"])
@@ -457,9 +459,9 @@ def execute(spec: RunSpec, task: GeneratedTask) -> RunRecord:
 def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunRecord]:
     """Execute the sweep's plan, drawing each seed's task once before anything is
     written, so a task that cannot be generated, like a planned run directory that
-    names a file or a planned file that names a directory, is a ConfigError. A
-    diverged run's error propagates once the finished runs' ``results.csv`` and
-    ``summary.*`` are written."""
+    names a file or a planned file that names a directory, is a ConfigError. The
+    earlier ``results.csv`` and ``summary.*`` go before the first run, and the finished
+    runs' are written however the loop ends, before any error propagates."""
     specs = plan(cfg, variants)
     out_root = Path(cfg.output_dir)
     try:  # the first variant's specs hold every seed's task
@@ -476,13 +478,14 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
     except OSError as exc:
         raise ConfigError(f"run.output_dir {cfg.output_dir!r}: {exc.strerror}") from exc
     _write_text(out_root / "effective.cfg", effective_config_text(cfg))
+    for name in ("results.csv", "summary.csv", "summary.txt"):
+        (out_root / name).unlink(missing_ok=True)
     records = []
     try:
         for spec in specs:
             records.append(execute(spec, tasks[spec.seed_index]))
-    except DivergedRunError:
+    finally:
         write_results(cfg, records)
-        raise
     return records
 
 
@@ -498,7 +501,7 @@ def aggregate(records: Sequence[RunRecord]) -> list[tuple[Variant, int, float, f
     return rows
 
 
-def write_results(cfg: ExperimentConfig, records: Sequence[RunRecord]) -> list[tuple]:
+def write_results(cfg: ExperimentConfig, records: Sequence[RunRecord]) -> None:
     out_root = Path(cfg.output_dir)
     lines = ["method,intra_da,inter_da,ast,seed,target_acc", *(r.columns() for r in records)]
     _write_text(out_root / "results.csv", "".join(f"{line}\n" for line in lines))
@@ -507,7 +510,6 @@ def write_results(cfg: ExperimentConfig, records: Sequence[RunRecord]) -> list[t
     lines += [f"{v.columns()},{n},{mean!r},{std!r}" for v, n, mean, std in summary]
     _write_text(out_root / "summary.csv", "".join(f"{line}\n" for line in lines))
     _write_text(out_root / "summary.txt", render_table(summary))
-    return summary
 
 
 def render_table(summary: Sequence[tuple]) -> str:
@@ -598,7 +600,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _load_experiment(args, extra)
         methods = {"run": cfg.methods, "baseline": ("uniform_ensemble", "crma")}.get(args.command)
         variants = [_variant_for(m, cfg) for m in methods] if methods else ablation_variants()
-        print(render_table(write_results(cfg, run_variants(cfg, variants))), end="")
+        print(render_table(aggregate(run_variants(cfg, variants))), end="")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Seeded fuzz of every input boundary: config text and overrides, run.json,
-metrics.csv, checkpoint bytes and the output layout a sweep writes into.
+metrics.csv, checkpoint bytes and the output layout a sweep writes into,
+and a sweep killed at each of its writes.
 
 Each case mutates a valid input with the stdlib ``random`` module and feeds
 it through the boundary's reader. The outcome must be success or the
@@ -11,14 +12,19 @@ whose features are not.
 """
 
 import json
+import os
 import random
 import re
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crma
 from crma.cli import (
     CONFIG_KEYS,
     MAX_SEEDS,
@@ -309,3 +315,67 @@ def test_output_layout_fails_only_with_config_errors_before_training(tmp_path, m
         assert "Traceback" not in err, case
         outcomes.append(code)
     assert 0 < outcomes.count(0) < len(outcomes)  # both outcomes are exercised
+
+
+# Runs `crma <argv[2:]>` and ends the process with os._exit just before its
+# argv[1]-th os.replace, the kill point of one case: no timers, no signals.
+KILLED_AT_WRITE = """
+import os, sys
+from crma.cli import main
+writes, real_replace = 0, os.replace
+def replace(src, dst):
+    global writes
+    writes += 1
+    if writes == int(sys.argv[1]):
+        os._exit(9)
+    real_replace(src, dst)
+os.replace = replace
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _check_whole_runs(out: Path) -> None:
+    """Every run directory holding run.json is one finished run, and curves and
+    results.csv report exactly those runs."""
+    whole = sorted(d for d in (out / "runs").iterdir() if (d / "run.json").exists())
+    records = [RunRecord.read(d / "run.json") for d in whole]
+    for run_dir, record in zip(whole, records):
+        rows = (run_dir / "metrics.csv").read_text().splitlines()
+        header, last = rows[0].split(","), rows[-1].split(",")
+        assert len(rows) - 1 == record.epochs, run_dir
+        assert float(last[header.index("target_acc")]) == record.accuracy, run_dir
+        load_checkpoint(run_dir / "model.ckpt", TrainConfig())
+    assert main(["curves", str(out)]) == 0
+    listed = [line.split(",", 1)[0] for line in (out / "manifest.csv").read_text().splitlines()[1:]]
+    assert listed == [d.name for d in whole]
+    if (out / "results.csv").exists():
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert sorted(rows) == sorted(r.columns() for r in records)
+
+
+def test_a_rerun_killed_at_any_write_leaves_only_whole_runs(tmp_path, monkeypatch):
+    earlier = tmp_path / "earlier"
+    argv = ["run", str(ROOT / "configs" / "two_moons.cfg"), "--run.methods=crma", "--run.num_seeds=2",
+            "--train.epochs=1", "--task.samples_per_domain=40", "--train.batch_per_domain=8"]
+    assert main([*argv, "--out", str(earlier)]) == 0
+    rerun = [*argv, "--train.base_lr=0.05"]
+    # the writes of one rerun, counted on an unkilled copy
+    shutil.copytree(earlier, tmp_path / "unkilled")
+    writes = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: writes.append(dst) or real_replace(src, dst))
+    assert main([*rerun, "--out", str(tmp_path / "unkilled")]) == 0
+    monkeypatch.undo()
+    assert len(writes) == 10  # effective.cfg, 3 per run, results.csv and summary.*
+    env = {**os.environ, "PYTHONPATH": str(Path(crma.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    for k in range(1, len(writes) + 1):
+        out = tmp_path / f"killed{k}"
+        shutil.copytree(earlier, out)
+        child = subprocess.run([sys.executable, "-c", KILLED_AT_WRITE, str(k), *rerun, "--out", str(out)],
+                               env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 9, (k, child.stderr)
+        try:
+            _check_whole_runs(out)
+        except AssertionError as exc:
+            raise AssertionError(f"killed before write {k} ({writes[k - 1]})") from exc

@@ -346,7 +346,7 @@ def test_empty_out_is_a_config_error_and_writes_nothing(tmp_path, monkeypatch, c
     assert list(cwd.iterdir()) == []
 
 
-def test_rerun_whose_checkpoint_write_fails_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
+def test_rerun_whose_checkpoint_write_fails_leaves_no_run_record(tmp_path, monkeypatch):
     import crma.cli as cli_module
 
     cfg_path = write_cfg(tmp_path)
@@ -354,18 +354,46 @@ def test_rerun_whose_checkpoint_write_fails_keeps_the_earlier_checkpoint(tmp_pat
     argv = ["run", str(cfg_path), "--out", str(out), "--run.num_seeds=1", "--run.methods=crma"]
     assert main(argv) == 0
     run_dir = out / "runs" / "crma_seed0"
-    earlier = (run_dir / "model.ckpt").read_bytes()
 
     def fails_half_way(state, path):
         save_checkpoint(state, path)
-        Path(path).write_bytes(Path(path).read_bytes()[: len(earlier) // 2])
+        Path(path).write_bytes(Path(path).read_bytes()[: Path(path).stat().st_size // 2])
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli_module, "save_checkpoint", fails_half_way)
     with pytest.raises(OSError, match="No space left"):
         main(argv)
-    assert (run_dir / "model.ckpt").read_bytes() == earlier
-    assert sorted(p.name for p in run_dir.iterdir()) == ["metrics.csv", "model.ckpt", "run.json"]
+    # the earlier sweep's record and checkpoint went before the rerun trained, so
+    # nothing reports them beside the rerun's metrics
+    assert sorted(p.name for p in run_dir.iterdir()) == ["metrics.csv"]
+    assert list(out.rglob("*.tmp")) == []
+    assert (out / "results.csv").read_text() == "method,intra_da,inter_da,ast,seed,target_acc\n"
+    assert main(["curves", str(out)]) == 0
+    assert (out / "manifest.csv").read_text().splitlines()[1:] == []
+
+
+def test_interrupted_sweep_writes_results_for_the_finished_runs_only(tmp_path, monkeypatch):
+    import crma.cli as cli_module
+
+    cfg_path = write_cfg(tmp_path)  # two seeds
+    out = tmp_path / "out"
+    argv = ["run", str(cfg_path), "--out", str(out), "--run.methods=crma"]
+    assert main(argv) == 0  # an earlier finished sweep of both runs
+
+    def second_run_interrupted(cfg, task):
+        if cfg.seed == 1:
+            raise KeyboardInterrupt
+        return train(cfg, task)
+
+    monkeypatch.setattr(cli_module, "train", second_run_interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    results = (out / "results.csv").read_text().splitlines()
+    assert len(results) == 2 and results[1].split(",")[4] == "0"
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert len(summary) == 2 and summary[1].split(",")[4] == "1"
+    assert not (out / "runs" / "crma_seed1" / "run.json").exists()
+    assert (out / "runs" / "crma_seed0" / "run.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -693,7 +721,14 @@ def test_readme_output_layout_matches_written_files(tmp_path):
     cfg_path = write_cfg(tmp_path, text=TINY + "run.num_seeds = 1\n")
     out = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out), "--run.methods=crma"]) == 0
+    assert main(["curves", str(out)]) == 0
     layout = (ROOT / "README.md").read_text().split("### Output layout", 1)[1].split("```")[1]
+    # README indents the top-level names by two spaces and a run's files by four
+    top, per_run = (re.findall(rf"^ {{{depth}}}(\S+)", layout, re.M) for depth in (2, 4))
+    assert sorted(top) == sorted([p.name for p in out.iterdir() if p.is_file()] + ["runs/<label>_seed<k>/"])
+    assert [p.name for p in (out / "runs").iterdir()] == ["crma_seed0"]
+    assert sorted(per_run) == sorted(p.name for p in (out / "runs" / "crma_seed0").iterdir())
+    assert list(out.rglob("*.tmp")) == []
     documented = dict(re.findall(r"^\s+(results\.csv|metrics\.csv)\s+# (\S+)$", layout, re.M))
     assert documented["results.csv"] == (out / "results.csv").read_text().splitlines()[0]
     (metrics,) = (out / "runs").glob("*/metrics.csv")
@@ -712,31 +747,34 @@ GOOD_RUN_JSON = (
 
 
 @pytest.mark.parametrize(
-    "run_json, metrics, bad",
+    "run_json, metrics, bad, says",
     [
-        (b'{"method": "crma", "epo', b"epoch\n0\n", "run.json"),
-        (b'{"method": "crma", "seed": 0, "final_acc": 0.5}', b"epoch\n0\n", "run.json"),
-        (b"\xff\xfe\x00", b"epoch\n0\n", "run.json"),
-        (GOOD_RUN_JSON, b"epoch\n\xff\n", "metrics.csv"),
-        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": "yes"'), b"epoch\n0\n", "run.json"),
-        (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": "1"'), b"epoch\n0\n", "run.json"),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": "x"'), b"epoch\n0\n", "run.json"),
-        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": 2'), b"epoch\n0\n", "run.json"),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": NaN'), b"epoch\n0\n", "run.json"),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": Infinity'), b"epoch\n0\n", "run.json"),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": 1.5'), b"epoch\n0\n", "run.json"),
-        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": true'), b"epoch\n0\n", "run.json"),
-        (GOOD_RUN_JSON.replace(b'"crma"', b'"dann"'), b"epoch\n0\n", "run.json"),
-        (GOOD_RUN_JSON, b"epoch\n0\n1\n", "metrics.csv"),
-        (GOOD_RUN_JSON, b"", "metrics.csv"),
+        (b'{"method": "crma", "epo', b"epoch\n0\n", "run.json", ""),
+        (b'{"method": "crma", "seed": 0, "final_acc": 0.5}', b"epoch\n0\n", "run.json", ""),
+        (b"\xff\xfe\x00", b"epoch\n0\n", "run.json", ""),
+        (GOOD_RUN_JSON, b"epoch\n\xff\n", "metrics.csv", ""),
+        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": "yes"'), b"epoch\n0\n", "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": "1"'), b"epoch\n0\n", "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": "x"'), b"epoch\n0\n", "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": 2'), b"epoch\n0\n", "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": NaN'), b"epoch\n0\n", "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": Infinity'), b"epoch\n0\n", "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": 1.5'), b"epoch\n0\n", "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": true'), b"epoch\n0\n", "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"crma"', b'"dann"'), b"epoch\n0\n", "run.json", ""),
+        (GOOD_RUN_JSON, b"epoch\n0\n1\n", "metrics.csv", ""),
+        (GOOD_RUN_JSON, b"", "metrics.csv", "expected 1 epoch rows, found 0"),
+        (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": 0'), b"epoch\n", "run.json", "invalid epochs"),
+        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": -4'), b"epoch\n0\n", "run.json", "invalid seed"),
     ],
     ids=[
         "truncated", "no-epochs", "non-utf8", "non-utf8-metrics", "bad-flag", "str-epochs",
         "str-final-acc", "int-flag", "nan-final-acc", "inf-final-acc", "final-acc-above-1",
-        "bool-seed", "unknown-method", "extra-epoch-row", "empty-metrics",
+        "bool-seed", "unknown-method", "extra-epoch-row", "empty-metrics", "zero-epochs",
+        "negative-seed",
     ],
 )
-def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_json, metrics, bad):
+def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_json, metrics, bad, says):
     # what a killed sweep or another program can leave behind
     run_dir = tmp_path / "out" / "runs" / "crma_seed0"
     run_dir.mkdir(parents=True)
@@ -744,9 +782,7 @@ def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_
     (run_dir / "metrics.csv").write_bytes(metrics)
     assert main(["curves", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and str(run_dir / bad) in err
-    if not metrics:
-        assert "expected 1 epoch rows, found 0" in err
+    assert err.startswith("config error: ") and str(run_dir / bad) in err and says in err
 
 
 def test_uniform_ensemble_equals_ast_pseudo_labels_single_source():
