@@ -4,7 +4,7 @@ Subcommands:
   run <config>       seeded runs of the configured methods, aggregated table
   ablate <config>    the full 2^3 component-ablation grid
   baseline <config>  adaptive weighting vs. the uniform-ensemble baseline
-  curves <run-dir>   validate per-run metric CSVs and write a manifest
+  curves <run-dir>   read back every finished run, record and curve, into a manifest
 
 Configs are flat ``key = value`` text with ``#`` comments. Every key is one
 row of ``CONFIG_KEYS`` (``SHIFT_KEYS`` for the per-domain shifts), which
@@ -89,6 +89,7 @@ class Variant:
 # run.json's keys in RunRecord.json_text's value order, each with its value's test;
 # json.loads gives exact types, and NaN and infinities fail the range test
 _RUN_KEYS = {
+    "label": lambda v: type(v) is str and v != "",
     "method": lambda v: v in METHODS,
     "seed": lambda v: type(v) is int and v >= 0,
     "epochs": lambda v: type(v) is int and v >= 1,
@@ -108,7 +109,8 @@ class RunRecord:
     accuracy: float
 
     def json_text(self) -> str:
-        values = (self.variant.method, self.seed, self.epochs, self.accuracy, *astuple(self.variant.flags))
+        variant = self.variant
+        values = (variant.label, variant.method, self.seed, self.epochs, self.accuracy, *astuple(variant.flags))
         return json.dumps(dict(zip(_RUN_KEYS, values)), sort_keys=True, indent=1)
 
     def columns(self, epochs: bool = False) -> str:
@@ -118,18 +120,39 @@ class RunRecord:
 
     @classmethod
     def read(cls, path: Path) -> RunRecord:
-        """The record in ``runs/<label>/run.json``, labelled by its directory. A
-        ConfigError names the file when it is truncated or not UTF-8 JSON, or
-        a key is missing or its value fails its test in ``_RUN_KEYS``."""
+        """The finished run whose record is ``path``, a ``run.json`` beside its
+        ``metrics.csv``. A ConfigError names ``run.json`` when it is truncated or
+        not UTF-8 JSON, a key is missing or its value fails its test in
+        ``_RUN_KEYS``, or its label and seed name another directory; and then
+        names ``metrics.csv`` when the curve cannot be read, has other than
+        ``epochs`` rows, or its last ``target_acc`` is not ``final_acc``."""
         try:
             meta = json.loads(path.read_text())
             invalid = [key for key, valid in _RUN_KEYS.items() if not valid(meta[key])]
             if invalid:
                 raise ValueError(f"invalid {', '.join(invalid)}")
+            label, method, seed, epochs, accuracy, *flags = (meta[key] for key in _RUN_KEYS)
+            name = run_dir_name(label, seed)
+            if path.parent.name != name:
+                raise ValueError(f"its label and seed name the run directory {name!r}")
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed run record ({exc!r})") from exc
-        method, seed, epochs, accuracy, *flags = (meta[key] for key in _RUN_KEYS)
-        return cls(Variant(method, AblationFlags(*flags), path.parent.name), seed, epochs, accuracy)
+        curve = path.with_name("metrics.csv")
+        try:
+            lines = curve.read_text().strip().splitlines()
+            if len(lines[1:]) != epochs:
+                raise ValueError(f"expected {epochs} epoch rows, found {len(lines[1:])}")
+            last = float(lines[-1].split(",")[lines[0].split(",").index("target_acc")])
+            if last != accuracy:
+                raise ValueError(f"last target_acc {last!r} is not final_acc {accuracy!r}")
+        except (OSError, ValueError, IndexError) as exc:
+            raise ConfigError(f"{curve}: malformed curve ({exc})") from exc
+        return cls(Variant(method, AblationFlags(*flags), label), seed, epochs, accuracy)
+
+
+def run_dir_name(label: str, seed: int) -> str:
+    """The name of a run's directory under ``runs/``: its plan label and trainer seed."""
+    return f"{label}_seed{seed}"
 
 
 # config keys ------------------------------------------------------------------
@@ -414,7 +437,6 @@ class RunSpec:
     """One run of a sweep: what ``execute`` trains, and where it writes."""
 
     variant: Variant
-    seed_index: int
     task: TaskSpec
     train: TrainConfig
     run_dir: Path
@@ -428,8 +450,8 @@ def plan(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunSpec]:
         for i in range(cfg.num_seeds):
             train_cfg = replace(cfg.train, seed=cfg.train.seed + i, ablation=replace(variant.flags),
                                 uniform_pseudo_weights=variant.method == "uniform_ensemble")
-            run_dir = Path(cfg.output_dir, "runs", f"{variant.label}_seed{train_cfg.seed}")
-            specs.append(RunSpec(variant, i, replace(cfg.task, seed=cfg.task.seed + i), train_cfg, run_dir))
+            run_dir = Path(cfg.output_dir, "runs", run_dir_name(variant.label, train_cfg.seed))
+            specs.append(RunSpec(variant, replace(cfg.task, seed=cfg.task.seed + i), train_cfg, run_dir))
     return specs
 
 
@@ -457,15 +479,18 @@ def execute(spec: RunSpec, task: GeneratedTask) -> RunRecord:
 
 
 def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunRecord]:
-    """Execute the sweep's plan, drawing each seed's task once before anything is
-    written, so a task that cannot be generated, like a planned run directory that
-    names a file or a planned file that names a directory, is a ConfigError. The
+    """Execute the sweep's plan, drawing one task per task seed, in plan order, before
+    anything is written, so a task that cannot be generated, like a planned run directory
+    that names a file or a planned file that names a directory, is a ConfigError. The
     earlier ``results.csv`` and ``summary.*`` go before the first run, and the finished
     runs' are written however the loop ends, before any error propagates."""
     specs = plan(cfg, variants)
     out_root = Path(cfg.output_dir)
-    try:  # the first variant's specs hold every seed's task
-        tasks = [generate_task(spec.task) for spec in specs[: cfg.num_seeds]]
+    try:
+        tasks = {}
+        for spec in specs:
+            if spec.task.seed not in tasks:
+                tasks[spec.task.seed] = generate_task(spec.task)
         files = [out_root / name for name in ("effective.cfg", "results.csv", "summary.csv", "summary.txt")]
         for spec in specs:
             if spec.run_dir.exists() and not spec.run_dir.is_dir():
@@ -483,7 +508,7 @@ def run_variants(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[Run
     records = []
     try:
         for spec in specs:
-            records.append(execute(spec, tasks[spec.seed_index]))
+            records.append(execute(spec, tasks[spec.task.seed]))
     finally:
         write_results(cfg, records)
     return records
@@ -523,7 +548,8 @@ def render_table(summary: Sequence[tuple]) -> str:
 
 
 def emit_curves(output_dir) -> Path:
-    """Validate every run's metrics CSV and write a manifest of all runs."""
+    """Read back every run directory holding ``run.json`` with ``RunRecord.read``
+    and write a manifest of those runs."""
     out_root = Path(output_dir)
     runs_dir = out_root / "runs"
     if not runs_dir.is_dir():
@@ -532,17 +558,9 @@ def emit_curves(output_dir) -> Path:
     _check_not_directories([manifest])
     lines = ["run_dir,method,intra_da,inter_da,ast,seed,epochs,final_acc"]
     for run_dir in sorted(runs_dir.iterdir()):
-        record_path, csv_path = run_dir / "run.json", run_dir / "metrics.csv"
-        if not record_path.is_file() or not csv_path.is_file():
-            continue
-        record = RunRecord.read(record_path)
-        try:
-            n_rows = len(csv_path.read_text().strip().splitlines()[1:])
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{csv_path}: not UTF-8 text ({exc})") from exc
-        if n_rows != record.epochs:
-            raise ConfigError(f"{csv_path}: expected {record.epochs} epoch rows, found {n_rows}")
-        lines.append(f"{run_dir.name},{record.columns(epochs=True)}")
+        record_path = run_dir / "run.json"
+        if record_path.is_file():
+            lines.append(f"{run_dir.name},{RunRecord.read(record_path).columns(epochs=True)}")
     _write_text(manifest, "".join(f"{line}\n" for line in lines))
     return manifest
 

@@ -23,6 +23,7 @@ from crma.cli import (
     plan,
     run_variants,
     write_results,
+    _RUN_KEYS,
     _variant_for,
 )
 from crma.data import FEATURE_DIM, generate_task
@@ -219,7 +220,7 @@ def test_run_command_end_to_end(tmp_path, capsys):
         assert (out / "runs" / d / "metrics.csv").exists()
         assert (out / "runs" / d / "model.ckpt").exists()
         meta = json.loads((out / "runs" / d / "run.json").read_text())
-        assert set(meta) == {"method", "intra_da", "inter_da", "ast", "seed", "epochs", "final_acc"}
+        assert set(meta) == {"label", "method", "intra_da", "inter_da", "ast", "seed", "epochs", "final_acc"}
     table = capsys.readouterr().out
     assert "crma" in table and "source_only" in table
 
@@ -523,9 +524,9 @@ def test_plan_is_the_order_seeds_and_run_dirs_the_sweep_trains(tmp_path, monkeyp
     }[command]
     specs = plan(cfg, variants)
     # variant-major, seed-minor; run i's task and trainer seeds are 3 + i
-    expected = [(label, i, 3 + i, 3 + i) for label in SWEEP_LABELS[command] for i in range(2)]
-    assert [(s.variant.label, s.seed_index, s.task.seed, s.train.seed) for s in specs] == expected
-    assert [s.run_dir for s in specs] == [out / "runs" / f"{label}_seed{seed}" for label, _, seed, _ in expected]
+    expected = [(label, 3 + i, 3 + i) for label in SWEEP_LABELS[command] for i in range(2)]
+    assert [(s.variant.label, s.task.seed, s.train.seed) for s in specs] == expected
+    assert [s.run_dir for s in specs] == [out / "runs" / f"{label}_seed{seed}" for label, _, seed in expected]
     assert sorted(p.name for p in (out / "runs").iterdir()) == sorted(s.run_dir.name for s in specs)
     for spec in specs:
         v = spec.variant
@@ -713,7 +714,8 @@ def test_run_json_round_trips_and_manifest_rows_equal_results_rows(tmp_path):
         assert epochs == "1"
     for path in (out / "runs").glob("*/run.json"):
         record = RunRecord.read(path)
-        assert record.variant.label == path.parent.name
+        assert record.variant in ablation_variants()  # the planned label, method and flags
+        assert path.parent.name == f"{record.variant.label}_seed{record.seed}"
         assert record.json_text().encode() == path.read_bytes()
 
 
@@ -738,40 +740,56 @@ def test_readme_output_layout_matches_written_files(tmp_path):
     # README writes the per-domain columns once, as <name>_*
     firsts = [re.sub(r"_0$", "_*", c) for c in header if not re.search(r"_[1-9]\d*$", c)]
     assert documented["metrics.csv"] == ",".join(firsts)
+    (keys,) = re.findall(r"^\s+run\.json\s+# ([^;]+);", layout, re.M)
+    assert keys.split(", ") == list(_RUN_KEYS)
 
 
 GOOD_RUN_JSON = (
-    b'{"method": "crma", "intra_da": true, "inter_da": true, "ast": true, '
+    b'{"label": "crma", "method": "crma", "intra_da": true, "inter_da": true, "ast": true, '
     b'"seed": 0, "epochs": 1, "final_acc": 0.5}'
 )
+GOOD_CURVE = b"epoch,target_acc\n0,0.5\n"
 
 
 @pytest.mark.parametrize(
     "run_json, metrics, bad, says",
     [
-        (b'{"method": "crma", "epo', b"epoch\n0\n", "run.json", ""),
-        (b'{"method": "crma", "seed": 0, "final_acc": 0.5}', b"epoch\n0\n", "run.json", ""),
-        (b"\xff\xfe\x00", b"epoch\n0\n", "run.json", ""),
+        (b'{"method": "crma", "epo', GOOD_CURVE, "run.json", ""),
+        (b'{"label": "crma", "method": "crma", "seed": 0, "final_acc": 0.5}', GOOD_CURVE, "run.json", ""),
+        (b"\xff\xfe\x00", GOOD_CURVE, "run.json", ""),
         (GOOD_RUN_JSON, b"epoch\n\xff\n", "metrics.csv", ""),
-        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": "yes"'), b"epoch\n0\n", "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": "1"'), b"epoch\n0\n", "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": "x"'), b"epoch\n0\n", "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": 2'), b"epoch\n0\n", "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": NaN'), b"epoch\n0\n", "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": Infinity'), b"epoch\n0\n", "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": 1.5'), b"epoch\n0\n", "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": true'), b"epoch\n0\n", "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"crma"', b'"dann"'), b"epoch\n0\n", "run.json", ""),
-        (GOOD_RUN_JSON, b"epoch\n0\n1\n", "metrics.csv", ""),
+        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": "yes"'), GOOD_CURVE, "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": "1"'), GOOD_CURVE, "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": "x"'), GOOD_CURVE, "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": 2'), GOOD_CURVE, "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": NaN'), GOOD_CURVE, "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": Infinity'), GOOD_CURVE, "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": 1.5'), GOOD_CURVE, "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": true'), GOOD_CURVE, "run.json", ""),
+        (GOOD_RUN_JSON.replace(b'"method": "crma"', b'"method": "dann"'), GOOD_CURVE, "run.json", ""),
+        (GOOD_RUN_JSON, GOOD_CURVE + b"1,0.5\n", "metrics.csv", ""),
         (GOOD_RUN_JSON, b"", "metrics.csv", "expected 1 epoch rows, found 0"),
         (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": 0'), b"epoch\n", "run.json", "invalid epochs"),
-        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": -4'), b"epoch\n0\n", "run.json", "invalid seed"),
+        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": -4'), GOOD_CURVE, "run.json", "invalid seed"),
+        # the record names another run directory, or disagrees with its curve
+        (GOOD_RUN_JSON.replace(b'"label": "crma"', b'"label": "source_only"'), GOOD_CURVE, "run.json",
+         "'source_only_seed0'"),
+        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": 5'), GOOD_CURVE, "run.json", "'crma_seed5'"),
+        (GOOD_RUN_JSON.replace(b'"label": "crma", ', b""), GOOD_CURVE, "run.json", "'label'"),
+        (GOOD_RUN_JSON.replace(b'"label": "crma"', b'"label": ""'), GOOD_CURVE, "run.json", "invalid label"),
+        (GOOD_RUN_JSON, b"epoch\n0\n", "metrics.csv", "'target_acc' is not in list"),
+        (GOOD_RUN_JSON, b"epoch,target_acc\n0\n", "metrics.csv", ""),
+        (GOOD_RUN_JSON, b"epoch,target_acc\n0,0.25\n", "metrics.csv", "last target_acc 0.25 is not final_acc 0.5"),
+        (GOOD_RUN_JSON, b"epoch,target_acc\n0,nan\n", "metrics.csv", "is not final_acc"),
+        (GOOD_RUN_JSON, None, "metrics.csv", ""),
     ],
     ids=[
         "truncated", "no-epochs", "non-utf8", "non-utf8-metrics", "bad-flag", "str-epochs",
         "str-final-acc", "int-flag", "nan-final-acc", "inf-final-acc", "final-acc-above-1",
         "bool-seed", "unknown-method", "extra-epoch-row", "empty-metrics", "zero-epochs",
-        "negative-seed",
+        "negative-seed", "other-label", "other-seed", "no-label", "empty-label",
+        "no-target-acc-column", "short-last-row", "other-last-target-acc", "nan-last-target-acc",
+        "no-metrics",
     ],
 )
 def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_json, metrics, bad, says):
@@ -779,7 +797,8 @@ def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_
     run_dir = tmp_path / "out" / "runs" / "crma_seed0"
     run_dir.mkdir(parents=True)
     (run_dir / "run.json").write_bytes(run_json)
-    (run_dir / "metrics.csv").write_bytes(metrics)
+    if metrics is not None:
+        (run_dir / "metrics.csv").write_bytes(metrics)
     assert main(["curves", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(run_dir / bad) in err and says in err
