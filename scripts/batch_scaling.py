@@ -1,94 +1,66 @@
-"""Batch-size scaling of one training iteration, at one BLAS thread.
+"""Batch-size scaling of moons_crma's training iteration, timed by perfbench.
 
-For each rows-per-domain size, trains the default moons model (configs/two_moons.cfg
-shapes, all four phases on) for a fixed number of iterations and records the median
-iteration time and each phase's median, timed from the start of ``step_source`` to
-the end of ``step_ast`` as perfbench does; the batch draw is outside the timer.
-Repeats are interleaved over the sizes, each in a fresh training state, and the
-script prints, per size, the median over repeats with its min and max, and a
-least-squares line through the iteration medians (fixed ms plus ms per row).
+For each rows-per-domain size, runs one untraced perfbench unit of the
+moons_crma workload (a fresh ``perfbench/child.py`` process at one BLAS
+thread) with ``train.batch_per_domain`` set to the size and ``train.epochs``
+scaled so that every run trains about as many iterations as the workload's
+50 epochs at 128 rows. Each unit gives perfbench's ``iter_ms_p50`` of its
+run and the run's first iteration. Repeats are interleaved over the sizes.
+Prints, per size, the median over repeats with its min and max, and a
+least-squares line through the ``iter_ms_p50`` medians (fixed ms plus ms
+per row).
 
-    PYTHONPATH=src python scripts/batch_scaling.py [--repeats 5] [--iterations 200]
+    python3 scripts/batch_scaling.py
 """
 
-import os
-
-# one BLAS thread, set before numpy is imported
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse
 import statistics
-import time
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from crma import trainer
-from crma.cli import build_experiment_config, parse_config_text
-from crma.data import BatchIterator, generate_task
-from crma.nn import CrmaModel
-from crma.seeds import stream_rng, stream_seed
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import run  # noqa: E402  (perfbench/run.py)
+from workloads import WORKLOADS  # noqa: E402
 
-PHASES = ("step_source", "step_classifiers", "step_extractor", "step_ast")
-CONFIG = Path(__file__).resolve().parents[1] / "configs" / "two_moons.cfg"
+SIZES = (8, 32, 64, 96, 128)
+REPEATS = 5
+SEED = 1
+WORKLOAD = WORKLOADS["moons_crma"]
 
 
-def one_repeat(cfg, task, rows: int, iterations: int, warmup: int) -> dict[str, float]:
-    """Median ms per iteration and per phase over ``iterations`` steady iterations,
-    and the first iteration's ms."""
-    config = cfg.train
-    model = CrmaModel(task.input_dim, task.spec.num_classes, task.num_sources, config.extractor_hidden,
-                      config.head_hidden, stream_rng(config.seed, "init"))
-    state = trainer.TrainState(model, config)
-    batches = iter(BatchIterator(task, rows, stream_seed(config.seed, "shuffle")))
-    lr = trainer.learning_rate(config, 0)
-    iteration_ms, phase_ms = [], {name: [] for name in PHASES}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(warmup + iterations):
-            batch = next(batches)
-            start = last = time.perf_counter()
-            for name in PHASES:
-                getattr(trainer, name)(state, batch, lr)
-                now = time.perf_counter()
-                phase_ms[name].append((now - last) * 1e3)
-                last = now
-            iteration_ms.append((last - start) * 1e3)
-            state.iteration += 1
-    medians = {name: statistics.median(ms[warmup:]) for name, ms in phase_ms.items()}
-    return {"iteration": statistics.median(iteration_ms[warmup:]), "first": iteration_ms[0], **medians}
+def one_unit(rows: int, workdir: str) -> tuple[float, float]:
+    """(iter_ms_p50, first iteration ms) of one run at ``rows`` rows per domain."""
+    overrides = [f"train.batch_per_domain={rows}", f"train.epochs={round(50 * rows / 128)}"]
+    spec = {"workload": WORKLOAD.name, "seed": SEED, "variant": WORKLOAD.variants[0],
+            "workdir": workdir, "overrides": overrides}
+    unit = run.spawn(spec, run.child_env(), run.CHILD_TIMEOUT_S)
+    _, failed, problems, good = run.tally(WORKLOAD, [], [unit])
+    if failed or problems:
+        raise SystemExit(f"{rows} rows: {problems}")
+    iter_ms = good[0]["iter_ms"]
+    return run.stretch_percentiles(iter_ms)[50], iter_ms[0]
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", default="8,32,64,96,128", help="rows per domain, comma-separated")
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--iterations", type=int, default=200)
-    parser.add_argument("--warmup", type=int, default=20)
-    args = parser.parse_args()
-    sizes = [int(s) for s in args.sizes.split(",")]
-    cfg = build_experiment_config(parse_config_text(CONFIG.read_text()))
-    task = generate_task(cfg.task)
-    trainer._keep_freed_heap()  # as train() does, so freed heap stays mapped between phases
-    results = {rows: [] for rows in sizes}
-    for _ in range(args.repeats):
-        for rows in sizes:
-            results[rows].append(one_repeat(cfg, task, rows, args.iterations, args.warmup))
+    results = {rows: [] for rows in SIZES}
+    with tempfile.TemporaryDirectory() as workdir:
+        for _ in range(REPEATS):
+            for rows in SIZES:
+                results[rows].append(one_unit(rows, workdir))
 
-    columns = ["iteration", "first", *PHASES]
-    print(f"{args.repeats} repeats x {args.iterations} iterations (after {args.warmup} warm-up); "
-          "ms, median [min-max] over repeats")
-    print("rows  " + "  ".join(f"{c:>20}" for c in columns))
-    for rows in sizes:
+    print(f"moons_crma, {REPEATS} repeats; ms, median [min-max] over repeats")
+    print(f"rows  {'iter_ms_p50':>20}  {'first iteration':>20}")
+    for rows in SIZES:
         cells = []
-        for c in columns:
-            values = [r[c] for r in results[rows]]
-            cells.append(f"{statistics.median(values):6.2f} [{min(values):5.2f}-{max(values):5.2f}]")
+        for column in zip(*results[rows]):
+            cells.append(f"{statistics.median(column):6.2f} [{min(column):5.2f}-{max(column):5.2f}]")
         print(f"{rows:4d}  " + "  ".join(f"{cell:>20}" for cell in cells))
-    medians = [statistics.median(r["iteration"] for r in results[rows]) for rows in sizes]
-    slope, fixed = np.polyfit(sizes, medians, 1)
-    print(f"fit: {fixed:.2f} ms fixed + {slope * 1e3:.2f} us per row; at {sizes[-1]} rows "
-          f"{fixed:.2f} ms fixed and {slope * sizes[-1]:.2f} ms proportional")
+    medians = [statistics.median(p50 for p50, _ in results[rows]) for rows in SIZES]
+    slope, fixed = np.polyfit(SIZES, medians, 1)
+    print(f"fit: {fixed:.2f} ms fixed + {slope * 1e3:.2f} us per row; at {SIZES[-1]} rows "
+          f"{fixed:.2f} ms fixed and {slope * SIZES[-1]:.2f} ms proportional")
 
 
 if __name__ == "__main__":

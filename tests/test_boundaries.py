@@ -229,33 +229,39 @@ def test_run_json_fails_only_with_config_errors(run_dir, tmp_path):
 def test_metrics_csv_fails_only_with_config_errors(run_dir, tmp_path):
     rng = random.Random(13)
     run_json, metrics = (run_dir / "run.json").read_text(), (run_dir / "metrics.csv").read_bytes()
-    header, *rows = metrics.decode().splitlines()
+    out = tmp_path / "out"
+    target = out / "runs" / run_dir.name
+    target.mkdir(parents=True)
+    for _ in range(300):
+        (target / "run.json").write_bytes(_mutated_run_json(rng, run_json) if rng.random() < 0.3
+                                          else run_json.encode())
+        data = _mutate(rng, metrics, b",.\n\r0123456789eE-_abcLnst\xff\x80")
+        (target / "metrics.csv").write_bytes(data)
+        _outcome(lambda: emit_curves(out), ConfigError, data)
+
+
+def test_run_disagreeing_with_its_directory_or_curve_is_a_config_error(run_dir, tmp_path):
+    rng = random.Random(19)
+    run_json, metrics = (run_dir / "run.json").read_bytes(), (run_dir / "metrics.csv").read_text()
+    header, *rows = metrics.splitlines()
     at = header.split(",").index("target_acc")
     final_acc = float(rows[-1].split(",")[at])
     out = tmp_path / "out"
-    for _ in range(300):
+    for _ in range(100):
         shutil.rmtree(out, ignore_errors=True)
-        target, record, data = out / "runs" / run_dir.name, run_json.encode(), metrics
-        case = rng.random()
-        if case < 0.1:  # the whole run moved into another run's directory
+        target, data = out / "runs" / run_dir.name, metrics
+        if rng.random() < 0.5:  # the whole run moved into another run's directory
             target = out / "runs" / rng.choice(["crma_seed1", "source_only_seed0", "crma_i1e1a1_seed0"])
-        elif case < 0.2:  # the curve's last target_acc rewritten to another number
+        else:  # the curve's last target_acc rewritten to another number
             last = rows[-1].split(",")
             last[at] = repr(rng.choice([v for v in (0.0, 1.0, rng.random(), math.nextafter(final_acc, 0),
                                                     math.nextafter(final_acc, 1)) if v != final_acc]))
-            data = "\n".join([header, *rows[:-1], ",".join(last), ""]).encode()
-        else:
-            if rng.random() < 0.3:
-                record = _mutated_run_json(rng, run_json)
-            data = _mutate(rng, metrics, b",.\n\r0123456789eE-_abcLnst\xff\x80")
+            data = "\n".join([header, *rows[:-1], ",".join(last), ""])
         target.mkdir(parents=True)
-        (target / "run.json").write_bytes(record)
-        (target / "metrics.csv").write_bytes(data)
-        if case < 0.2:  # a whole record that disagrees with its directory or curve
-            with pytest.raises(ConfigError):
-                emit_curves(out)
-        else:
-            _outcome(lambda: emit_curves(out), ConfigError, data)
+        (target / "run.json").write_bytes(run_json)
+        (target / "metrics.csv").write_text(data)
+        with pytest.raises(ConfigError):
+            emit_curves(out)
 
 
 def test_checkpoint_bytes_fail_only_with_format_errors(run_dir, tmp_path):
