@@ -4,7 +4,7 @@ Subcommands:
   run <config>       seeded runs of the configured methods, aggregated table
   ablate <config>    the full 2^3 component-ablation grid
   baseline <config>  adaptive weighting vs. the uniform-ensemble baseline
-  curves <run-dir>   read back every finished run, record and curve, into a manifest
+  curves <run-dir>   read back every finished run, record, curve and checkpoint, into a manifest
 
 Configs are flat ``key = value`` text with ``#`` comments. Every key is one
 row of ``CONFIG_KEYS`` (``SHIFT_KEYS`` for the per-domain shifts), which
@@ -43,7 +43,9 @@ from .nn import validate_shape
 from .trainer import (
     AblationFlags,
     DivergedRunError,
+    FormatError,
     TrainConfig,
+    load_checkpoint,
     save_checkpoint,
     train,
     write_history_csv,
@@ -78,7 +80,14 @@ class Variant:
 
     method: str
     flags: AblationFlags
-    label: str
+
+    @property
+    def label(self) -> str:
+        """The method, plus ``_i<intra>e<inter>a<ast>`` unless the flags are the
+        method's own: all off for ``source_only``, all on for the other methods."""
+        on = astuple(self.flags)
+        own = on == (self.method != "source_only",) * 3
+        return self.method if own else self.method + "_i{:d}e{:d}a{:d}".format(*on)
 
     def columns(self) -> str:
         """The ``method,intra_da,inter_da,ast`` prefix of a CSV row."""
@@ -89,7 +98,6 @@ class Variant:
 # run.json's keys in RunRecord.json_text's value order, each with its value's test;
 # json.loads gives exact types, and NaN and infinities fail the range test
 _RUN_KEYS = {
-    "label": lambda v: type(v) is str and v != "",
     "method": lambda v: v in METHODS,
     "seed": lambda v: type(v) is int and v >= 0,
     "epochs": lambda v: type(v) is int and v >= 1,
@@ -110,7 +118,7 @@ class RunRecord:
 
     def json_text(self) -> str:
         variant = self.variant
-        values = (variant.label, variant.method, self.seed, self.epochs, self.accuracy, *astuple(variant.flags))
+        values = (variant.method, self.seed, self.epochs, self.accuracy, *astuple(variant.flags))
         return json.dumps(dict(zip(_RUN_KEYS, values)), sort_keys=True, indent=1)
 
     def columns(self, epochs: bool = False) -> str:
@@ -123,18 +131,20 @@ class RunRecord:
         """The finished run whose record is ``path``, a ``run.json`` beside its
         ``metrics.csv``. A ConfigError names ``run.json`` when it is truncated or
         not UTF-8 JSON, a key is missing or its value fails its test in
-        ``_RUN_KEYS``, or its label and seed name another directory; and then
-        names ``metrics.csv`` when the curve cannot be read, has other than
-        ``epochs`` rows, or its last ``target_acc`` is not ``final_acc``."""
+        ``_RUN_KEYS``, or its variant's label and seed name another directory;
+        then names ``metrics.csv`` when the curve cannot be read, has other than
+        ``epochs`` rows, or its last ``target_acc`` is not ``final_acc``; and then
+        names ``model.ckpt`` when the checkpoint beside it does not load."""
         try:
             meta = json.loads(path.read_text())
             invalid = [key for key, valid in _RUN_KEYS.items() if not valid(meta[key])]
             if invalid:
                 raise ValueError(f"invalid {', '.join(invalid)}")
-            label, method, seed, epochs, accuracy, *flags = (meta[key] for key in _RUN_KEYS)
-            name = run_dir_name(label, seed)
+            method, seed, epochs, accuracy, *flags = (meta[key] for key in _RUN_KEYS)
+            variant = Variant(method, AblationFlags(*flags))
+            name = run_dir_name(variant.label, seed)
             if path.parent.name != name:
-                raise ValueError(f"its label and seed name the run directory {name!r}")
+                raise ValueError(f"its method, flags and seed name the run directory {name!r}")
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed run record ({exc!r})") from exc
         curve = path.with_name("metrics.csv")
@@ -147,11 +157,16 @@ class RunRecord:
                 raise ValueError(f"last target_acc {last!r} is not final_acc {accuracy!r}")
         except (OSError, ValueError, IndexError) as exc:
             raise ConfigError(f"{curve}: malformed curve ({exc})") from exc
-        return cls(Variant(method, AblationFlags(*flags), label), seed, epochs, accuracy)
+        checkpoint = path.with_name("model.ckpt")
+        try:
+            load_checkpoint(checkpoint, TrainConfig())
+        except (OSError, FormatError) as exc:
+            raise ConfigError(f"{checkpoint}: unreadable checkpoint ({exc})") from exc
+        return cls(variant, seed, epochs, accuracy)
 
 
 def run_dir_name(label: str, seed: int) -> str:
-    """The name of a run's directory under ``runs/``: its plan label and trainer seed."""
+    """The name of a run's directory under ``runs/``: its variant's label and trainer seed."""
     return f"{label}_seed{seed}"
 
 
@@ -386,14 +401,11 @@ def effective_config_text(cfg: ExperimentConfig) -> str:
 
 def _variant_for(method: str, cfg: ExperimentConfig) -> Variant:
     flags = AblationFlags(False, False, False) if method == "source_only" else replace(cfg.train.ablation)
-    return Variant(method, flags, method)
+    return Variant(method, flags)
 
 
 def ablation_variants() -> list[Variant]:
-    return [
-        Variant("crma", AblationFlags(intra, inter, ast), f"crma_i{int(intra)}e{int(inter)}a{int(ast)}")
-        for intra, inter, ast in ABLATION_GRID
-    ]
+    return [Variant("crma", AblationFlags(*on)) for on in ABLATION_GRID]
 
 
 def _beside(path: Path) -> Path:
@@ -616,8 +628,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"wrote {manifest}")
             return 0
         cfg = _load_experiment(args, extra)
-        methods = {"run": cfg.methods, "baseline": ("uniform_ensemble", "crma")}.get(args.command)
-        variants = [_variant_for(m, cfg) for m in methods] if methods else ablation_variants()
+        if args.command == "baseline":  # effective.cfg then names the methods it runs
+            cfg.methods = ("uniform_ensemble", "crma")
+        variants = (ablation_variants() if args.command == "ablate"
+                    else [_variant_for(m, cfg) for m in cfg.methods])
         print(render_table(aggregate(run_variants(cfg, variants))), end="")
         return 0
     except ConfigError as exc:

@@ -218,12 +218,13 @@ def test_run_json_fails_only_with_config_errors(run_dir, tmp_path):
     rng = random.Random(11)
     text = (run_dir / "run.json").read_text()
     path = tmp_path / run_dir.name / "run.json"
-    path.parent.mkdir()
-    shutil.copyfile(run_dir / "metrics.csv", path.with_name("metrics.csv"))
+    shutil.copytree(run_dir, path.parent)
+    accepted = 0
     for _ in range(1000):
         data = _mutated_run_json(rng, text)
         path.write_bytes(data)
-        _outcome(lambda: RunRecord.read(path), ConfigError, data)
+        accepted += _outcome(lambda: RunRecord.read(path), ConfigError, data) is not None
+    assert accepted > 50  # both outcomes are exercised
 
 
 def test_metrics_csv_fails_only_with_config_errors(run_dir, tmp_path):
@@ -231,34 +232,45 @@ def test_metrics_csv_fails_only_with_config_errors(run_dir, tmp_path):
     run_json, metrics = (run_dir / "run.json").read_text(), (run_dir / "metrics.csv").read_bytes()
     out = tmp_path / "out"
     target = out / "runs" / run_dir.name
-    target.mkdir(parents=True)
+    shutil.copytree(run_dir, target)
+    accepted = 0
     for _ in range(300):
         (target / "run.json").write_bytes(_mutated_run_json(rng, run_json) if rng.random() < 0.3
                                           else run_json.encode())
         data = _mutate(rng, metrics, b",.\n\r0123456789eE-_abcLnst\xff\x80")
         (target / "metrics.csv").write_bytes(data)
-        _outcome(lambda: emit_curves(out), ConfigError, data)
+        accepted += _outcome(lambda: emit_curves(out), ConfigError, data) is not None
+    assert accepted > 50  # both outcomes are exercised
 
 
 def test_run_disagreeing_with_its_directory_or_curve_is_a_config_error(run_dir, tmp_path):
     rng = random.Random(19)
-    run_json, metrics = (run_dir / "run.json").read_bytes(), (run_dir / "metrics.csv").read_text()
+    run_json, metrics = (run_dir / "run.json").read_text(), (run_dir / "metrics.csv").read_text()
     header, *rows = metrics.splitlines()
     at = header.split(",").index("target_acc")
     final_acc = float(rows[-1].split(",")[at])
     out = tmp_path / "out"
     for _ in range(100):
         shutil.rmtree(out, ignore_errors=True)
-        target, data = out / "runs" / run_dir.name, metrics
-        if rng.random() < 0.5:  # the whole run moved into another run's directory
+        target, record, data = out / "runs" / run_dir.name, run_json, metrics
+        draw = rng.random()
+        if draw < 0.35:  # the whole run moved into another run's directory
             target = out / "runs" / rng.choice(["crma_seed1", "source_only_seed0", "crma_i1e1a1_seed0"])
+        elif draw < 0.65:  # one flag flipped, or the method changed, in place
+            meta = json.loads(run_json)
+            key = rng.choice(["intra_da", "inter_da", "ast", "method"])
+            if key == "method":
+                meta[key] = rng.choice(["source_only", "uniform_ensemble"])
+            else:
+                meta[key] = not meta[key]
+            record = json.dumps(meta)
         else:  # the curve's last target_acc rewritten to another number
             last = rows[-1].split(",")
             last[at] = repr(rng.choice([v for v in (0.0, 1.0, rng.random(), math.nextafter(final_acc, 0),
                                                     math.nextafter(final_acc, 1)) if v != final_acc]))
             data = "\n".join([header, *rows[:-1], ",".join(last), ""])
-        target.mkdir(parents=True)
-        (target / "run.json").write_bytes(run_json)
+        shutil.copytree(run_dir, target)
+        (target / "run.json").write_text(record)
         (target / "metrics.csv").write_text(data)
         with pytest.raises(ConfigError):
             emit_curves(out)

@@ -27,8 +27,8 @@ from crma.cli import (
     _variant_for,
 )
 from crma.data import FEATURE_DIM, generate_task
-from crma.nn import parameters_digest
-from crma.trainer import TrainConfig, history_columns, load_checkpoint, save_checkpoint, train
+from crma.nn import CrmaModel, parameters_digest
+from crma.trainer import TrainConfig, TrainState, history_columns, load_checkpoint, save_checkpoint, train
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -195,7 +195,7 @@ def test_ablation_variants_follow_grid_order():
         ABLATION_GRID
     )
     assert variants[0].label == "crma_i0e0a0"
-    assert variants[-1].label == "crma_i1e1a1"
+    assert variants[-1].label == "crma"  # the label crma run gives the same method and flags
 
 
 def test_run_command_end_to_end(tmp_path, capsys):
@@ -220,7 +220,7 @@ def test_run_command_end_to_end(tmp_path, capsys):
         assert (out / "runs" / d / "metrics.csv").exists()
         assert (out / "runs" / d / "model.ckpt").exists()
         meta = json.loads((out / "runs" / d / "run.json").read_text())
-        assert set(meta) == {"label", "method", "intra_da", "inter_da", "ast", "seed", "epochs", "final_acc"}
+        assert set(meta) == {"method", "intra_da", "inter_da", "ast", "seed", "epochs", "final_acc"}
     table = capsys.readouterr().out
     assert "crma" in table and "source_only" in table
 
@@ -494,7 +494,7 @@ def test_sweep_draws_each_seeds_task_once(tmp_path, monkeypatch):
 SWEEP_LABELS = {
     "run": ["crma", "source_only"],
     "ablate": ["crma_i0e0a0", "crma_i1e0a0", "crma_i0e1a0", "crma_i0e0a1",
-               "crma_i1e1a0", "crma_i1e0a1", "crma_i0e1a1", "crma_i1e1a1"],
+               "crma_i1e1a0", "crma_i1e0a1", "crma_i0e1a1", "crma"],
     "baseline": ["uniform_ensemble", "crma"],
 }
 
@@ -669,6 +669,12 @@ def test_baseline_command_runs_uniform_and_adaptive(tmp_path):
     summary = (out / "summary.csv").read_text().strip().splitlines()
     methods = [line.split(",")[0] for line in summary[1:]]
     assert methods == ["uniform_ensemble", "crma"]
+    # effective.cfg names the methods baseline ran, so crma run reproduces them
+    assert "run.methods = uniform_ensemble,crma\n" in (out / "effective.cfg").read_text()
+    rerun = tmp_path / "rerun"
+    assert main(["run", str(out / "effective.cfg"), "--out", str(rerun)]) == 0
+    for name in ("results.csv", "summary.csv", "summary.txt"):
+        assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_aggregate_matches_recomputation_from_per_seed_rows(tmp_path):
@@ -714,7 +720,7 @@ def test_run_json_round_trips_and_manifest_rows_equal_results_rows(tmp_path):
         assert epochs == "1"
     for path in (out / "runs").glob("*/run.json"):
         record = RunRecord.read(path)
-        assert record.variant in ablation_variants()  # the planned label, method and flags
+        assert record.variant in ablation_variants()  # the planned method and flags
         assert path.parent.name == f"{record.variant.label}_seed{record.seed}"
         assert record.json_text().encode() == path.read_bytes()
 
@@ -745,63 +751,93 @@ def test_readme_output_layout_matches_written_files(tmp_path):
 
 
 GOOD_RUN_JSON = (
-    b'{"label": "crma", "method": "crma", "intra_da": true, "inter_da": true, "ast": true, '
+    b'{"method": "crma", "intra_da": true, "inter_da": true, "ast": true, '
     b'"seed": 0, "epochs": 1, "final_acc": 0.5}'
 )
 GOOD_CURVE = b"epoch,target_acc\n0,0.5\n"
+# a whole run's record as written before run.json dropped its label; read ignores the key
+LABELLED_RUN_JSON = b'{"label": "crma", ' + GOOD_RUN_JSON[1:]
 
 
+@pytest.fixture(scope="module")
+def whole_checkpoint(tmp_path_factory):
+    """The bytes of a fresh small model's checkpoint."""
+    path = tmp_path_factory.mktemp("checkpoint") / "model.ckpt"
+    save_checkpoint(TrainState(CrmaModel(FEATURE_DIM, 2, 1, (4,), (3,)), TrainConfig()), path)
+    return path.read_bytes()
+
+
+# each row: run.json, metrics.csv (None: absent), the file the error names, a
+# substring of it, and how many bytes of a whole model.ckpt are kept (None: absent)
 @pytest.mark.parametrize(
-    "run_json, metrics, bad, says",
+    "run_json, metrics, bad, says, checkpoint",
     [
-        (b'{"method": "crma", "epo', GOOD_CURVE, "run.json", ""),
-        (b'{"label": "crma", "method": "crma", "seed": 0, "final_acc": 0.5}', GOOD_CURVE, "run.json", ""),
-        (b"\xff\xfe\x00", GOOD_CURVE, "run.json", ""),
-        (GOOD_RUN_JSON, b"epoch\n\xff\n", "metrics.csv", ""),
-        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": "yes"'), GOOD_CURVE, "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": "1"'), GOOD_CURVE, "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": "x"'), GOOD_CURVE, "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": 2'), GOOD_CURVE, "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": NaN'), GOOD_CURVE, "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": Infinity'), GOOD_CURVE, "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": 1.5'), GOOD_CURVE, "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": true'), GOOD_CURVE, "run.json", ""),
-        (GOOD_RUN_JSON.replace(b'"method": "crma"', b'"method": "dann"'), GOOD_CURVE, "run.json", ""),
-        (GOOD_RUN_JSON, GOOD_CURVE + b"1,0.5\n", "metrics.csv", ""),
-        (GOOD_RUN_JSON, b"", "metrics.csv", "expected 1 epoch rows, found 0"),
-        (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": 0'), b"epoch\n", "run.json", "invalid epochs"),
-        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": -4'), GOOD_CURVE, "run.json", "invalid seed"),
-        # the record names another run directory, or disagrees with its curve
-        (GOOD_RUN_JSON.replace(b'"label": "crma"', b'"label": "source_only"'), GOOD_CURVE, "run.json",
-         "'source_only_seed0'"),
-        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": 5'), GOOD_CURVE, "run.json", "'crma_seed5'"),
-        (GOOD_RUN_JSON.replace(b'"label": "crma", ', b""), GOOD_CURVE, "run.json", "'label'"),
-        (GOOD_RUN_JSON.replace(b'"label": "crma"', b'"label": ""'), GOOD_CURVE, "run.json", "invalid label"),
-        (GOOD_RUN_JSON, b"epoch\n0\n", "metrics.csv", "'target_acc' is not in list"),
-        (GOOD_RUN_JSON, b"epoch,target_acc\n0\n", "metrics.csv", ""),
-        (GOOD_RUN_JSON, b"epoch,target_acc\n0,0.25\n", "metrics.csv", "last target_acc 0.25 is not final_acc 0.5"),
-        (GOOD_RUN_JSON, b"epoch,target_acc\n0,nan\n", "metrics.csv", "is not final_acc"),
-        (GOOD_RUN_JSON, None, "metrics.csv", ""),
+        (b'{"method": "crma", "epo', GOOD_CURVE, "run.json", "", None),
+        (b'{"method": "crma", "seed": 0, "final_acc": 0.5}', GOOD_CURVE, "run.json", "", None),
+        (b"\xff\xfe\x00", GOOD_CURVE, "run.json", "", None),
+        (GOOD_RUN_JSON, b"epoch\n\xff\n", "metrics.csv", "", None),
+        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": "yes"'), GOOD_CURVE, "run.json", "", None),
+        (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": "1"'), GOOD_CURVE, "run.json", "", None),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": "x"'), GOOD_CURVE, "run.json", "", None),
+        (GOOD_RUN_JSON.replace(b'"intra_da": true', b'"intra_da": 2'), GOOD_CURVE, "run.json", "", None),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": NaN'), GOOD_CURVE, "run.json", "", None),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": Infinity'), GOOD_CURVE, "run.json", "", None),
+        (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": 1.5'), GOOD_CURVE, "run.json", "", None),
+        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": true'), GOOD_CURVE, "run.json", "", None),
+        (GOOD_RUN_JSON.replace(b'"method": "crma"', b'"method": "dann"'), GOOD_CURVE, "run.json", "", None),
+        (GOOD_RUN_JSON, GOOD_CURVE + b"1,0.5\n", "metrics.csv", "", None),
+        (GOOD_RUN_JSON, b"", "metrics.csv", "expected 1 epoch rows, found 0", None),
+        (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": 0'), b"epoch\n", "run.json", "invalid epochs", None),
+        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": -4'), GOOD_CURVE, "run.json", "invalid seed", None),
+        # the record names another run directory, disagrees with its curve, or has no whole checkpoint
+        (LABELLED_RUN_JSON.replace(b'"method": "crma", "intra_da": true, "inter_da": true, "ast": true',
+                                   b'"method": "source_only", "intra_da": false, "inter_da": false, "ast": false'),
+         GOOD_CURVE, "run.json", "'source_only_seed0'", None),
+        (LABELLED_RUN_JSON.replace(b'"ast": true', b'"ast": false'), GOOD_CURVE, "run.json", "'crma_i1e1a0_seed0'",
+         None),
+        (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": 5'), GOOD_CURVE, "run.json", "'crma_seed5'", None),
+        (LABELLED_RUN_JSON, GOOD_CURVE, "model.ckpt", "No such file", None),
+        (LABELLED_RUN_JSON, GOOD_CURVE, "model.ckpt", "truncated trainer checkpoint", 60),
+        (GOOD_RUN_JSON, b"epoch\n0\n", "metrics.csv", "'target_acc' is not in list", None),
+        (GOOD_RUN_JSON, b"epoch,target_acc\n0\n", "metrics.csv", "", None),
+        (GOOD_RUN_JSON, b"epoch,target_acc\n0,0.25\n", "metrics.csv", "last target_acc 0.25 is not final_acc 0.5",
+         None),
+        (GOOD_RUN_JSON, b"epoch,target_acc\n0,nan\n", "metrics.csv", "is not final_acc", None),
+        (GOOD_RUN_JSON, None, "metrics.csv", "", None),
     ],
     ids=[
         "truncated", "no-epochs", "non-utf8", "non-utf8-metrics", "bad-flag", "str-epochs",
         "str-final-acc", "int-flag", "nan-final-acc", "inf-final-acc", "final-acc-above-1",
         "bool-seed", "unknown-method", "extra-epoch-row", "empty-metrics", "zero-epochs",
-        "negative-seed", "other-label", "other-seed", "no-label", "empty-label",
+        "negative-seed", "other-method", "other-flag", "other-seed", "no-checkpoint", "truncated-checkpoint",
         "no-target-acc-column", "short-last-row", "other-last-target-acc", "nan-last-target-acc",
         "no-metrics",
     ],
 )
-def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, run_json, metrics, bad, says):
+def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, whole_checkpoint, run_json, metrics,
+                                                          bad, says, checkpoint):
     # what a killed sweep or another program can leave behind
     run_dir = tmp_path / "out" / "runs" / "crma_seed0"
     run_dir.mkdir(parents=True)
     (run_dir / "run.json").write_bytes(run_json)
     if metrics is not None:
         (run_dir / "metrics.csv").write_bytes(metrics)
+    if checkpoint is not None:
+        (run_dir / "model.ckpt").write_bytes(whole_checkpoint[:checkpoint])
     assert main(["curves", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(run_dir / bad) in err and says in err
+
+
+def test_emit_curves_reads_a_whole_run_of_an_older_record(tmp_path, whole_checkpoint):
+    # the malformed rows' good case: a labelled record beside its curve and checkpoint
+    run_dir = tmp_path / "out" / "runs" / "crma_seed0"
+    run_dir.mkdir(parents=True)
+    (run_dir / "run.json").write_bytes(LABELLED_RUN_JSON)
+    (run_dir / "metrics.csv").write_bytes(GOOD_CURVE)
+    (run_dir / "model.ckpt").write_bytes(whole_checkpoint)
+    assert main(["curves", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "manifest.csv").read_text().splitlines()[1] == "crma_seed0,crma,1,1,1,0,1,0.5"
 
 
 def test_uniform_ensemble_equals_ast_pseudo_labels_single_source():
