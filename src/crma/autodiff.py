@@ -8,9 +8,8 @@ which is what evaluation-only paths use.
 Everything is float64. Elementwise ops take equal shapes or a scalar
 with a tensor; the other broadcasts are the row-broadcast bias of
 :func:`add_bias` and :func:`linear`, and the leading axes of
-:func:`linear`: a group axis on the input (G inputs) and a head axis on
-the weight (H stacked layers) form one grid of (input, weight) cells,
-computed as one node.
+:func:`linear`: the input's (G inputs) and the weight's (H stacked
+layers) form one grid of (input, weight) cells, computed as one node.
 Backwards only compute the gradients of operands that require one, so a
 subgraph built from frozen tensors is neither recorded nor differentiated.
 
@@ -20,6 +19,8 @@ backward's gradient into an operand.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -326,40 +327,39 @@ def add_bias(x, bias) -> Tensor:
 def linear(x, weight, bias, relu: bool = False) -> Tensor:
     """``x @ weight + bias``, optionally followed by relu, as one node.
 
-    The input, x (n, d) or G inputs x (G, n, d), and the weight, one shared
-    (d, k) with bias (k,) or H stacked (H, d, k) with bias (H, k), form a
-    (G, H/G) grid of cells, G dividing H: input g meets the H/G stacked
-    weights from g*H/G on, or the one shared weight. The output is (n, k),
-    (G, n, k) or (H, n, k).
+    All leading axes of x (..., n, d) are its G inputs and all leading axes
+    of weight (..., d, k), with bias (..., k), its H stacked layers (G or H
+    is 1 without leading axes). They form a (G, H/G) grid of cells, G
+    dividing H: input g meets the H/G stacked layers from g*H/G on, in
+    row-major order, or the one shared weight. The output has the weight's
+    leading axes, or the input's for a shared weight, then (n, k).
 
     Each cell's value and weight and bias gradients are bit-identical to
     ``add_bias(matmul(x, weight), bias)`` (then ``.relu()``) on its own
     input and weight. A stack takes its cells' gradients as they are; a
     shared weight adds its G cells last group first, as G plain nodes
     recorded in group order on one tape do. An input's gradient sums the
-    cells it fed in head order.
+    cells it fed in layer order.
     """
     x, w, b = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    heads = w.values.ndim == 3
-    if not (
-        w.values.ndim in (2, 3)
-        and b.shape == w.shape[:-2] + w.shape[-1:]
-        and x.values.ndim in (2, 3)
-        and x.shape[-1] == w.shape[-2]
-        and (not heads or x.values.ndim == 2 or w.shape[0] % x.shape[0] == 0)
-    ):
-        raise DimensionError(
-            f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not align"
-        )
+    heads = w.values.ndim > 2
     # the (G, H/G) grid of cells: G = 1 for one input, H/G = 1 for a shared weight
-    groups = x.shape[0] if x.values.ndim == 3 else 1
+    groups, layers = math.prod(x.shape[:-2]), math.prod(w.shape[:-2])
+    if not (
+        w.values.ndim >= 2
+        and b.shape == w.shape[:-2] + w.shape[-1:]
+        and x.values.ndim >= 2
+        and x.shape[-1] == w.shape[-2]
+        and (not heads or groups and layers % groups == 0)
+    ):
+        raise DimensionError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not align")
     xs = x.values.reshape((groups, 1) + x.shape[-2:])
     ws = w.values.reshape((groups if heads else 1, -1) + w.shape[-2:])
     values = xs @ ws
     values += b.values.reshape(ws.shape[:2] + (1, -1))
     if relu:
         np.maximum(values, 0.0, out=values)
-    out = values.reshape((w.shape[:1] if heads else x.shape[:-2]) + values.shape[-2:])
+    out = values.reshape((w if heads else x).shape[:-2] + values.shape[-2:])
 
     def add_cells(t, cells):
         if heads:  # a stack takes its cells as they are
@@ -382,7 +382,7 @@ def linear(x, weight, bias, relu: bool = False) -> Tensor:
             # these products 1.3-1.8x faster on it (2-core Xeon), same bits
             wt = np.ascontiguousarray(np.swapaxes(ws, -1, -2))
             gx = gs[:, 0] @ wt[:, 0]
-            for j in range(1, ws.shape[1]):  # head order
+            for j in range(1, ws.shape[1]):  # layer order
                 gx += gs[:, j] @ wt[:, j]
             accum(x, gx.reshape(x.shape), owned=True)
 
@@ -393,7 +393,7 @@ def index(t, key) -> Tensor:
     """``t[key]`` as a copy, for a basic numpy index: an int, a slice or a tuple of them."""
     t = _as_tensor(t)
     parts = key if isinstance(key, tuple) else (key,)
-    if not all(isinstance(k, (int, slice)) for k in parts):
+    if not all(isinstance(k, (int, np.integer, slice)) for k in parts):
         raise TypeError(f"index: key {key!r} is not an int, a slice or a tuple of them")
 
     def backward_fn(g):

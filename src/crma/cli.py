@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import FEATURE_DIM, GeneratedTask, ShiftSpec, TaskSpec, generate_task, target_test_counts
-from .nn import validate_shape
+from .nn import parameters_digest, validate_shape
 from .trainer import (
     AblationFlags,
     DivergedRunError,
@@ -102,6 +102,7 @@ _RUN_KEYS = {
     "seed": lambda v: type(v) is int and v >= 0,
     "epochs": lambda v: type(v) is int and v >= 1,
     "final_acc": lambda v: type(v) in (int, float) and 0 <= v <= 1,
+    "digest": lambda v: type(v) is str and re.fullmatch("[0-9a-f]{64}", v) is not None,
     **{f.name: lambda v: type(v) is bool for f in fields(AblationFlags)},
 }
 
@@ -115,10 +116,11 @@ class RunRecord:
     seed: int
     epochs: int
     accuracy: float
+    digest: str  # parameters_digest of the final model
 
     def json_text(self) -> str:
         variant = self.variant
-        values = (variant.method, self.seed, self.epochs, self.accuracy, *astuple(variant.flags))
+        values = (variant.method, self.seed, self.epochs, self.accuracy, self.digest, *astuple(variant.flags))
         return json.dumps(dict(zip(_RUN_KEYS, values)), sort_keys=True, indent=1)
 
     def columns(self, epochs: bool = False) -> str:
@@ -134,13 +136,13 @@ class RunRecord:
         ``_RUN_KEYS``, or its variant's label and seed name another directory;
         then names ``metrics.csv`` when the curve cannot be read, has other than
         ``epochs`` rows, or its last ``target_acc`` is not ``final_acc``; and then
-        names ``model.ckpt`` when the checkpoint beside it does not load."""
+        names ``model.ckpt`` when it does not load or holds a model of another ``digest``."""
         try:
             meta = json.loads(path.read_text())
             invalid = [key for key, valid in _RUN_KEYS.items() if not valid(meta[key])]
             if invalid:
                 raise ValueError(f"invalid {', '.join(invalid)}")
-            method, seed, epochs, accuracy, *flags = (meta[key] for key in _RUN_KEYS)
+            method, seed, epochs, accuracy, digest, *flags = (meta[key] for key in _RUN_KEYS)
             variant = Variant(method, AblationFlags(*flags))
             name = run_dir_name(variant.label, seed)
             if path.parent.name != name:
@@ -159,10 +161,12 @@ class RunRecord:
             raise ConfigError(f"{curve}: malformed curve ({exc})") from exc
         checkpoint = path.with_name("model.ckpt")
         try:
-            load_checkpoint(checkpoint, TrainConfig())
+            model = load_checkpoint(checkpoint, TrainConfig()).model
         except (OSError, FormatError) as exc:
             raise ConfigError(f"{checkpoint}: unreadable checkpoint ({exc})") from exc
-        return cls(variant, seed, epochs, accuracy)
+        if parameters_digest(model.parameters()) != digest:
+            raise ConfigError(f"{checkpoint}: holds another model than run.json's digest {digest}")
+        return cls(variant, seed, epochs, accuracy, digest)
 
 
 def run_dir_name(label: str, seed: int) -> str:
@@ -480,7 +484,8 @@ def execute(spec: RunSpec, task: GeneratedTask) -> RunRecord:
     except DivergedRunError as err:
         _write_metrics(spec.run_dir, err.history, task.num_sources)
         raise
-    record = RunRecord(spec.variant, spec.train.seed, spec.train.epochs, history[-1]["target_acc"])
+    record = RunRecord(spec.variant, spec.train.seed, spec.train.epochs, history[-1]["target_acc"],
+                       parameters_digest(state.model.parameters()))
     _write_metrics(spec.run_dir, history, task.num_sources)
     with _replacing(spec.run_dir / "model.ckpt") as tmp:
         save_checkpoint(state, tmp)

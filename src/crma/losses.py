@@ -2,8 +2,8 @@
 
 The four losses (source cross entropy, the two consistency losses, the
 self-training loss) are autodiff nodes so they can drive training. They
-take the (2M, n, K) probabilities of every head, in (domain, branch a,
-branch b) order, as one tensor and compute over that head axis. Each loss
+take the (M, 2, n, K) probabilities of every head, by domain and branch
+(0 for a, 1 for b), as one tensor and compute over those axes. Each loss
 is one ``autodiff.node`` on that tensor whatever M is; its backward runs
 the numpy arithmetic of the equivalent chain of autodiff ops (``log``,
 ``index``, ``gather``, ``sub``, ``abs``, ``sum``, ...; kept in
@@ -21,6 +21,7 @@ degrading its own targets.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,26 +41,34 @@ class ContractError(ValueError):
 def pair_statistics(head_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample discrepancies and mean predictions of every pair.
 
-    Takes the (2M, n, K) head probabilities as a plain array. Returns the
+    Takes the (M, 2, n, K) head probabilities as a plain array. Returns the
     (n, M) matrix of per-sample pair discrepancies (L1/K) that the adaptive
     weighting consumes, and the (M, n, K) pair means.
     """
-    a, b = head_probs[0::2], head_probs[1::2]
-    d_matrix = (np.abs(a - b).sum(axis=2) / head_probs.shape[2]).T
+    a, b = head_probs[:, 0], head_probs[:, 1]
+    d_matrix = (np.abs(a - b).sum(axis=2) / head_probs.shape[-1]).T
     return d_matrix, (a + b) * 0.5
 
 
-def _add_to_pairs(head_probs: Tensor, grad_a: np.ndarray, grad_b: np.ndarray) -> None:
-    """Add (M, n, K) gradients into the branch a and branch b rows.
+def _l1_loss(head_probs: Tensor, gaps: np.ndarray, pair_grads) -> Tensor:
+    """``sum|gaps| / (n * K)`` as a node on ``head_probs``; ``pair_grads`` maps
+    the gradient of ``gaps`` to the (M, n, K) gradients of branches a and b.
 
-    Zeros first, then the b rows, then the a rows: the order in which the
-    two ``index`` nodes of the op-chain form add theirs, so losses sharing
-    a head tensor accumulate with the same bits (``tests/oracles.py``).
+    The head gradient is zeros, then the b entries, then the a entries: the
+    order of the op-chain form's two ``index`` nodes, so losses sharing a
+    head tensor accumulate with the same bits (``tests/oracles.py``).
     """
-    if head_probs.grad is None:
-        head_probs.grad = np.zeros_like(head_probs.values)
-    head_probs.grad[1::2] += grad_b
-    head_probs.grad[0::2] += grad_a
+    n, num_classes = head_probs.shape[-2:]
+    scale = 1.0 / (n * num_classes)
+
+    def backward_fn(g):
+        grad_a, grad_b = pair_grads((g * scale) * np.sign(gaps))
+        if head_probs.grad is None:
+            head_probs.grad = np.zeros_like(head_probs.values)
+        head_probs.grad[:, 1] += grad_b
+        head_probs.grad[:, 0] += grad_a
+
+    return node(np.sum(np.abs(gaps)) * scale, (head_probs,), backward_fn)
 
 
 def source_ce_loss(head_probs: Tensor, labels: np.ndarray) -> Tensor:
@@ -70,9 +79,9 @@ def source_ce_loss(head_probs: Tensor, labels: np.ndarray) -> Tensor:
     the loss is the sum over domains and branches of the batch-mean negative
     log probability of the true class.
     """
-    num_heads, n, num_classes = head_probs.shape
-    if num_heads % 2 or labels.shape != (num_heads // 2, n):
-        raise ContractError(f"labels shape {labels.shape} does not match {num_heads} heads of batch {n}")
+    *heads, n, num_classes = head_probs.shape
+    if heads[1:] != [2] or labels.shape != (heads[0], n):
+        raise ContractError(f"labels shape {labels.shape} does not match {math.prod(heads)} heads of batch {n}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
     low, high = labels.min(), labels.max()
@@ -80,9 +89,9 @@ def source_ce_loss(head_probs: Tensor, labels: np.ndarray) -> Tensor:
         raise ContractError(
             f"labels must lie in 0..{num_classes - 1}, got range [{low}, {high}]"
         )
-    # each head's row of weights: its domain's one-hot labels over -n, with
-    # the bits of np.eye(K)[labels] * (-1 / n), signed zeros included
-    weights = (np.repeat(labels, 2, axis=0)[..., None] == np.arange(num_classes)) * (-1.0 / n)
+    # each pair's weights: its domain's one-hot labels over -n, with the
+    # bits of np.eye(K)[labels] * (-1 / n), signed zeros included
+    weights = (labels[:, None, :, None] == np.arange(num_classes)) * (-1.0 / n)
     x = head_probs.values
     clipped, logs = floored_log(x)
 
@@ -94,15 +103,8 @@ def source_ce_loss(head_probs: Tensor, labels: np.ndarray) -> Tensor:
 
 def intra_consistency_loss(head_probs: Tensor) -> Tensor:
     """Batch mean over target samples of the summed pair discrepancies."""
-    _, n, num_classes = head_probs.shape
-    gaps = head_probs.values[0::2] - head_probs.values[1::2]
-    scale = 1.0 / (n * num_classes)
-
-    def backward_fn(g):
-        grad = (g * scale) * np.sign(gaps)
-        _add_to_pairs(head_probs, grad, -grad)
-
-    return node(np.sum(np.abs(gaps)) * scale, (head_probs,), backward_fn)
+    x = head_probs.values
+    return _l1_loss(head_probs, x[:, 0] - x[:, 1], lambda grad: (grad, -grad))
 
 
 def inter_consistency_loss(head_probs: Tensor) -> Tensor:
@@ -111,22 +113,17 @@ def inter_consistency_loss(head_probs: Tensor) -> Tensor:
     A single source domain has no pairs, so the loss is exactly zero, with
     a zero gradient.
     """
-    num_heads, n, num_classes = head_probs.shape
     x = head_probs.values
-    first, second = np.triu_indices(num_heads // 2, k=1)  # every pair i < j
-    means = (x[0::2] + x[1::2]) * 0.5
-    gaps = means[first] - means[second]
-    scale = 1.0 / (n * num_classes)
+    first, second = np.triu_indices(len(x), k=1)  # every pair i < j
+    means = (x[:, 0] + x[:, 1]) * 0.5
 
-    def backward_fn(g):
-        grad = (g * scale) * np.sign(gaps)
+    def pair_grads(grad):
         grad_means = np.zeros_like(means)
         np.add.at(grad_means, second, -grad)
         np.add.at(grad_means, first, grad)
-        grad_heads = grad_means * 0.5
-        _add_to_pairs(head_probs, grad_heads, grad_heads)
+        return (grad_means * 0.5,) * 2  # a pair's heads share its mean's gradient
 
-    return node(np.sum(np.abs(gaps)) * scale, (head_probs,), backward_fn)
+    return _l1_loss(head_probs, means[first] - means[second], pair_grads)
 
 
 @dataclass
@@ -189,7 +186,7 @@ def ast_loss(head_probs: Tensor, pseudo_probs: np.ndarray, betas: np.ndarray) ->
     ``pseudo_probs`` and ``betas`` are constants; gradient reaches every
     head and the extractor only through the head predictions.
     """
-    _, n, num_classes = head_probs.shape
+    n, num_classes = head_probs.shape[-2:]
     if pseudo_probs.shape != (n, num_classes) or betas.shape != (n,):
         raise ContractError(
             f"pseudo labels {pseudo_probs.shape} / betas {betas.shape} do not match "

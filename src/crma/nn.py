@@ -3,14 +3,14 @@
 The model is two tuples of storage leaves, the tensors that training
 differentiates and steps and that ``crma.trainer``'s checkpoint stores:
 ``extractor_leaves`` (weight, bias, weight, bias, ...) for the shared MLP,
-and ``head_leaves``, one (2M, ...) leaf per head-layer slot that stacks the
-2M heads in (domain, branch a, branch b) order. One MLP helper runs both
-stacks, so every forward pass runs all 2M heads at once.
+and ``head_leaves``, one (M, 2, ...) leaf per head-layer slot that stacks
+the heads by domain m and branch (0 for a, 1 for b). One MLP helper runs
+both stacks, so every forward pass runs all 2M heads at once.
 
 Names exist only in ``parameters()``, which builds them on demand: the
-extractor leaves, then each head's writable views of its rows of the slots.
-A name's prefix is its group ("extractor" or "classifier.<m>.<branch>").
-Digests read them; no other module knows which row is which head.
+extractor leaves, then each head's writable views of its entry of the
+slots. A name's prefix is its group ("extractor" or
+"classifier.<m>.<branch>"). Digests read them.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class CrmaModel:
         self.head_hidden = tuple(int(d) for d in head_hidden)
         self.feature_dim = self.extractor_hidden[-1]
         # Initialization draw order is fixed: extractor weights first, then the
-        # heads in (domain, branch a, branch b) order, layer by layer; biases stay zero.
+        # heads domain by domain, branch a before b, layer by layer; biases stay zero.
         widths = (self.input_dim, *self.extractor_hidden)
         self.extractor_leaves = tuple(
             Tensor(init, requires_grad=True, copy=False)
@@ -112,35 +112,33 @@ class CrmaModel:
         )
         widths = (self.feature_dim, *self.head_hidden, self.num_classes)
         self.head_leaves = tuple(
-            Tensor(np.zeros((2 * self.num_domains, *shape)), requires_grad=True, copy=False)
+            Tensor(np.zeros((self.num_domains, 2, *shape)), requires_grad=True, copy=False)
             for fan_in, fan_out in zip(widths, widths[1:])
             for shape in ((fan_in, fan_out), (fan_out,))
         )
-        for h in range(2 * self.num_domains):
+        for head in np.ndindex(self.num_domains, 2):
             for weight in self.head_leaves[0::2]:
-                weight.values[h] = _glorot(rng, *weight.shape[1:])
+                weight.values[head] = _glorot(rng, *weight.shape[2:])
 
     def forward_features(self, x) -> Tensor:
         """Features of x (n, d), or of G batches x (G, n, d) in one grouped pass."""
         return _mlp(x, self.extractor_leaves, relu_last=True)
 
     def head_probs(self, features: Tensor) -> Tensor:
-        """(2M, n, K) class probabilities of every head, in one batched pass.
+        """(M, 2, n, K) class probabilities of every head, in one batched pass.
 
-        Heads are in (domain, branch a, branch b) order. Features (n, d)
-        feed every head; features (M, n, d) feed domain m's rows to its
-        own pair only.
+        Features (n, d) feed every head; features (M, n, d) feed domain
+        m's rows to its own pair only.
         """
         return softmax(_mlp(features, self.head_leaves, relu_last=False))
 
     def predict_pair(self, domain_index: int, features: Tensor) -> tuple[Tensor, Tensor]:
-        """Class probabilities of one domain's heads a and b, from its head-leaf rows."""
+        """Class probabilities of one domain's heads a and b, from its entry of the head leaves."""
         if not 0 <= domain_index < self.num_domains:
             raise IndexError(
                 f"domain index {domain_index} out of range for {self.num_domains} domains"
             )
-        rows = slice(2 * domain_index, 2 * domain_index + 2)
-        leaves = [index(leaf, rows) for leaf in self.head_leaves]
+        leaves = [index(leaf, domain_index) for leaf in self.head_leaves]
         probs = softmax(_mlp(features, leaves, relu_last=False))
         return index(probs, 0), index(probs, 1)
 
@@ -152,17 +150,16 @@ class CrmaModel:
         """
         head_probs = self.head_probs(self.forward_features(x)).values
         # pair sums added domain by domain, the order of a per-pair loop
-        total = (head_probs[0::2] + head_probs[1::2]).sum(axis=0)
-        probs = total / (2 * self.num_domains)
+        probs = (head_probs[:, 0] + head_probs[:, 1]).sum(axis=0) / (2 * self.num_domains)
         return probs, np.argmax(probs, axis=1).astype(np.int32)
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Name -> writable values: the extractor leaves, then each head's
-        views of its rows, heads in (domain, branch a, branch b) order."""
+        views of its entry of the head leaves, domain by domain, branch a before b."""
         params = _named("extractor", [leaf.values for leaf in self.extractor_leaves])
-        groups = [f"classifier.{m}.{b}" for m in range(self.num_domains) for b in ("a", "b")]
-        for h, group in enumerate(groups):
-            params |= _named(group, [leaf.values[h] for leaf in self.head_leaves])
+        for m, branch in np.ndindex(self.num_domains, 2):
+            views = [leaf.values[m, branch] for leaf in self.head_leaves]
+            params |= _named(f"classifier.{m}.{'ab'[branch]}", views)
         return params
 
 

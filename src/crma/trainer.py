@@ -5,9 +5,9 @@ supervision on all parameters, the classifier-side consistency
 maximization (minimizing source CE minus the intra consistency), the
 extractor-side consistency minimization, and the adaptive self-training
 update. Each phase rebuilds its forward graph on a fresh tape and runs all
-2M heads in one batched pass over the model's stacked head storage: the
-target features feed every head, and the M source batches, which share
-one grouped extractor pass, feed their own pairs. The two phases that
+2M heads in one batched pass over the model's (M, 2, ...) head storage:
+the target features feed every head, and the M source batches, which
+share one grouped extractor pass, feed their own pairs. The two phases that
 update one side only switch ``requires_grad`` off on the other side's
 leaves for the whole phase, so its subgraph is never recorded and its
 gradients are never computed, and the optimizer steps only the leaves
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -180,15 +181,14 @@ class TrainState:
         self.tracker = ConfidenceTracker(model.num_domains)
 
 
+@functools.cache
 def _keep_freed_heap() -> None:
-    """Set glibc's heap top pad for this process; a no-op without glibc's mallopt."""
+    """Set glibc's heap top pad, once per process; a no-op without glibc's mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TOP_PAD, HEAP_TOP_PAD_BYTES)
+    mallopt(_M_TOP_PAD, HEAP_TOP_PAD_BYTES)  # ctypes passes and returns C ints by default
 
 
 def learning_rate(config: TrainConfig, epoch: int) -> float:
@@ -329,9 +329,9 @@ def train(config: TrainConfig, task: GeneratedTask):
 
     History rows are keyed by ``history_columns``: epoch-mean phase losses,
     learning rate, target test accuracy, and per-domain mean normalized
-    weights and running means. Skipped phases log 0.0. Sets the process's heap
-    top pad first (``HEAP_TOP_PAD_BYTES``), so heap freed by one phase stays
-    mapped for the next.
+    weights and running means. Skipped phases log 0.0. The first call sets the
+    process's heap top pad (``HEAP_TOP_PAD_BYTES``), so heap freed by one phase
+    stays mapped for the next.
     """
     config.validate()
     _keep_freed_heap()

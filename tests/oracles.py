@@ -136,40 +136,40 @@ def invert_shift(shift, x) -> np.ndarray:
 
 def _pair_heads(head_probs):
     """The (M, n, K) branch a and branch b probabilities, as two index nodes."""
-    return index(head_probs, slice(0, None, 2)), index(head_probs, slice(1, None, 2))
+    return index(head_probs, (slice(None), 0)), index(head_probs, (slice(None), 1))
 
 
 def source_ce_chain(head_probs, labels_per_domain):
     """Source cross entropy: log, times the one-hot weights over -n, summed."""
-    _, n, num_classes = head_probs.shape
+    _, _, n, num_classes = head_probs.shape
     weights = []
     for labels in labels_per_domain:
-        weights += [np.eye(num_classes)[labels] * (-1.0 / n)] * 2
-    return mul(head_probs.log(), Tensor(np.stack(weights))).sum()
+        weights.append([np.eye(num_classes)[labels] * (-1.0 / n)] * 2)
+    return mul(head_probs.log(), Tensor(np.array(weights))).sum()
 
 
 def intra_consistency_chain(head_probs):
     """Summed |a - b| over every pair, over n * K."""
-    _, n, num_classes = head_probs.shape
+    _, _, n, num_classes = head_probs.shape
     a, b = _pair_heads(head_probs)
     return (a - b).abs().sum() * (1.0 / (n * num_classes))
 
 
 def inter_consistency_chain(head_probs):
     """Summed |mean_i - mean_j| over the domain pairs i < j, over n * K."""
-    num_heads, n, num_classes = head_probs.shape
-    if num_heads == 2:
+    num_domains, _, n, num_classes = head_probs.shape
+    if num_domains == 1:
         return head_probs.sum() * 0.0
     a, b = _pair_heads(head_probs)
     means = (a + b) * 0.5
-    first, second = np.triu_indices(num_heads // 2, k=1)
+    first, second = np.triu_indices(num_domains, k=1)
     gap = (gather(means, first) - gather(means, second)).abs()
     return gap.sum() * (1.0 / (n * num_classes))
 
 
 def ast_chain(head_probs, pseudo_probs, betas):
     """Beta-weighted KL(head || pseudo-label), both logs floored."""
-    _, n, _ = head_probs.shape
+    n = head_probs.shape[-2]
     shape = head_probs.shape
     log_pseudo = Tensor(np.broadcast_to(np.log(np.maximum(pseudo_probs, LOG_FLOOR)), shape))
     row_weight = Tensor(np.broadcast_to((betas / n)[:, None], shape))

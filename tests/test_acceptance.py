@@ -126,7 +126,7 @@ def test_criterion_1_gradient_correctness():
         # freeze pseudo-labels and betas once, outside the differentiated graph
         probs_now = target_probs().values
         d_matrix, _ = pair_statistics(probs_now)
-        mean_values = (probs_now[0::2] + probs_now[1::2]) / 2
+        mean_values = (probs_now[:, 0] + probs_now[:, 1]) / 2
         fused = fuse_pseudo_labels(d_matrix, mean_values, d_matrix.mean(axis=0), 0.1)
 
         def loss_ast(*_):
@@ -167,21 +167,21 @@ def test_criterion_2_formula_oracles():
         k = int(rng.integers(2, 6))
         m = int(rng.integers(1, 5))
         n = int(rng.integers(1, 6))
-        heads = np.stack([random_probs(rng, n, k) for _ in range(2 * m)])  # (2M, n, K)
+        heads = np.array([[random_probs(rng, n, k) for _ in range(2)] for _ in range(m)])  # (M, 2, n, K)
 
         # discrepancy: mean absolute component gap of each pair, per sample
         d_matrix, mean_values = pair_statistics(heads)
         for i in range(n):
             for j in range(m):
-                worst = max(worst, gap(d_matrix[i, j], discrepancy(heads[2 * j, i], heads[2 * j + 1, i])))
+                worst = max(worst, gap(d_matrix[i, j], discrepancy(heads[j, 0, i], heads[j, 1, i])))
 
         # KL divergence with the 0 log 0 convention, beta-weighted over the batch
         pseudo = random_probs(rng, n, k)
         betas = rng.uniform(0.0, 2.0, n)
         expected = 0.0
         for i in range(n):
-            for h in range(2 * m):
-                expected += betas[i] * kl_divergence(heads[h, i], pseudo[i])
+            for j, branch in np.ndindex(m, 2):
+                expected += betas[i] * kl_divergence(heads[j, branch, i], pseudo[i])
         worst = max(worst, gap(ast_loss(Tensor(heads), pseudo, betas).item(), expected / n))
 
         # weights, pseudo-labels, betas
@@ -203,8 +203,8 @@ def test_criterion_2_formula_oracles():
     two_rows = np.full((2, 1, 2), 0.5)
     w = fuse_pseudo_labels(np.array([[0.1, 0.4]]), two_rows, np.array([0.2, 0.2]), 0.1)
     beta = fuse_pseudo_labels(np.array([[0.1, 0.39]]), two_rows, np.array([0.2, 0.3]), 0.1).betas[0]
-    d, _ = pair_statistics(np.array([[[0.5, 0.3, 0.2]], [[0.2, 0.3, 0.5]]]))
-    kl = ast_loss(Tensor(np.array([[[1.0, 0.0]], [[1.0, 0.0]]])), np.array([[0.5, 0.5]]), np.ones(1))
+    d, _ = pair_statistics(np.array([[[[0.5, 0.3, 0.2]], [[0.2, 0.3, 0.5]]]]))
+    kl = ast_loss(Tensor(np.array([[[[1.0, 0.0]], [[1.0, 0.0]]]])), np.array([[0.5, 0.5]]), np.ones(1))
     anchors = (
         gap(w.raw_weights[0, 0], 1 / 0.12) < 1e-12
         and gap(w.raw_weights[0, 1], 1 / 0.42) < 1e-12
@@ -243,14 +243,14 @@ def test_criterion_3_invariants():
         k = int(rng.integers(2, 6))
         m = int(rng.integers(1, 4))
         pa, pb = random_probs(rng, 2, k), random_probs(rng, 2, k)
-        d, mean_pred = pair_statistics(np.stack([pa, pb]))
+        d, mean_pred = pair_statistics(np.array([[pa, pb]]))
         ok_mean &= bool(np.all(np.abs(mean_pred[0].sum(axis=1) - 1) < 1e-9))
 
         ok_d &= bool(np.all((0.0 <= d) & (d <= 2.0 / k + 1e-12)))
-        ok_d &= bool(np.all(np.abs(d - pair_statistics(np.stack([pb, pa]))[0]) < 1e-15))
-        ok_d &= bool(np.all(pair_statistics(np.stack([pa, pa]))[0] == 0.0))
+        ok_d &= bool(np.all(np.abs(d - pair_statistics(np.array([[pb, pa]]))[0]) < 1e-15))
+        ok_d &= bool(np.all(pair_statistics(np.array([[pa, pa]]))[0] == 0.0))
         # one pair with both heads at p = pa[0], pseudo-label q = pb[0], beta 1
-        kl = ast_loss(Tensor(np.stack([pa[:1], pa[:1]])), pb[:1], np.ones(1))
+        kl = ast_loss(Tensor(np.array([[pa[:1], pa[:1]]])), pb[:1], np.ones(1))
         ok_kl &= kl.item() >= -1e-12
 
         d_row = rng.uniform(0, 0.5, m)
@@ -266,15 +266,15 @@ def test_criterion_3_invariants():
     ok_inter_m1 = True
     for _ in range(cases):
         p = random_probs(rng, 4, 3)  # one pair, both heads on the same mean
-        ok_inter_m1 &= inter_consistency_loss(Tensor(np.stack([p, p]))).item() == 0.0
+        ok_inter_m1 &= inter_consistency_loss(Tensor(np.array([[p, p]]))).item() == 0.0
 
     # ast_loss nonnegative
     for _ in range(cases // 5):
         m, k, n = int(rng.integers(1, 4)), int(rng.integers(2, 5)), 4
         heads = []
         for mi in range(m):
-            heads += [random_probs(rng, n, k), random_probs(rng, n, k)]
-        loss = ast_loss(Tensor(np.stack(heads)), random_probs(rng, n, k), rng.uniform(0, 2, n))
+            heads.append([random_probs(rng, n, k), random_probs(rng, n, k)])
+        loss = ast_loss(Tensor(np.array(heads)), random_probs(rng, n, k), rng.uniform(0, 2, n))
         ok_ast &= loss.item() >= -1e-12
 
     # source-domain permutation invariance
@@ -286,7 +286,7 @@ def test_criterion_3_invariants():
         perm = list(rng.permutation(m))
 
         def build(pack):
-            probs = Tensor(np.stack([p for pair in pack for p in pair]))
+            probs = Tensor(np.array(pack))
             intra = intra_consistency_loss(probs)
             d, _ = pair_statistics(probs.values)
             mp = np.stack([(a + b) / 2 for a, b in pack])
@@ -641,7 +641,7 @@ def test_criterion_6_degenerate_equivalences():
                 model.predict_pair(m, model.forward_features(x))
                 for m, x in enumerate(batch.source_features)
             ]
-            heads = stack([p for pair in pairs for p in pair])
+            heads = stack([stack(pair) for pair in pairs])
             loss = source_ce_loss(heads, batch.source_labels)
         optimizer.zero_grad()
         tape.backward(loss)

@@ -504,6 +504,8 @@ def test_linear_rejects_misaligned_shapes():
         linear(Tensor(np.zeros((3, 2, 3))), Tensor(np.zeros((4, 3, 2))), Tensor(np.zeros((4, 2))))
     with pytest.raises(DimensionError, match="linear"):  # grouped input of the wrong width
         linear(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(DimensionError, match="linear"):  # no inputs to share 2 heads
+        linear(Tensor(np.zeros((0, 2, 3))), Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((2, 2))))
 
 
 def test_stack_and_index_gradients():

@@ -38,8 +38,8 @@ from crma.cli import (
     parse_config_text,
 )
 from crma.data import FEATURE_DIM, MAX_FEATURE_BYTES, generate_task
-from crma.nn import MAX_MODEL_BYTES, parameter_count
-from crma.trainer import FormatError, TrainConfig, load_checkpoint
+from crma.nn import MAX_MODEL_BYTES, CrmaModel, parameter_count
+from crma.trainer import FormatError, TrainConfig, TrainState, load_checkpoint, save_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = [(ROOT / "configs" / name).read_text() for name in ("two_moons.cfg", "asym_blobs.cfg")]
@@ -249,14 +249,16 @@ def test_run_disagreeing_with_its_directory_or_curve_is_a_config_error(run_dir, 
     header, *rows = metrics.splitlines()
     at = header.split(",").index("target_acc")
     final_acc = float(rows[-1].split(",")[at])
+    model = load_checkpoint(run_dir / "model.ckpt", TrainConfig()).model
+    shape = (model.input_dim, model.num_classes, model.num_domains, model.extractor_hidden, model.head_hidden)
     out = tmp_path / "out"
     for _ in range(100):
         shutil.rmtree(out, ignore_errors=True)
-        target, record, data = out / "runs" / run_dir.name, run_json, metrics
+        target, record, data, other_model = out / "runs" / run_dir.name, run_json, metrics, None
         draw = rng.random()
-        if draw < 0.35:  # the whole run moved into another run's directory
+        if draw < 0.3:  # the whole run moved into another run's directory
             target = out / "runs" / rng.choice(["crma_seed1", "source_only_seed0", "crma_i1e1a1_seed0"])
-        elif draw < 0.65:  # one flag flipped, or the method changed, in place
+        elif draw < 0.55:  # one flag flipped, or the method changed, in place
             meta = json.loads(run_json)
             key = rng.choice(["intra_da", "inter_da", "ast", "method"])
             if key == "method":
@@ -264,14 +266,18 @@ def test_run_disagreeing_with_its_directory_or_curve_is_a_config_error(run_dir, 
             else:
                 meta[key] = not meta[key]
             record = json.dumps(meta)
-        else:  # the curve's last target_acc rewritten to another number
+        elif draw < 0.8:  # the curve's last target_acc rewritten to another number
             last = rows[-1].split(",")
             last[at] = repr(rng.choice([v for v in (0.0, 1.0, rng.random(), math.nextafter(final_acc, 0),
                                                     math.nextafter(final_acc, 1)) if v != final_acc]))
             data = "\n".join([header, *rows[:-1], ",".join(last), ""])
+        else:  # the checkpoint replaced by a loadable one of a fresh model of the same shape
+            other_model = CrmaModel(*shape, rng=np.random.default_rng(rng.randrange(2**32)))
         shutil.copytree(run_dir, target)
         (target / "run.json").write_text(record)
         (target / "metrics.csv").write_text(data)
+        if other_model is not None:
+            save_checkpoint(TrainState(other_model, TrainConfig()), target / "model.ckpt")
         with pytest.raises(ConfigError):
             emit_curves(out)
 

@@ -220,7 +220,9 @@ def test_run_command_end_to_end(tmp_path, capsys):
         assert (out / "runs" / d / "metrics.csv").exists()
         assert (out / "runs" / d / "model.ckpt").exists()
         meta = json.loads((out / "runs" / d / "run.json").read_text())
-        assert set(meta) == {"method", "intra_da", "inter_da", "ast", "seed", "epochs", "final_acc"}
+        assert set(meta) == {"method", "intra_da", "inter_da", "ast", "seed", "epochs", "final_acc", "digest"}
+        model = load_checkpoint(out / "runs" / d / "model.ckpt", TrainConfig()).model
+        assert meta["digest"] == parameters_digest(model.parameters())
     table = capsys.readouterr().out
     assert "crma" in table and "source_only" in table
 
@@ -750,25 +752,31 @@ def test_readme_output_layout_matches_written_files(tmp_path):
     assert keys.split(", ") == list(_RUN_KEYS)
 
 
+def fresh_model(seed=0):
+    """A fresh small model; seed 0's checkpoint is ``whole_checkpoint``."""
+    return CrmaModel(FEATURE_DIM, 2, 1, (4,), (3,), rng=np.random.default_rng(seed))
+
+
+GOOD_DIGEST = parameters_digest(fresh_model().parameters()).encode()
 GOOD_RUN_JSON = (
     b'{"method": "crma", "intra_da": true, "inter_da": true, "ast": true, '
-    b'"seed": 0, "epochs": 1, "final_acc": 0.5}'
+    b'"seed": 0, "epochs": 1, "final_acc": 0.5, "digest": "' + GOOD_DIGEST + b'"}'
 )
 GOOD_CURVE = b"epoch,target_acc\n0,0.5\n"
-# a whole run's record as written before run.json dropped its label; read ignores the key
+# a whole run's record with the label key earlier versions wrote; read ignores the key
 LABELLED_RUN_JSON = b'{"label": "crma", ' + GOOD_RUN_JSON[1:]
 
 
 @pytest.fixture(scope="module")
 def whole_checkpoint(tmp_path_factory):
-    """The bytes of a fresh small model's checkpoint."""
+    """The bytes of ``fresh_model()``'s checkpoint, the model GOOD_RUN_JSON's digest names."""
     path = tmp_path_factory.mktemp("checkpoint") / "model.ckpt"
-    save_checkpoint(TrainState(CrmaModel(FEATURE_DIM, 2, 1, (4,), (3,)), TrainConfig()), path)
+    save_checkpoint(TrainState(fresh_model(), TrainConfig()), path)
     return path.read_bytes()
 
 
 # each row: run.json, metrics.csv (None: absent), the file the error names, a
-# substring of it, and how many bytes of a whole model.ckpt are kept (None: absent)
+# substring of it, and the slice of a whole model.ckpt that is kept (None: absent)
 @pytest.mark.parametrize(
     "run_json, metrics, bad, says, checkpoint",
     [
@@ -797,7 +805,16 @@ def whole_checkpoint(tmp_path_factory):
          None),
         (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": 5'), GOOD_CURVE, "run.json", "'crma_seed5'", None),
         (LABELLED_RUN_JSON, GOOD_CURVE, "model.ckpt", "No such file", None),
-        (LABELLED_RUN_JSON, GOOD_CURVE, "model.ckpt", "truncated trainer checkpoint", 60),
+        (LABELLED_RUN_JSON, GOOD_CURVE, "model.ckpt", "truncated trainer checkpoint", slice(60)),
+        # a loadable checkpoint beside a record that names another model
+        (GOOD_RUN_JSON.replace(GOOD_DIGEST, parameters_digest(fresh_model(1).parameters()).encode()),
+         GOOD_CURVE, "model.ckpt", "holds another model than run.json's digest", slice(None)),
+        # beside its model's whole checkpoint, a record written before run.json carried
+        # the digest, and one whose digest is not lowercase hex
+        (GOOD_RUN_JSON.replace(b', "digest": "' + GOOD_DIGEST + b'"', b""), GOOD_CURVE, "run.json", "digest",
+         slice(None)),
+        (GOOD_RUN_JSON.replace(GOOD_DIGEST, GOOD_DIGEST.upper()), GOOD_CURVE, "run.json", "invalid digest",
+         slice(None)),
         (GOOD_RUN_JSON, b"epoch\n0\n", "metrics.csv", "'target_acc' is not in list", None),
         (GOOD_RUN_JSON, b"epoch,target_acc\n0\n", "metrics.csv", "", None),
         (GOOD_RUN_JSON, b"epoch,target_acc\n0,0.25\n", "metrics.csv", "last target_acc 0.25 is not final_acc 0.5",
@@ -810,6 +827,7 @@ def whole_checkpoint(tmp_path_factory):
         "str-final-acc", "int-flag", "nan-final-acc", "inf-final-acc", "final-acc-above-1",
         "bool-seed", "unknown-method", "extra-epoch-row", "empty-metrics", "zero-epochs",
         "negative-seed", "other-method", "other-flag", "other-seed", "no-checkpoint", "truncated-checkpoint",
+        "other-model-checkpoint", "no-digest", "upper-case-digest",
         "no-target-acc-column", "short-last-row", "other-last-target-acc", "nan-last-target-acc",
         "no-metrics",
     ],
@@ -823,14 +841,16 @@ def test_emit_curves_malformed_run_json_is_a_config_error(tmp_path, capsys, whol
     if metrics is not None:
         (run_dir / "metrics.csv").write_bytes(metrics)
     if checkpoint is not None:
-        (run_dir / "model.ckpt").write_bytes(whole_checkpoint[:checkpoint])
+        (run_dir / "model.ckpt").write_bytes(whole_checkpoint[checkpoint])
     assert main(["curves", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(run_dir / bad) in err and says in err
 
 
 def test_emit_curves_reads_a_whole_run_of_an_older_record(tmp_path, whole_checkpoint):
-    # the malformed rows' good case: a labelled record beside its curve and checkpoint
+    # the malformed rows' good case: a labelled record beside its curve and its
+    # model's checkpoint; a record written before records carried a digest is
+    # the no-digest row
     run_dir = tmp_path / "out" / "runs" / "crma_seed0"
     run_dir.mkdir(parents=True)
     (run_dir / "run.json").write_bytes(LABELLED_RUN_JSON)

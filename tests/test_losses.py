@@ -39,18 +39,19 @@ def random_probs(rng, n, k):
 
 
 def heads_from_logits(logit_tensors):
-    """(2M, n, K) head probabilities from 2M logits tensors, pair by pair."""
-    return softmax(stack(logit_tensors))
+    """(M, 2, n, K) head probabilities from 2M logits tensors, pair by pair."""
+    pairs = [stack(logit_tensors[i : i + 2]) for i in range(0, len(logit_tensors), 2)]
+    return softmax(stack(pairs))
 
 
 def head_probs(prob_arrays):
-    """(2M, n, K) head probabilities straight from given (a, b) matrix pairs."""
-    return Tensor(np.stack([p for pair in prob_arrays for p in pair]))
+    """(M, 2, n, K) head probabilities straight from given (a, b) matrix pairs."""
+    return Tensor(np.array(prob_arrays))
 
 
 def pair_discrepancy(p, q):
     """pair_statistics' discrepancy of one pair on an n = 1 batch."""
-    d, _ = pair_statistics(np.array([[p], [q]], dtype=np.float64))
+    d, _ = pair_statistics(np.array([[[p], [q]]], dtype=np.float64))
     return d[0, 0]
 
 
@@ -494,8 +495,8 @@ def floored_probs(rng, shape):
     values = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
     low = rng.random(shape) < 0.15
     values[low] = rng.choice([0.0, 1e-15, LOG_FLOOR, 2e-12], size=int(low.sum()))
-    ties = rng.random(values[0::2].shape) < 0.1
-    values[1::2][ties] = values[0::2][ties]
+    ties = rng.random(values[:, 0].shape) < 0.1
+    values[:, 1][ties] = values[:, 0][ties]
     return values
 
 
@@ -520,9 +521,9 @@ def assert_same_bits(chain, node, values, node_entries):
 def test_single_node_losses_keep_the_op_chain_bits(m, k):
     rng = np.random.default_rng(1000 + 10 * m + k)
     n = 9
-    values = floored_probs(rng, (2 * m, n, k))
+    values = floored_probs(rng, (m, 2, n, k))
     labels = rng.integers(0, k, size=(m, n))
-    pseudo = floored_probs(rng, (2, n, k))[0]
+    pseudo = floored_probs(rng, (1, 2, n, k))[0, 0]
     betas = rng.uniform(0.0, 2.0, n)
 
     assert_same_bits(
@@ -541,7 +542,7 @@ def test_single_node_losses_sharing_a_head_tensor_accumulate_in_chain_order(m, k
     # one head gradient, so this pins the order of every accumulation
     rng = np.random.default_rng(2000 + 10 * m + k)
     n = 7
-    values = floored_probs(rng, (2 * m, n, k))
+    values = floored_probs(rng, (m, 2, n, k))
     labels = rng.integers(0, k, size=(m, n))
     assert_same_bits(
         lambda p: source_ce_chain(p, list(labels)) - intra_consistency_chain(p),
@@ -559,9 +560,9 @@ def test_single_node_losses_sharing_a_head_tensor_accumulate_in_chain_order(m, k
 
 def test_source_ce_targets_keep_signed_zeros():
     # the one-hot weights are np.eye(K)[labels] * (-1/n): -0.0 off the label
-    probs = Tensor(np.full((2, 3, 4), 0.25), requires_grad=True)
+    probs = Tensor(np.full((1, 2, 3, 4), 0.25), requires_grad=True)
     with Tape() as tape:
         loss = source_ce_loss(probs, np.array([[0, 3, 1]]))
     tape.backward(loss)
-    off_label = probs.grad[:, [0, 0, 0, 1, 1, 1, 2, 2, 2], [1, 2, 3, 0, 1, 2, 0, 2, 3]]
+    off_label = probs.grad[:, :, [0, 0, 0, 1, 1, 1, 2, 2, 2], [1, 2, 3, 0, 1, 2, 0, 2, 3]]
     assert np.all(off_label == 0.0) and np.all(np.signbit(off_label))

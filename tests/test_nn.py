@@ -186,8 +186,9 @@ def test_head_perturbation_is_local():
     before = model.head_probs(feats).values.copy()
     model.parameters()["classifier.0.a.layer0.weight"] += 0.1
     after = model.head_probs(feats).values
-    # rows in (domain, branch) order: (0, a), (0, b), (1, a), (1, b)
-    assert not np.allclose(after[0], before[0])
+    # entries by (domain, branch): only (0, a) changes
+    assert not np.allclose(after[0, 0], before[0, 0])
+    np.testing.assert_array_equal(after[0, 1], before[0, 1])
     np.testing.assert_array_equal(after[1:], before[1:])
 
 
@@ -219,12 +220,15 @@ def test_all_pairs_pass_matches_each_pair():
     batched = model.head_probs(feats).values
     for m in range(3):
         for h, want in enumerate(model.predict_pair(m, feats)):
-            np.testing.assert_allclose(batched[2 * m + h], want.values, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(batched[m, h], want.values, rtol=1e-14, atol=0)
+    # a numpy integer names a domain too
+    _, want = model.predict_pair(np.int64(2), feats)
+    np.testing.assert_allclose(batched[2, 1], want.values, rtol=1e-14, atol=0)
 
 
 def test_every_parameter_writes_exactly_its_slice_of_one_leaf():
     # extractor.layer<i>.<kind> is a whole extractor leaf;
-    # classifier.<m>.<branch>.layer<i>.<kind> is one head's row of a stacked leaf
+    # classifier.<m>.<branch>.layer<i>.<kind> is one head's entry of a stacked leaf
     model = small_model(seed=24, num_domains=3)
     leaves = (*model.extractor_leaves, *model.head_leaves)
     params = model.parameters()
@@ -235,7 +239,7 @@ def test_every_parameter_writes_exactly_its_slice_of_one_leaf():
         if group == ["extractor"]:
             leaf, row = model.extractor_leaves[slot], ...
         else:
-            leaf, row = model.head_leaves[slot], 2 * int(group[1]) + ("a", "b").index(group[2])
+            leaf, row = model.head_leaves[slot], (int(group[1]), ("a", "b").index(group[2]))
         expected = [t.values.copy() for t in leaves]
         expected[[t is leaf for t in leaves].index(True)][row] += 1.0
         values += 1.0

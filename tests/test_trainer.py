@@ -112,12 +112,12 @@ def test_source_gradients_stay_in_own_heads():
     with Tape() as tape:
         feats = model.forward_features(batch.source_features[0])
         pred_a, pred_b = model.predict_pair(0, feats)
-        loss = source_ce_loss(stack([pred_a, pred_b]), np.array([batch.source_labels[0]]))
+        loss = source_ce_loss(stack([stack([pred_a, pred_b])]), np.array([batch.source_labels[0]]))
     state.optimizer.zero_grad()
     tape.backward(loss)
     for leaf in model.head_leaves:
         assert leaf.grad is not None
-        assert not np.any(leaf.grad[2:])  # the other heads' rows of the leaves stay zero
+        assert not np.any(leaf.grad[1:])  # the other pairs' entries of the leaves stay zero
 
 
 def test_step_classifiers_freezes_extractor():
@@ -433,13 +433,13 @@ def test_golden_bits_of_the_stacked_head_storage(tmp_path):
     state = TrainState(model, TrainConfig())
     checkpoint = hashlib.sha256(checkpoint_bytes(state, tmp_path)).hexdigest()
     assert checkpoint == GOLDEN_FRESH_CHECKPOINT_SHA256
-    # a head's array is a writable view of its row of the leaf
+    # a head's array is a writable view of its entry of the leaf
     slot = model.head_leaves[0]
     before = slot.values.copy()
     model.parameters()["classifier.1.b.layer0.weight"][...] += 1.0
-    changed = np.any(slot.values != before, axis=(1, 2))
-    assert changed.tolist() == [False, False, False, True, False, False]
-    np.testing.assert_array_equal(slot.values[3], before[3] + 1.0)
+    changed = np.any(slot.values != before, axis=(2, 3))
+    assert changed.tolist() == [[False, False], [False, True], [False, False]]
+    np.testing.assert_array_equal(slot.values[1, 1], before[1, 1] + 1.0)
 
 
 # confidence tracker -------------------------------------------------------------
@@ -496,7 +496,7 @@ def test_all_ablations_off_equals_pure_source_loop():
             for m, x in enumerate(batch.source_features):
                 feats = model.forward_features(x)
                 pairs.append(model.predict_pair(m, feats))
-            heads = stack([p for pair in pairs for p in pair])
+            heads = stack([stack(pair) for pair in pairs])
             loss = source_ce_loss(heads, batch.source_labels)
         optimizer.zero_grad()
         tape.backward(loss)
