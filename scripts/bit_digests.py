@@ -35,9 +35,9 @@ RUNS = {
     "moons_intra_only": ("two_moons.cfg", {**OFF, "train.intra_da": "true"}, None, False),
     "moons_uniform": ("two_moons.cfg", {}, None, True),
     "moons_sgd_deep_heads": ("two_moons.cfg", {"train.optimizer": "sgd", "train.head_hidden": "32,16"}, None, False),
-    "moons_slow_extractor_cosine": ("two_moons.cfg", {"train.extractor_lr_multiplier": "0.1",
-                                                      "train.num_extractor_steps": "2",
-                                                      "train.scheduler": "cosine_annealing"}, None, False),
+    "moons_odd_rotations": ("two_moons.cfg", {"task.source_shifts.1.rotation_deg": "7.3",
+                                              "task.source_shifts.2.rotation_deg": "-123.45",
+                                              "task.target_shift.rotation_deg": "52.9"}, None, False),
     "moons_one_source": ("two_moons.cfg", {}, 1, False),
     "blobs4_no_head_hidden": ("asym_blobs.cfg", {"train.head_hidden": ""}, None, False),
     "blobs4_no_head_hidden_uniform": ("asym_blobs.cfg", {"train.head_hidden": ""}, None, True),

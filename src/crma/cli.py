@@ -7,12 +7,13 @@ Subcommands:
   curves <run-dir>   read back every finished run, record, curve and checkpoint, into a manifest
 
 Configs are flat ``key = value`` text with ``#`` comments. Every key is one
-row of ``CONFIG_KEYS`` (``SHIFT_KEYS`` for the per-domain shifts), which
-drives parsing, unknown-key suggestions and ``effective.cfg``. Any key can
-be overridden on the command line as ``--section.key=value``; ``--seed`` and
-``--out`` set ``task.seed``/``train.seed`` and ``run.output_dir``. A sweep is
-``plan``, ``execute`` per ``RunSpec`` (each prints a progress line to stderr),
-then ``write_results``; run i's seeds are the base seeds + i, so methods pair tasks.
+row of ``CONFIG_KEYS`` (``SHIFT_KEYS`` for the per-domain shifts, whose
+rotation is in degrees), which drives parsing, unknown-key suggestions and
+``effective.cfg``. Any key can be overridden on the command line as
+``--section.key=value``; ``--seed`` and ``--out`` set ``task.seed``/``train.seed``
+and ``run.output_dir``. A sweep is ``plan``, ``execute`` per ``RunSpec`` (each
+prints a progress line to stderr, a diverged run too), then ``write_results``;
+run i's seeds are the base seeds + i, so methods pair tasks.
 Exit codes: 0 ok, 1 config or usage error, 2 diverged run (its partial
 metrics and the finished runs' results and summary are written first).
 A run removes its ``run.json`` and ``model.ckpt`` before it trains, and a sweep
@@ -27,7 +28,6 @@ import contextlib
 import difflib
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -248,14 +248,10 @@ CONFIG_KEYS = (
     ("train.alpha", float, "train.alpha"),
     ("train.lambda", float, "train.lam"),
     ("train.base_lr", float, "train.base_lr"),
-    ("train.extractor_lr_multiplier", float, "train.extractor_lr_multiplier"),
     ("train.epochs", int, "train.epochs"),
     ("train.batch_per_domain", int, "train.batch_per_domain"),
     ("train.optimizer", str, "train.optimizer"),
-    ("train.scheduler", str, "train.scheduler"),
     ("train.seed", int, "train.seed"),
-    ("train.num_extractor_steps", int, "train.num_extractor_steps"),
-    ("train.ast_start_epoch", int, "train.ast_start_epoch"),
     ("train.extractor_hidden", _int_tuple, "train.extractor_hidden"),
     ("train.head_hidden", _int_tuple, "train.head_hidden"),
     ("train.intra_da", _bool, "train.ablation.intra_da"),
@@ -266,17 +262,15 @@ CONFIG_KEYS = (
     ("run.methods", _methods, "methods"),
 )
 # The ShiftSpec keys under task.source_shifts.<i>. and task.target_shift.:
-# (name, value parser, field). rotation_deg is read into rotation and never
-# written back.
+# (field, value parser); each key is its field's name.
 SHIFT_KEYS = (
-    ("rotation", float, "rotation"),
-    ("rotation_deg", lambda value: math.radians(float(value)), "rotation"),
-    ("translation", _float_pair, "translation"),
-    ("scale", float, "scale"),
-    ("noise_std", float, "noise_std"),
+    ("rotation_deg", float),
+    ("translation", _float_pair),
+    ("scale", float),
+    ("noise_std", float),
 )
 _KEY_ROWS = {key: row for key, *row in CONFIG_KEYS}
-_SHIFT_ROWS = {name: row for name, *row in SHIFT_KEYS}
+_SHIFT_ROWS = dict(SHIFT_KEYS)
 _TARGET_SHIFT = "task.target_shift"
 _SHIFT_KEY_RE = re.compile(r"^(task\.(?:source_shifts\.(?:0|[1-9]\d*)|target_shift))\.(\w+)$")
 
@@ -323,7 +317,6 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
     """Defaults overlaid with the given keys; unknown keys are rejected."""
     cfg = ExperimentConfig()
     shifts: dict[str, dict] = {}  # shift prefix -> ShiftSpec field -> value
-    set_by: dict[tuple[str, str], str] = {}  # (shift prefix, field) -> key
     for key, value in kv.items():
         if key in _KEY_ROWS:
             parse, path = _KEY_ROWS[key]
@@ -333,11 +326,8 @@ def build_experiment_config(kv: dict[str, str]) -> ExperimentConfig:
         prefix = m and m.group(1)
         if not m or m.group(2) not in _SHIFT_ROWS:
             raise _unknown_key(key, prefix)
-        parse, name = _SHIFT_ROWS[m.group(2)]
-        if (prefix, name) in set_by:
-            raise ConfigError(f"set only one of {set_by[prefix, name]!r} and {key!r}")
-        set_by[prefix, name] = key
-        shifts.setdefault(prefix, {})[name] = _parse(parse, key, value)
+        name = m.group(2)
+        shifts.setdefault(prefix, {})[name] = _parse(_SHIFT_ROWS[name], key, value)
 
     for prefix, fields in shifts.items():
         try:
@@ -385,16 +375,12 @@ def _fmt(value) -> str:
 
 
 def effective_config_text(cfg: ExperimentConfig) -> str:
-    """Every key written explicitly; reloading reproduces the config exactly.
-
-    Rotations are written in radians (the canonical field), so the
-    round-trip is bit-exact even when the input used rotation_deg.
-    """
+    """Every key written explicitly; reloading reproduces the config exactly."""
     lines = {key: _fmt(getattr(*_owner(cfg, path))) for key, _, path in CONFIG_KEYS}
     shifts = {f"task.source_shifts.{i}": s for i, s in enumerate(cfg.task.source_shifts)}
     shifts[_TARGET_SHIFT] = cfg.task.target_shift
     for prefix, shift in shifts.items():
-        for _, _, name in SHIFT_KEYS:  # keyed by field, so an alias adds no line
+        for name, _ in SHIFT_KEYS:
             lines[f"{prefix}.{name}"] = _fmt(getattr(shift, name))
     body = "\n".join(f"{k} = {v}" for k, v in sorted(lines.items()))
     return f"# effective configuration (all keys explicit)\n{body}\n"
@@ -474,15 +460,17 @@ def plan(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunSpec]:
 def execute(spec: RunSpec, task: GeneratedTask) -> RunRecord:
     """Train one run, write its ``metrics.csv``, ``model.ckpt`` and ``run.json``, and
     print its progress line to stderr. An earlier ``run.json`` and ``model.ckpt`` go
-    before it trains; a diverged run writes its partial ``metrics.csv`` before its
-    ``DivergedRunError`` propagates."""
+    before it trains; a diverged run writes its partial ``metrics.csv`` and prints a
+    progress line that names it before its ``DivergedRunError`` propagates."""
     started = time.perf_counter()
+    name = f"{spec.variant.label} seed {spec.train.seed}"
     for stale in ("run.json", "model.ckpt"):
         (spec.run_dir / stale).unlink(missing_ok=True)
     try:
         state, history = train(spec.train, task)
     except DivergedRunError as err:
         _write_metrics(spec.run_dir, err.history, task.num_sources)
+        print(f"{name}: diverged ({err})", file=sys.stderr)
         raise
     record = RunRecord(spec.variant, spec.train.seed, spec.train.epochs, history[-1]["target_acc"],
                        parameters_digest(state.model.parameters()))
@@ -490,8 +478,8 @@ def execute(spec: RunSpec, task: GeneratedTask) -> RunRecord:
     with _replacing(spec.run_dir / "model.ckpt") as tmp:
         save_checkpoint(state, tmp)
     _write_text(spec.run_dir / "run.json", record.json_text())
-    line = f"{spec.variant.label} seed {record.seed}: target_acc {record.accuracy:.4f}"
-    print(f"{line} in {time.perf_counter() - started:.2f} s", file=sys.stderr)
+    elapsed = time.perf_counter() - started
+    print(f"{name}: target_acc {record.accuracy:.4f} in {elapsed:.2f} s", file=sys.stderr)
     return record
 
 

@@ -2,8 +2,8 @@
 
 Two 2-d generators cover the interesting regimes: interleaved half-moons
 (binary, nonlinear boundary) and Gaussian blobs on a circle (any K).
-Domain shift is an affine map (rotation, scale, translation) plus optional
-Gaussian noise. Target labels are generated but held out of the training
+Domain shift is an affine map (rotation in degrees, scale, translation)
+plus optional Gaussian noise. Target labels are held out of the training
 surface; a stratified 20% target test split is reserved for evaluation.
 """
 
@@ -33,9 +33,9 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class ShiftSpec:
-    """Affine domain shift: x -> scale * R(rotation) x + translation (+ noise)."""
+    """Affine domain shift: x -> scale * R(rotation_deg) x + translation (+ noise)."""
 
-    rotation: float = 0.0               # radians
+    rotation_deg: float = 0.0           # degrees, converted with math.radians when applied
     translation: tuple[float, float] = (0.0, 0.0)
     scale: float = 1.0
     noise_std: float = 0.0
@@ -44,7 +44,7 @@ class ShiftSpec:
         object.__setattr__(self, "translation", tuple(float(t) for t in self.translation))
         if len(self.translation) != FEATURE_DIM:
             raise ValueError(f"translation must have {FEATURE_DIM} entries")
-        values = (self.rotation, *self.translation, self.scale, self.noise_std)
+        values = (self.rotation_deg, *self.translation, self.scale, self.noise_std)
         if not all(map(math.isfinite, values)):
             raise ValueError("shift values must be finite")
         if self.scale <= 0:
@@ -62,12 +62,12 @@ class TaskSpec:
     samples_per_domain: int = 2000
     source_shifts: list[ShiftSpec] = field(
         default_factory=lambda: [
-            ShiftSpec(rotation=0.0),
-            ShiftSpec(rotation=math.radians(15.0)),
-            ShiftSpec(rotation=math.radians(30.0)),
+            ShiftSpec(rotation_deg=0.0),
+            ShiftSpec(rotation_deg=15.0),
+            ShiftSpec(rotation_deg=30.0),
         ]
     )
-    target_shift: ShiftSpec = field(default_factory=lambda: ShiftSpec(rotation=math.radians(45.0)))
+    target_shift: ShiftSpec = field(default_factory=lambda: ShiftSpec(rotation_deg=45.0))
     seed: int = 0
     generator_noise: float | None = None
 
@@ -169,14 +169,15 @@ def _gaussian_blobs(n: int, k: int, noise: float, rng: np.random.Generator):
     return np.vstack(xs), np.concatenate(ys)
 
 
-def _rotation_matrix(theta: float) -> np.ndarray:
+def _rotation_matrix(degrees: float) -> np.ndarray:
+    theta = math.radians(degrees)
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
 
 
 def apply_shift(shift: ShiftSpec, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
     """Apply the affine shift plus noise; raises ValueError if noise_std > 0 and rng is None."""
-    out = (shift.scale * (x @ _rotation_matrix(shift.rotation).T)) + np.asarray(shift.translation)
+    out = (shift.scale * (x @ _rotation_matrix(shift.rotation_deg).T)) + np.asarray(shift.translation)
     if shift.noise_std > 0:
         if rng is None:
             raise ValueError("noise_std > 0 needs an rng")

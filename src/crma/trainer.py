@@ -4,7 +4,9 @@ Every iteration consumes one DomainBatch and runs, in order: source
 supervision on all parameters, the classifier-side consistency
 maximization (minimizing source CE minus the intra consistency), the
 extractor-side consistency minimization, and the adaptive self-training
-update. Each phase rebuilds its forward graph on a fresh tape and runs all
+update: one optimizer step each, all at ``base_lr`` in every epoch. A
+phase whose ablated terms leave it nothing to optimize is skipped.
+Each phase rebuilds its forward graph on a fresh tape and runs all
 2M heads in one batched pass over the model's (M, 2, ...) head storage:
 the target features feed every head, and the M source batches, which
 share one grouped extractor pass, feed their own pairs. The two phases that
@@ -37,7 +39,6 @@ from .seeds import stream_rng, stream_seed
 
 LOSS_CEILING = 1e6
 MOMENTUM = 0.9
-COSINE_FLOOR_FRACTION = 0.01
 
 # glibc keeps this much free memory at the top of the heap when it trims it.
 # Each phase frees its arrays when it ends; without the pad glibc hands them
@@ -75,38 +76,29 @@ class AblationFlags:
 class TrainConfig:
     alpha: float = 0.5
     lam: float = 0.1                      # config key "lambda"
-    base_lr: float = 1e-3
-    extractor_lr_multiplier: float = 1.0  # 0.1 emulates a pretrained-extractor regime
+    base_lr: float = 1e-3                 # every step of every epoch
     epochs: int = 50
     batch_per_domain: int = 128
     optimizer: str = "sgd_momentum"       # or "sgd"
-    scheduler: str = "constant"           # or "cosine_annealing"
     ablation: AblationFlags = field(default_factory=AblationFlags)
     seed: int = 0
-    num_extractor_steps: int = 1
-    ast_start_epoch: int = 0
     uniform_pseudo_weights: bool = False
     extractor_hidden: tuple[int, ...] = (64, 64)
     head_hidden: tuple[int, ...] = (32,)
 
     def validate(self) -> None:
-        values = (self.alpha, self.lam, self.base_lr, self.extractor_lr_multiplier)
-        if not all(map(math.isfinite, values)):
-            raise ValueError("alpha, lambda and learning rates must be finite")
+        if not all(map(math.isfinite, (self.alpha, self.lam, self.base_lr))):
+            raise ValueError("alpha, lambda and the learning rate must be finite")
         if self.alpha < 0 or self.lam < 0:
             raise ValueError("alpha and lambda must be >= 0")
-        if self.base_lr <= 0 or self.extractor_lr_multiplier <= 0:
-            raise ValueError("learning rates must be > 0")
-        if self.epochs < 1 or self.batch_per_domain < 1 or self.num_extractor_steps < 1:
-            raise ValueError("epochs, batch size, and extractor steps must be >= 1")
-        if self.ast_start_epoch < 0:
-            raise ValueError(f"ast_start_epoch must be >= 0, got {self.ast_start_epoch}")
+        if self.base_lr <= 0:
+            raise ValueError("the learning rate must be > 0")
+        if self.epochs < 1 or self.batch_per_domain < 1:
+            raise ValueError("epochs and batch size must be >= 1")
         if self.seed < 0:
             raise ValueError(f"train seed must be >= 0, got {self.seed}")
         if self.optimizer not in ("sgd", "sgd_momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.scheduler not in ("constant", "cosine_annealing"):
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
 
 
 class ConfidenceTracker:
@@ -146,21 +138,19 @@ class SgdOptimizer:
         self.momentum = momentum
         self.leaves = (*model.extractor_leaves, *model.head_leaves)
         self.velocities = tuple(np.zeros_like(leaf.values) for leaf in self.leaves)
-        self._num_extractor = len(model.extractor_leaves)
 
     def zero_grad(self) -> None:
         for leaf in self.leaves:
             leaf.zero_grad()
 
-    def step(self, lr: float, extractor_lr_multiplier: float = 1.0) -> None:
-        for i, (leaf, velocity) in enumerate(zip(self.leaves, self.velocities)):
+    def step(self, lr: float) -> None:
+        for leaf, velocity in zip(self.leaves, self.velocities):
             if not leaf.requires_grad:
                 continue
             grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.values)
-            rate = lr * (extractor_lr_multiplier if i < self._num_extractor else 1.0)
             velocity *= self.momentum
             velocity += grad
-            leaf.values -= rate * velocity
+            leaf.values -= lr * velocity
 
 
 @dataclass
@@ -191,15 +181,6 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TOP_PAD, HEAP_TOP_PAD_BYTES)  # ctypes passes and returns C ints by default
 
 
-def learning_rate(config: TrainConfig, epoch: int) -> float:
-    """Per-epoch learning rate; cosine anneals from base down to 1% of base."""
-    if config.scheduler == "constant" or config.epochs == 1:
-        return config.base_lr
-    floor = COSINE_FLOOR_FRACTION * config.base_lr
-    progress = epoch / (config.epochs - 1)
-    return floor + 0.5 * (config.base_lr - floor) * (1.0 + math.cos(math.pi * progress))
-
-
 @contextlib.contextmanager
 def _frozen(leaves: Sequence[Tensor]):
     """Treat ``leaves`` as constants: ops on them alone record no tape node,
@@ -224,7 +205,7 @@ def _descend(state: TrainState, tape: Tape, loss: Tensor, lr: float) -> float:
         raise NumericError(f"loss {value}")
     state.optimizer.zero_grad()
     tape.backward(loss)
-    state.optimizer.step(lr, extractor_lr_multiplier=state.config.extractor_lr_multiplier)
+    state.optimizer.step(lr)
     return value
 
 
@@ -256,11 +237,11 @@ def step_classifiers(state: TrainState, batch: DomainBatch, lr: float) -> None:
 
 
 def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
-    """Extractor-only steps on L_intra + alpha * L_inter; classifiers frozen.
+    """One extractor-only step on L_intra + alpha * L_inter; classifiers frozen.
 
     Ablated terms are dropped; with no terms left (both ablated, or a
     single source with intra ablated) the phase is skipped as a true no-op.
-    Returns the first step's pre-step (L_intra, L_inter) values.
+    Returns the step's pre-step (L_intra, L_inter) values.
     """
     cfg = state.config
     model = state.model
@@ -268,19 +249,15 @@ def step_extractor(state: TrainState, batch: DomainBatch, lr: float):
     use_inter = cfg.ablation.inter_da and model.num_domains >= 2
     if not use_intra and not use_inter:
         return None
-    first_values = None
     with _frozen(model.head_leaves):
-        for _ in range(cfg.num_extractor_steps):
-            with Tape() as tape:
-                probs = model.head_probs(model.forward_features(batch.target_features))
-                # an ablated term enters as a constant 0.0
-                intra = losses.intra_consistency_loss(probs) if use_intra else Tensor(0.0)
-                inter = losses.inter_consistency_loss(probs) if use_inter else Tensor(0.0)
-                objective = intra + inter * cfg.alpha
-            if first_values is None:
-                first_values = (intra.item(), inter.item())
-            _descend(state, tape, objective, lr)
-    return first_values
+        with Tape() as tape:
+            probs = model.head_probs(model.forward_features(batch.target_features))
+            # an ablated term enters as a constant 0.0
+            intra = losses.intra_consistency_loss(probs) if use_intra else Tensor(0.0)
+            inter = losses.inter_consistency_loss(probs) if use_inter else Tensor(0.0)
+            objective = intra + inter * cfg.alpha
+        _descend(state, tape, objective, lr)
+    return intra.item(), inter.item()
 
 
 def step_ast(state: TrainState, batch: DomainBatch, lr: float):
@@ -292,7 +269,7 @@ def step_ast(state: TrainState, batch: DomainBatch, lr: float):
     on all parameters with the targets held constant.
     """
     cfg = state.config
-    if not cfg.ablation.ast or state.epoch < cfg.ast_start_epoch:
+    if not cfg.ablation.ast:
         return None
     model = state.model
     with Tape() as tape:
@@ -341,13 +318,13 @@ def train(config: TrainConfig, task: GeneratedTask):
     state = TrainState(model, config)
     iterator = BatchIterator(task, config.batch_per_domain, stream_seed(config.seed, "shuffle"))
     batches = iter(iterator)
+    lr = config.base_lr
 
     try:
         # every overflow ends in a NumericError or a loss check, the run's own report
         with np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(config.epochs):
                 state.epoch = epoch
-                lr = learning_rate(config, epoch)
                 src_sum = intra_sum = inter_sum = ast_sum = 0.0
                 weight_sum = np.zeros(num_domains)
                 weight_batches = 0

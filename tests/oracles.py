@@ -120,12 +120,13 @@ def ast_beta(raw, running_means) -> float:
 
 def invert_shift(shift, x) -> np.ndarray:
     """Exact inverse of a ShiftSpec's affine part, one point at a time."""
-    c, s = math.cos(shift.rotation), math.sin(shift.rotation)
+    theta = math.radians(shift.rotation_deg)
+    c, s = math.cos(theta), math.sin(theta)
     out = np.zeros_like(x)
     for i in range(x.shape[0]):
         u = (x[i, 0] - shift.translation[0]) / shift.scale
         v = (x[i, 1] - shift.translation[1]) / shift.scale
-        # rotate by -rotation
+        # rotate by -theta
         out[i, 0] = c * u + s * v
         out[i, 1] = -s * u + c * v
     return out

@@ -437,7 +437,7 @@ def asymmetric_blobs_spec(seed):
         generator="gaussian_blobs",
         num_classes=4,
         samples_per_domain=2000,
-        source_shifts=[ShiftSpec(), ShiftSpec(rotation=math.pi / 4, scale=0.5)],
+        source_shifts=[ShiftSpec(), ShiftSpec(rotation_deg=45.0, scale=0.5)],
         target_shift=ShiftSpec(),
         seed=seed,
     )

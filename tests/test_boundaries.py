@@ -54,16 +54,19 @@ WORDS = ["true", "false", "maybe", "two_moons", "gaussian_blobs", "spirals", "cr
          "crma,source_only", "crma,,source_only", "crma,", "crma,crma", "uniform_ensemble",
          "sgd", "adam", "cosine_annealing", "é", "a=b"]
 VALUES = INTS + FLOATS + LISTS + WORDS
+# training keys that an older effective.cfg still holds; SHIFT_NAMES keeps its radians rotation
+REMOVED_KEYS = ["train.extractor_lr_multiplier", "train.scheduler", "train.num_extractor_steps",
+                "train.ast_start_epoch"]
 SHIFT_NAMES = ["rotation", "rotation_deg", "translation", "scale", "noise_std", "shear"]
 SHIFT_PREFIXES = ["task.source_shifts.0", "task.source_shifts.1", "task.source_shifts.3",
                   "task.source_shifts.01", "task.target_shift"]
-KEYS = [key for key, _, _ in CONFIG_KEYS] + [
+KEYS = [key for key, _, _ in CONFIG_KEYS] + REMOVED_KEYS + [
     f"{prefix}.{name}" for prefix in SHIFT_PREFIXES for name in SHIFT_NAMES
 ] + ["train.alpah", "task"]
 # the keys that scale, turn, move or spread a task's features
 SHAPING_KEYS = ["task.generator_noise"] + [
     f"{prefix}.{name}" for prefix in ("task.source_shifts.0", "task.source_shifts.1", "task.target_shift")
-    for name in ("rotation", "translation", "scale", "noise_std")
+    for name in ("rotation_deg", "translation", "scale", "noise_std")
 ]
 # values drawn for one key alone: seed counts up to 10^9, and output directories
 # that effective.cfg cannot write back as they are (a comment, a line break, outer whitespace)
@@ -133,6 +136,7 @@ def test_config_overrides_fail_only_with_config_errors():
         kv = _overridden(rng)
         cfg = _outcome(lambda: build_experiment_config(kv), ConfigError, kv)
         if cfg is not None:
+            assert not any(k in REMOVED_KEYS or k.endswith(".rotation") for k in kv), kv
             _check_accepted(cfg)
             accepted += 1
     assert 100 < accepted < 2900  # both outcomes are exercised

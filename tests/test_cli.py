@@ -1,5 +1,4 @@
 import json
-import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +30,11 @@ from crma.nn import CrmaModel, parameters_digest
 from crma.trainer import TrainConfig, TrainState, history_columns, load_checkpoint, save_checkpoint, train
 
 ROOT = Path(__file__).resolve().parents[1]
+# keys of an older version, each with a value it accepted: the radians shift rotation and four
+# training knobs that every run left at these values
+REMOVED_KEYS = {"task.source_shifts.0.rotation": "0.5", "train.scheduler": "constant",
+                "train.extractor_lr_multiplier": "1.0", "train.num_extractor_steps": "1",
+                "train.ast_start_epoch": "0"}
 
 TINY = """
 # small everything so the suite stays fast
@@ -59,7 +63,7 @@ def test_parse_config_text_basics():
 def test_unknown_key_suggests_nearest():
     with pytest.raises(ConfigError, match=r"trian\.alpha.*train\.alpha"):
         build_experiment_config({"trian.alpha": "0.5"})
-    with pytest.raises(ConfigError, match=r"did you mean 'task\.source_shifts\.5\.rotation'"):
+    with pytest.raises(ConfigError, match=r"did you mean 'task\.source_shifts\.5\.rotation_deg'"):
         build_experiment_config({"task.source_shifts.5.rotaton": "0.5"})
 
 
@@ -86,7 +90,7 @@ def test_value_parsing_and_overrides():
             "task.num_classes": "4",
             "task.generator_noise": "0.4",
             "task.source_shifts.0.rotation_deg": "10",
-            "task.source_shifts.1.rotation": "0.5",
+            "task.source_shifts.1.rotation_deg": "0.5",
             "task.source_shifts.1.translation": "1.0,-2.0",
             "task.target_shift.scale": "2.0",
             "run.methods": "crma",
@@ -96,8 +100,8 @@ def test_value_parsing_and_overrides():
     assert cfg.train.ablation.intra_da is False
     assert cfg.train.extractor_hidden == (10, 10)
     assert cfg.task.generator == "gaussian_blobs"
-    assert cfg.task.source_shifts[0].rotation == pytest.approx(math.radians(10))
-    assert cfg.task.source_shifts[1].rotation == 0.5
+    assert cfg.task.source_shifts[0].rotation_deg == 10.0
+    assert cfg.task.source_shifts[1].rotation_deg == 0.5
     assert cfg.task.source_shifts[1].translation == (1.0, -2.0)
     assert cfg.task.target_shift.scale == 2.0
     assert cfg.methods == ("crma",)
@@ -108,8 +112,7 @@ def test_bad_values_are_config_errors(tmp_path, monkeypatch, capsys):
         {"train.alpha": "fast"},
         {"train.intra_da": "maybe"},
         {"run.methods": "crma,unknown_method"},
-        {"task.source_shifts.0.rotation": "1", "task.source_shifts.0.rotation_deg": "2"},
-        {"task.source_shifts.1.rotation": "1"},  # index 0 missing
+        {"task.source_shifts.1.rotation_deg": "1"},  # index 0 missing
         {"train.epochs": "0"},
         {"train.extractor_hidden": ""},
         {"train.extractor_hidden": "0"},
@@ -121,11 +124,9 @@ def test_bad_values_are_config_errors(tmp_path, monkeypatch, capsys):
         {"run.methods": "crma,crma"},
         {"run.output_dir": ""},
         {"train.optimizer": "adam"},
-        {"train.scheduler": "step"},
         {"train.alpha": "-1"},
         {"train.lambda": "-0.1"},
         {"train.base_lr": "0"},
-        {"train.extractor_lr_multiplier": "0"},
         {"run.num_seeds": "0"},
         {"task.source_shifts.0.translation": "1,2,3"},
         {"task.generator": "gaussian_blobs", "task.num_classes": "1"},
@@ -138,6 +139,7 @@ def test_bad_values_are_config_errors(tmp_path, monkeypatch, capsys):
         {"run.output_dir": "res#1"},
         {"run.output_dir": "a\nb"},
         {"run.output_dir": " out"},
+        *({key: value} for key, value in REMOVED_KEYS.items()),
     ):
         with pytest.raises(ConfigError):
             build_experiment_config(kv)
@@ -146,6 +148,12 @@ def test_bad_values_are_config_errors(tmp_path, monkeypatch, capsys):
     for out in ("res#1", "a\nb"):
         assert main(["run", str(cfg_path), "--out", out, "--run.num_seeds=1"]) == 1
         assert "run.output_dir" in capsys.readouterr().err
+    # an effective.cfg of an older version names one of them
+    effective = effective_config_text(build_experiment_config(parse_config_text(TINY)))
+    for key, value in REMOVED_KEYS.items():
+        old = write_cfg(tmp_path, f"{effective}{key} = {value}\n", "old.cfg")
+        assert main(["run", str(old), "--out", "out"]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not any(p.is_dir() for p in tmp_path.iterdir())
 
 
@@ -181,12 +189,19 @@ def test_a_model_over_the_byte_bound_is_a_config_error(key):
 
 
 def test_effective_config_round_trips_exactly():
-    cfg = build_experiment_config(parse_config_text(TINY))
-    text = effective_config_text(cfg)
-    reparsed = build_experiment_config(parse_config_text(text))
-    assert reparsed == cfg
-    # and the re-serialization is byte-stable
-    assert effective_config_text(reparsed) == text
+    shipped = [(ROOT / "configs" / name).read_text() for name in ("two_moons.cfg", "asym_blobs.cfg")]
+    for source in (TINY, *shipped):
+        kv = parse_config_text(source)
+        cfg = build_experiment_config(kv)
+        text = effective_config_text(cfg)
+        # every rotation is written in degrees, as the config states it
+        for key, value in kv.items():
+            if key.endswith(".rotation_deg"):
+                assert f"\n{key} = {float(value)!r}\n" in text
+        reparsed = build_experiment_config(parse_config_text(text))
+        assert reparsed == cfg
+        # and the re-serialization is byte-stable
+        assert effective_config_text(reparsed) == text
 
 
 def test_ablation_variants_follow_grid_order():
@@ -425,7 +440,7 @@ def test_cli_usage_error_exits_one(argv, tmp_path, monkeypatch, capsys):
     "override",
     ["--train.base_lr=nan", "--train.alpha=inf", "--task.generator_noise=nan",
      "--task.generator_noise=-0.5", "--task.source_shifts.0.scale=nan",
-     "--train.ast_start_epoch=-1", "--task.generator_noise=1e308",
+     "--train.epochs=-1", "--task.generator_noise=1e308",
      "--task.source_shifts.0.noise_std=1e308"],
 )
 def test_non_finite_or_negative_value_is_a_config_error(tmp_path, capsys, override):
@@ -586,6 +601,8 @@ def test_cli_diverged_run_exits_two(tmp_path, monkeypatch, capsys):
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "diverged: loss 2e+06 at iteration 8" in captured.err
+    # the diverged run's own line names it, as a finished run's progress line does
+    assert "crma seed 1: diverged (loss 2e+06 at iteration 8)\n" in captured.err
     assert captured.out == ""
     # the finished run keeps every artifact, the diverged one its partial metrics
     finished, diverged = out / "runs" / "crma_seed0", out / "runs" / "crma_seed1"

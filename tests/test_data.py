@@ -30,8 +30,8 @@ def blob_spec(**kwargs):
         generator="gaussian_blobs",
         num_classes=4,
         samples_per_domain=200,
-        source_shifts=[ShiftSpec(), ShiftSpec(rotation=0.4)],
-        target_shift=ShiftSpec(rotation=0.2),
+        source_shifts=[ShiftSpec(), ShiftSpec(rotation_deg=23.0)],
+        target_shift=ShiftSpec(rotation_deg=11.0),
         seed=7,
     )
     defaults.update(kwargs)
@@ -56,7 +56,7 @@ def test_identity_shift_leaves_features_alone():
 def test_shift_then_inverse_recovers_input():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((50, 2))
-    shift = ShiftSpec(rotation=0.7, translation=(1.5, -2.0), scale=2.5)
+    shift = ShiftSpec(rotation_deg=40.0, translation=(1.5, -2.0), scale=2.5)
     back = invert_shift(shift, apply_shift(shift, x))
     np.testing.assert_allclose(back, x, atol=1e-9)
 
@@ -76,9 +76,9 @@ def test_task_without_sources_rejected():
 
 
 def test_per_domain_noise_changes_only_that_domains_features():
-    shifts = [ShiftSpec(), ShiftSpec(rotation=0.4), ShiftSpec(rotation=0.8)]
+    shifts = [ShiftSpec(), ShiftSpec(rotation_deg=23.0), ShiftSpec(rotation_deg=46.0)]
     clean = generate_task(TaskSpec(samples_per_domain=100, seed=5, source_shifts=shifts))
-    noisy_shifts = [shifts[0], ShiftSpec(rotation=0.4, noise_std=0.3), shifts[2]]
+    noisy_shifts = [shifts[0], ShiftSpec(rotation_deg=23.0, noise_std=0.3), shifts[2]]
     spec = TaskSpec(samples_per_domain=100, seed=5, source_shifts=noisy_shifts)
     noisy, again = generate_task(spec), generate_task(spec)
     for task in (noisy, again):
@@ -290,7 +290,6 @@ def test_a_training_process_never_imports_numpy_ma():
 def test_default_spec_is_the_rotated_moons_benchmark():
     spec = TaskSpec()
     assert spec.generator == "two_moons"
-    rotations = [round(math.degrees(s.rotation)) for s in spec.source_shifts]
-    assert rotations == [0, 15, 30]
-    assert round(math.degrees(spec.target_shift.rotation)) == 45
+    assert [s.rotation_deg for s in spec.source_shifts] == [0.0, 15.0, 30.0]
+    assert spec.target_shift.rotation_deg == 45.0
     assert spec.samples_per_domain == 2000

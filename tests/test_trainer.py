@@ -24,7 +24,6 @@ from crma.trainer import (
     TrainConfig,
     TrainState,
     evaluate,
-    learning_rate,
     load_checkpoint,
     save_checkpoint,
     step_ast,
@@ -152,28 +151,6 @@ def test_step_extractor_freezes_classifiers():
     assert ext_after != ext_before
 
 
-def test_two_extractor_steps_equal_two_single_steps():
-    task = tiny_task(seed=10)
-    batch = first_batch(task)
-    twice = fresh_state(task, seed=10, num_extractor_steps=2)
-    once = fresh_state(task, seed=10)
-    heads_before = [leaf.values.copy() for leaf in twice.model.head_leaves]
-    first = step_extractor(twice, batch, lr=1e-2)
-    assert first == step_extractor(once, batch, lr=1e-2)  # the first step's pre-step values
-    after_one = [leaf.values.copy() for leaf in once.model.extractor_leaves]
-    assert step_extractor(once, batch, lr=1e-2) != first
-    for a, b in zip(twice.optimizer.leaves, once.optimizer.leaves):
-        np.testing.assert_array_equal(a.values, b.values)
-    for a, b in zip(twice.optimizer.velocities, once.optimizer.velocities):
-        np.testing.assert_array_equal(a, b)
-    second_step = zip(twice.model.extractor_leaves, after_one)
-    assert any(not np.array_equal(leaf.values, v) for leaf, v in second_step)
-    num_extractor = len(twice.model.extractor_leaves)
-    for leaf, before in zip(twice.model.head_leaves, heads_before):
-        np.testing.assert_array_equal(leaf.values, before)
-    assert not any(v.any() for v in twice.optimizer.velocities[num_extractor:])
-
-
 def test_step_extractor_noop_when_single_source_and_intra_off():
     task = generate_task(
         TaskSpec(samples_per_domain=60, seed=9, source_shifts=[ShiftSpec()])
@@ -276,7 +253,7 @@ def test_tape_entries_per_phase(monkeypatch):
     }
 
 
-def test_step_ast_skipped_when_ablated_or_before_start():
+def test_step_ast_skipped_when_ablated():
     task = tiny_task(seed=10)
     batch = first_batch(task)
 
@@ -285,10 +262,6 @@ def test_step_ast_skipped_when_ablated_or_before_start():
     assert step_ast(state, batch, lr=1e-3) is None
     assert parameters_digest(state.model.parameters()) == before
     assert state.tracker.counts.sum() == 0
-
-    state = fresh_state(task, seed=10, ast_start_epoch=3)
-    state.epoch = 0
-    assert step_ast(state, batch, lr=1e-3) is None
 
 
 def test_step_ast_first_iteration_matches_hand_oracle():
@@ -403,7 +376,7 @@ GOLDEN = {
             generator="gaussian_blobs",
             num_classes=4,
             samples_per_domain=80,
-            source_shifts=[ShiftSpec(), ShiftSpec(rotation=math.pi / 4, scale=0.5)],
+            source_shifts=[ShiftSpec(), ShiftSpec(rotation_deg=45.0, scale=0.5)],
             target_shift=ShiftSpec(),
             seed=34,
         ),
@@ -542,17 +515,6 @@ def test_history_shape_and_finiteness():
             assert math.isfinite(row[f"bar_L_{m}"])
 
 
-def test_cosine_schedule_endpoints():
-    cfg = TrainConfig(epochs=10, scheduler="cosine_annealing", base_lr=1e-3)
-    assert learning_rate(cfg, 0) == pytest.approx(1e-3)
-    assert learning_rate(cfg, 9) <= 0.01 * 1e-3 + 1e-15
-    mid = [learning_rate(cfg, e) for e in range(10)]
-    assert all(a >= b for a, b in zip(mid, mid[1:]))  # monotone decay
-
-    constant = TrainConfig(epochs=10, scheduler="constant", base_lr=1e-3)
-    assert learning_rate(constant, 7) == 1e-3
-
-
 def test_divergence_guard_aborts_with_history(monkeypatch):
     import crma.losses as losses_module
     from crma.autodiff import NumericError, Tensor
@@ -618,22 +580,6 @@ def test_a_diverging_run_gives_no_numpy_warning():
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     # step_source's update overflows step_classifiers' forward
     assert str(excinfo.value) == "softmax input contains NaN or Inf at iteration 0"
-
-
-def test_extractor_lr_multiplier_slows_extractor():
-    task = tiny_task(seed=19)
-    batch = first_batch(task)
-    deltas = {}
-    for mult in (1.0, 0.1):
-        state = fresh_state(task, seed=19, extractor_lr_multiplier=mult, momentum=False)
-        before = [t.values.copy() for t in state.model.extractor_leaves]
-        step_source(state, batch, lr=1e-2)
-        after = state.model.extractor_leaves
-        deltas[mult] = sum(
-            float(np.abs(a.values - b).sum()) for a, b in zip(after, before)
-        )
-    assert deltas[0.1] < deltas[1.0]
-    assert deltas[0.1] == pytest.approx(0.1 * deltas[1.0], rel=1e-9)
 
 
 # evaluation ------------------------------------------------------------------------
