@@ -1,6 +1,14 @@
 """Bit digests of a fixed list of two-epoch training runs.
 
-For each configuration, trains one run and prints one line: its name, the
+The first line names the host class, whose float64 bits the digests hold:
+
+    host numpy=<version> dispatch=<level> openblas=<version> core=<core>
+
+``dispatch`` is the highest of numpy's dispatch targets that is enabled
+together with every lower one (numpy's baseline when none is), and ``core``
+the kernel set OpenBLAS picked at load time; a field that cannot be read is
+``?``. So a diff across hosts shows why their digests differ. Then, for each
+configuration, trains one run and prints one line: its name, the
 ``parameters_digest`` of the final model, a sha256 of the history rows, a
 sha256 of the ``save_checkpoint`` bytes, and the final target accuracy.
 A change meant to keep every bit is checked by a ``diff`` of this output
@@ -12,11 +20,15 @@ The script uses only the package's public names, so it runs unchanged on
 an older checkout.
 """
 
+import ctypes
 import hashlib
+import itertools
 import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from crma.cli import build_experiment_config, parse_config_text
 from crma.data import generate_task
@@ -63,7 +75,32 @@ def digest_line(name: str) -> str:
     return f"{name} {params} {rows} {checkpoint} {history[-1]['target_acc']!r}"
 
 
+def host_class() -> str:
+    """``host numpy=... dispatch=... openblas=... core=...``, each field ``?`` when it cannot be read."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+        enabled = itertools.takewhile(__cpu_features__.get, __cpu_dispatch__)
+        dispatch = [*__cpu_baseline__, *enabled][-1]
+    except (ImportError, IndexError):
+        dispatch = "?"
+    openblas = core = "?"
+    package = Path(np.__file__).parent
+    for path in [*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]:
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_config, get_core = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        get_config.restype = get_core.restype = ctypes.c_char_p
+        config = get_config().decode().split()  # "OpenBLAS <version> <build options>"
+        openblas = config[1] if len(config) > 1 else "?"
+        core = get_core().decode()
+        break
+    return f"host numpy={np.__version__} dispatch={dispatch} openblas={openblas} core={core}"
+
+
 def main(names=None) -> None:
+    print(host_class(), flush=True)
     for name in names or RUNS:
         print(digest_line(name), flush=True)
 

@@ -51,7 +51,12 @@ from .trainer import (
     write_history_csv,
 )
 
-METHODS = ("crma", "source_only", "uniform_ensemble")
+# Each method's own (intra_da, inter_da, ast) components, and whether its pseudo-labels weight every source alike.
+METHODS = {
+    "crma": ((True, True, True), False),
+    "source_only": ((False, False, False), False),
+    "uniform_ensemble": ((True, True, True), True),
+}
 # Most seeds one sweep may plan; a sweep also draws every seed's task before its first run.
 MAX_SEEDS = 10_000
 
@@ -84,10 +89,9 @@ class Variant:
     @property
     def label(self) -> str:
         """The method, plus ``_i<intra>e<inter>a<ast>`` unless the flags are the
-        method's own: all off for ``source_only``, all on for the other methods."""
+        method's own components in ``METHODS``."""
         on = astuple(self.flags)
-        own = on == (self.method != "source_only",) * 3
-        return self.method if own else self.method + "_i{:d}e{:d}a{:d}".format(*on)
+        return self.method if on == METHODS[self.method][0] else self.method + "_i{:d}e{:d}a{:d}".format(*on)
 
     def columns(self) -> str:
         """The ``method,intra_da,inter_da,ast`` prefix of a CSV row."""
@@ -98,7 +102,7 @@ class Variant:
 # run.json's keys in RunRecord.json_text's value order, each with its value's test;
 # json.loads gives exact types, and NaN and infinities fail the range test
 _RUN_KEYS = {
-    "method": lambda v: v in METHODS,
+    "method": lambda v: type(v) is str and v in METHODS,
     "seed": lambda v: type(v) is int and v >= 0,
     "epochs": lambda v: type(v) is int and v >= 1,
     "final_acc": lambda v: type(v) in (int, float) and 0 <= v <= 1,
@@ -218,9 +222,9 @@ def _methods(value: str) -> tuple[str, ...]:
     methods = tuple(_items(value))
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+        raise ValueError(f"unknown methods {unknown}; choose from {tuple(METHODS)}")
     if not methods:
-        raise ValueError(f"name at least one of {METHODS}")
+        raise ValueError(f"name at least one of {tuple(METHODS)}")
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
         raise ValueError(f"methods listed more than once: {repeated}")
@@ -390,8 +394,8 @@ def effective_config_text(cfg: ExperimentConfig) -> str:
 
 
 def _variant_for(method: str, cfg: ExperimentConfig) -> Variant:
-    flags = AblationFlags(False, False, False) if method == "source_only" else replace(cfg.train.ablation)
-    return Variant(method, flags)
+    own, _ = METHODS[method]  # a config flag can only turn one of the method's own components off
+    return Variant(method, AblationFlags(*(o and on for o, on in zip(own, astuple(cfg.train.ablation)))))
 
 
 def ablation_variants() -> list[Variant]:
@@ -451,7 +455,7 @@ def plan(cfg: ExperimentConfig, variants: Sequence[Variant]) -> list[RunSpec]:
     for variant in variants:
         for i in range(cfg.num_seeds):
             train_cfg = replace(cfg.train, seed=cfg.train.seed + i, ablation=replace(variant.flags),
-                                uniform_pseudo_weights=variant.method == "uniform_ensemble")
+                                uniform_pseudo_weights=METHODS[variant.method][1])
             run_dir = Path(cfg.output_dir, "runs", run_dir_name(variant.label, train_cfg.seed))
             specs.append(RunSpec(variant, replace(cfg.task, seed=cfg.task.seed + i), train_cfg, run_dir))
     return specs

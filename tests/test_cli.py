@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from crma.cli import (
     ABLATION_GRID,
     CONFIG_KEYS,
+    METHODS,
     SHIFT_KEYS,
     ConfigError,
     RunRecord,
@@ -552,6 +553,35 @@ def test_plan_is_the_order_seeds_and_run_dirs_the_sweep_trains(tmp_path, monkeyp
     assert trained == [(s.train, s.task) for s in specs]
 
 
+# each row: the config's (intra_da, inter_da, ast) flags, then what a sweep of crma, source_only
+# and uniform_ensemble plans for each method: (label, flags, uniform pseudo-label weights)
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ((1, 1, 1), [("crma", (1, 1, 1), False), ("source_only", (0, 0, 0), False),
+                     ("uniform_ensemble", (1, 1, 1), True)]),
+        ((0, 1, 1), [("crma_i0e1a1", (0, 1, 1), False), ("source_only", (0, 0, 0), False),
+                     ("uniform_ensemble_i0e1a1", (0, 1, 1), True)]),
+        ((1, 0, 1), [("crma_i1e0a1", (1, 0, 1), False), ("source_only", (0, 0, 0), False),
+                     ("uniform_ensemble_i1e0a1", (1, 0, 1), True)]),
+        ((1, 1, 0), [("crma_i1e1a0", (1, 1, 0), False), ("source_only", (0, 0, 0), False),
+                     ("uniform_ensemble_i1e1a0", (1, 1, 0), True)]),
+        ((0, 0, 0), [("crma_i0e0a0", (0, 0, 0), False), ("source_only", (0, 0, 0), False),
+                     ("uniform_ensemble_i0e0a0", (0, 0, 0), True)]),
+    ],
+    ids=["all-on", "intra-off", "inter-off", "ast-off", "all-off"],
+)
+def test_plan_trains_each_method_row_under_the_configs_flags(flags, expected):
+    keys = ("train.intra_da", "train.inter_da", "train.ast")
+    kv = {**parse_config_text(TINY), **{key: "true" if on else "false" for key, on in zip(keys, flags)},
+          "run.methods": "crma,source_only,uniform_ensemble"}
+    cfg = build_experiment_config(kv)
+    specs = plan(cfg, [_variant_for(m, cfg) for m in cfg.methods])
+    planned = [(s.variant.label, astuple(s.train.ablation), s.train.uniform_pseudo_weights) for s in specs]
+    assert planned == [row for row in expected for _ in range(cfg.num_seeds)]
+    assert all(s.variant.flags == s.train.ablation for s in specs)
+
+
 def test_execute_writes_its_run_and_the_checkpoint_of_the_trained_state(tmp_path, monkeypatch, capsys):
     import crma.cli as cli_module
 
@@ -810,6 +840,11 @@ def whole_checkpoint(tmp_path_factory):
         (GOOD_RUN_JSON.replace(b'"final_acc": 0.5', b'"final_acc": 1.5'), GOOD_CURVE, "run.json", "", None),
         (GOOD_RUN_JSON.replace(b'"seed": 0', b'"seed": true'), GOOD_CURVE, "run.json", "", None),
         (GOOD_RUN_JSON.replace(b'"method": "crma"', b'"method": "dann"'), GOOD_CURVE, "run.json", "", None),
+        # an unhashable method is an invalid method, not a TypeError of the method lookup
+        (GOOD_RUN_JSON.replace(b'"method": "crma"', b'"method": []'), GOOD_CURVE, "run.json", "invalid method",
+         None),
+        (GOOD_RUN_JSON.replace(b'"method": "crma"', b'"method": {}'), GOOD_CURVE, "run.json", "invalid method",
+         None),
         (GOOD_RUN_JSON, GOOD_CURVE + b"1,0.5\n", "metrics.csv", "", None),
         (GOOD_RUN_JSON, b"", "metrics.csv", "expected 1 epoch rows, found 0", None),
         (GOOD_RUN_JSON.replace(b'"epochs": 1', b'"epochs": 0'), b"epoch\n", "run.json", "invalid epochs", None),
@@ -842,7 +877,8 @@ def whole_checkpoint(tmp_path_factory):
     ids=[
         "truncated", "no-epochs", "non-utf8", "non-utf8-metrics", "bad-flag", "str-epochs",
         "str-final-acc", "int-flag", "nan-final-acc", "inf-final-acc", "final-acc-above-1",
-        "bool-seed", "unknown-method", "extra-epoch-row", "empty-metrics", "zero-epochs",
+        "bool-seed", "unknown-method", "list-method", "dict-method", "extra-epoch-row", "empty-metrics",
+        "zero-epochs",
         "negative-seed", "other-method", "other-flag", "other-seed", "no-checkpoint", "truncated-checkpoint",
         "other-model-checkpoint", "no-digest", "upper-case-digest",
         "no-target-acc-column", "short-last-row", "other-last-target-acc", "nan-last-target-acc",
@@ -902,3 +938,16 @@ def test_readme_key_table_lists_exactly_the_config_keys():
         for name, *_ in SHIFT_KEYS
     ]
     assert sorted(documented) == sorted(expected)
+
+
+def test_readme_method_table_is_the_methods_table():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| (\w+) \|$", section, flags=re.MULTILINE)
+    components = ("intra_da", "inter_da", "ast")
+    documented = {}
+    for method, own, weights in rows:
+        on = [] if own == "none" else [c.strip("`") for c in own.split(", ")]
+        assert set(on) <= set(components) and weights in ("adaptive", "uniform")
+        documented[method] = (tuple(c in on for c in components), weights == "uniform")
+    assert documented == METHODS

@@ -29,7 +29,10 @@ def test_bit_digests_prints_the_same_line_for_two_runs(capsys):
     script = load_script("bit_digests")
     for _ in range(2):
         script.main(["moons_odd_rotations"])
-    first, second = capsys.readouterr().out.splitlines()
+    host, first, host_again, second = capsys.readouterr().out.splitlines()
+    # the host class line leads, with each field read or "?"
+    assert host == host_again
+    assert re.fullmatch(r"host numpy=\S+ dispatch=\S+ openblas=\S+ core=\S+", host)
     assert first == second
     name, *digests, accuracy = first.split()
     assert name == "moons_odd_rotations" and 0.0 <= float(accuracy) <= 1.0
